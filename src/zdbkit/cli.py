@@ -58,9 +58,12 @@ from .errors import (
     VerificationError,
 )
 from .rings import Ring, ring_from_json
-from .verify import verify_zdb
+from .verify import VerificationResult, composition_profile, verify_zdb
 
-# refuse the O(n^2) scan above this order unless --force is passed
+# refuse more than ORDER_LIMIT**2 elementary steps unless --force is passed.
+# A step is one in-class pair of the difference kernel (the sum of squared
+# symbol multiplicities) for verify and dss, and one entry of the n x n
+# codeword matrix for ccc and cwc.
 ORDER_LIMIT = 10_000
 
 
@@ -105,12 +108,25 @@ def _load_fn(path: str) -> ZdbFunction:
         return ZdbFunction.from_json(json.load(fh))
 
 
-def _guard_order(n: int, force: bool) -> None:
-    if n > ORDER_LIMIT and not force:
+def _guard(fn: ZdbFunction, matrix: bool, force: bool) -> None:
+    if matrix:
+        cost, what = fn.n * fn.n, "codeword matrix entries"
+    else:
+        cost, what = sum(w * w for w in composition_profile(fn).counts), "in-class pairs"
+    if cost > ORDER_LIMIT**2 and not force:
         raise _UsageError(
-            f"instance order {n} exceeds {ORDER_LIMIT} "
-            f"(about {n * n:,} group operations); pass --force to run anyway"
+            f"instance of order {fn.n} needs {cost:,} {what}, over the limit of "
+            f"{ORDER_LIMIT**2:,}; pass --force to run anyway"
         )
+
+
+def _failure_note(res: VerificationResult) -> str:
+    if res.failure_kind == "image":
+        return (
+            f"image size mismatch: the table uses {res.actual} distinct symbols, "
+            f"expected {res.expected}"
+        )
+    return f"shift {res.witness_shift} has {res.actual} coincidences, expected {res.expected}"
 
 
 def _zdb_text(n: int, m: int, lam: int) -> str:
@@ -184,14 +200,10 @@ def _cmd_zdb_construct(args) -> int:
 
 def _cmd_zdb_verify(args) -> int:
     fn = _load_fn(args.input)
-    _guard_order(fn.n, args.force)
+    _guard(fn, matrix=False, force=args.force)
     res = verify_zdb(fn)
     if not res.ok:
-        print(
-            f"verification failed: shift {res.witness_shift} has "
-            f"{res.actual} coincidences, expected {res.expected}",
-            file=sys.stderr,
-        )
+        print(f"verification failed: {_failure_note(res)}", file=sys.stderr)
         _write(args, _dumps(res.to_json()) + "\n")
         return 1
     if args.format == "text":
@@ -210,12 +222,11 @@ def _dss_csv(system: DssSystem) -> str:
 
 def _cmd_codes(args) -> int:
     fn = _load_fn(args.input)
-    _guard_order(fn.n, args.force)
+    _guard(fn, matrix=args.kind != "dss", force=args.force)
     res = verify_zdb(fn)
     if not res.ok:
         print(
-            f"refusing to derive a code from an unverified table: shift "
-            f"{res.witness_shift} has {res.actual} coincidences, expected {res.expected}",
+            f"refusing to derive a code from an unverified table: {_failure_note(res)}",
             file=sys.stderr,
         )
         return 1
@@ -269,6 +280,29 @@ def _recheck_codebook(book: CodeBook) -> list[str]:
     return problems
 
 
+def _recheck_dss(system: DssSystem) -> list[str]:
+    """Recompute the coverage the stored system claims; return mismatch notes."""
+    try:
+        chk = dss_perfect_check(system)
+    except RuntimeError as exc:  # overlapping blocks
+        return [str(exc)]
+    problems = []
+    if chk.lam != system.lam or chk.perfect != system.perfect:
+        problems.append(
+            f"stored lambda={system.lam} perfect={system.perfect} but recomputed "
+            f"lambda={chk.lam} perfect={chk.perfect}"
+        )
+    covered = sorted(x for block in system.blocks for x in block)
+    if system.partitioned and covered != list(range(system.domain.order)):
+        problems.append("blocks marked partitioned do not cover the group")
+    return problems
+
+
+def _print_failures(problems: list[str]) -> None:
+    for note in problems:
+        print(f"check failed: {note}", file=sys.stderr)
+
+
 def _cmd_check_bounds(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -279,24 +313,17 @@ def _cmd_check_bounds(args) -> int:
         report = ccc_report(book) if kind == "CCC" else cwc_report(book)
     elif kind == "DSS":
         system = DssSystem.from_json(data)
-        problems = []
-        chk = dss_perfect_check(system)
-        if chk.lam != system.lam or chk.perfect != system.perfect:
-            problems.append(
-                f"stored lambda={system.lam} perfect={system.perfect} but recomputed "
-                f"lambda={chk.lam} perfect={chk.perfect}"
-            )
-        covered = sorted(x for block in system.blocks for x in block)
-        if system.partitioned and covered != list(range(system.domain.order)):
-            problems.append("blocks marked partitioned do not cover the group")
+        problems = _recheck_dss(system)
+        if system.lam is None or not system.perfect:
+            _print_failures(problems + ["the system is not perfect, so no bound applies"])
+            return 1
         report = dss_report(system)
     else:
         raise _UsageError(f"unrecognized payload kind {kind!r}")
     ok = not problems and report.applicable and report.optimal
     if not report.applicable or not report.optimal:
         problems.append(f"{kind} bound not met with equality")
-    for note in problems:
-        print(f"check failed: {note}", file=sys.stderr)
+    _print_failures(problems)
     out = dict(report.to_json())
     out["checked"] = ok
     if args.format == "text":

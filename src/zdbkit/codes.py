@@ -12,9 +12,20 @@ partitioned difference system whose blocks cover every nonzero group
 element the same number of times.
 
 Derivations refuse unverified input: each builder takes the function
-plus an optional verification result and re-runs the exhaustive scan
-when none is supplied.  Distances are computed by exhaustive pairwise
-comparison, never inferred from the construction.  Bound arithmetic is
+plus an optional verification result and re-runs the exhaustive
+verification when none is supplied.  Every count comes from the table
+through the domain's in-class ``difference_counts`` kernel, never from
+the construction or the caller's verification result:
+
+* the distance between the shifted rows c_a and c_b is n minus the
+  spectrum at a - b, so the distance range of the shift code is
+  n - (max, min) of the spectrum;
+* the cross-block difference count of a block system is the difference
+  count of the union of its blocks minus the in-block count; the union
+  term is the constant n when the blocks partition the group.
+
+``distance_range`` compares all pairs of stored codewords and is kept
+for codebooks that arrive as explicit matrices.  Bound arithmetic is
 exact (integers and fractions); no floats are involved anywhere.
 """
 
@@ -28,9 +39,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .construct import ZdbFunction
-from .domains import AbelianDomain, domain_from_json
+from .domains import _PAIR_BLOCK, AbelianDomain, domain_from_json
 from .errors import NotCwcEligibleError, VerificationError
-from .verify import VerificationResult, verify_zdb
+from .verify import VerificationResult, difference_spectrum, verify_zdb
 
 __all__ = [
     "CodeBook",
@@ -214,10 +225,18 @@ def _shift_codewords(fn: ZdbFunction) -> np.ndarray:
     dtype = np.int16 if fn.q < 2**15 else np.int32
     table = np.asarray(fn.table, dtype=dtype)
     out = np.empty((n, n), dtype=dtype)
-    for start in range(0, n, 256):
-        deltas = range(start, min(start + 256, n))
-        out[start : start + 256] = table[domain.shift_rows(deltas)]
+    step = max(1, _PAIR_BLOCK // n)
+    for start in range(0, n, step):
+        deltas = range(start, min(start + step, n))
+        out[start : start + step] = table[domain.shift_rows(deltas)]
     return out
+
+
+def _shift_distances(fn: ZdbFunction) -> tuple[int, int]:
+    """Minimum and maximum distance between distinct shifted rows:
+    d(c_a, c_b) = n - spectrum(a - b)."""
+    spec = difference_spectrum(fn)
+    return fn.n - spec.max_count, fn.n - spec.min_count
 
 
 def distance_range(codewords: np.ndarray) -> tuple[int, int]:
@@ -263,7 +282,7 @@ def ccc_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> C
     comps = _row_compositions(words, fn.q)
     if not (comps == comps[0]).all():
         raise VerificationError("shifted rows do not share one composition")
-    dmin, dmax = distance_range(words)
+    dmin, dmax = _shift_distances(fn)
     return CodeBook(
         kind="CCC",
         n=fn.n,
@@ -285,7 +304,7 @@ def cwc_from_zdb(
 
     Requires symbol 0 to have exactly one preimage, so that every
     codeword contains exactly one zero.  Pass the already-built CCC as
-    ``base`` to reuse its codeword matrix and distances.
+    ``base`` to reuse its codeword matrix.
     """
     _require_verified(fn, result)
     zero_count = fn.table.count(0)
@@ -295,11 +314,8 @@ def cwc_from_zdb(
         )
     if base is not None and (base.n != fn.n or base.M != fn.n or base.q != fn.q):
         raise ValueError("base codebook does not match the function")
-    if base is None:
-        words = _shift_codewords(fn)
-        dmin, dmax = distance_range(words)
-    else:
-        words, dmin, dmax = base.codewords, base.d, base.d_max
+    words = _shift_codewords(fn) if base is None else base.codewords
+    dmin, dmax = _shift_distances(fn)
     weights = np.count_nonzero(words, axis=1)
     if not (weights == fn.n - 1).all():
         raise VerificationError("codewords do not share weight n - 1")
@@ -337,32 +353,32 @@ def dss_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> D
 
 
 def dss_perfect_check(system: DssSystem) -> PerfectCheck:
-    """Brute-force the multiset of cross-block differences.
+    """Count the multiset of cross-block differences.
 
     Counts x - y over all ordered pairs taken from distinct blocks and
     reports the minimum coverage of nonzero group elements, whether the
     coverage is uniform, and its level when it is.  A system with fewer
-    than two blocks has no cross pairs at all.
+    than two blocks has no cross pairs at all.  Block elements that are
+    not group element indices raise ValueError; overlapping blocks raise
+    RuntimeError.
     """
     domain = system.domain
     order = domain.order
+    for block in system.blocks:
+        for x in block:
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < order:
+                raise ValueError(
+                    f"block element {x!r} is not an element of the group of order {order}"
+                )
     if len(system.blocks) < 2:
         return PerfectCheck(0, False, None)
-    counts = np.zeros(order, dtype=np.int64)
-    universe = np.concatenate(
-        [np.asarray(b, dtype=np.int64) for b in system.blocks if len(b) > 0]
-    )
-    inv_universe = domain.inverse_vec(universe)
-    for start in range(0, len(universe), 256):
-        chunk = universe[start : start + 256]
-        diffs = domain.op_vec(chunk[:, None], inv_universe[None, :])
-        counts += np.bincount(diffs.ravel(), minlength=order)
-    for b in system.blocks:
-        if not b:
-            continue
-        arr = np.asarray(b, dtype=np.int64)
-        diffs = domain.op_vec(arr[:, None], domain.inverse_vec(arr)[None, :])
-        counts -= np.bincount(diffs.ravel(), minlength=order)
+    sizes = [len(b) for b in system.blocks]
+    elements = np.fromiter((x for b in system.blocks for x in b), np.int64, sum(sizes))
+    if np.array_equal(np.sort(elements), np.arange(order)):
+        union = order  # a partition: every difference arises from exactly n pairs
+    else:
+        union = domain.difference_counts(elements, np.zeros_like(elements))
+    counts = union - domain.difference_counts(elements, np.repeat(np.arange(len(sizes)), sizes))
     if counts[domain.identity] != 0:
         raise RuntimeError("blocks are not disjoint")
     nonzero = np.delete(counts, domain.identity)

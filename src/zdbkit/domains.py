@@ -7,10 +7,11 @@ and its flat index is ring_index * e + group_position, where positions
 number the subgroup's elements in ascending index order.  That flat
 order is also the codeword coordinate order used throughout.
 
-``shift_rows`` is the bulk form of the group law: given a block of
-shift indices it returns the full translation rows, one permutation of
-the domain per shift.  The exhaustive verification kernels are built on
-it and on nothing else.
+``op_vec`` and ``inverse_vec`` are the bulk form of the group law.
+``difference_counts``, the one kernel behind every certificate, is
+built on them and on nothing else.  ``shift_rows`` returns full
+translation rows, one permutation of the domain per shift, for callers
+that need the shifted tables themselves.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .cosets import Subgroup, subgroup_from_elements
 from .rings import Ring, ring_from_json
 
 __all__ = ["AbelianDomain", "RingAdditiveDomain", "RingTimesGroupDomain", "domain_from_json"]
+
+# element pairs combined per group-law call in difference_counts
+_PAIR_BLOCK = 1 << 18
 
 
 class AbelianDomain:
@@ -43,6 +47,36 @@ class AbelianDomain:
     def shift_rows(self, deltas: Sequence[int]) -> np.ndarray:
         """Array of shape (len(deltas), order): row i is y -> op(delta_i, y)."""
         raise NotImplementedError
+
+    def difference_counts(self, elements, labels) -> np.ndarray:
+        """counts[a] = #{(i, j) : labels[i] == labels[j] and
+        op(elements[i], inverse(elements[j])) == a}, for every group element a.
+
+        Only pairs inside one label class are formed, so the cost is the
+        sum of squared class sizes rather than the square of their total.
+        Repeated elements count once per occurrence.  Every pair (i, i)
+        lands on the identity, so counts[identity] >= len(elements).
+        """
+        labels = np.asarray(labels, dtype=np.int64)
+        by_label = np.argsort(labels)
+        x = np.asarray(elements, dtype=np.int64)[by_label]
+        x_inv = self.inverse_vec(x)
+        _, first, size = np.unique(labels[by_label], return_index=True, return_counts=True)
+        # sorted position i pairs with the width[i] members of its class;
+        # pairs are numbered consecutively, those of position i from begin[i]
+        width = np.repeat(size, size)
+        end = np.cumsum(width)
+        begin = end - width
+        col_shift = np.repeat(first, size) - begin  # pair number -> partner position
+        counts = np.zeros(self.order, dtype=np.int64)
+        lo = 0
+        while lo < len(x):
+            hi = max(lo + 1, int(np.searchsorted(end, begin[lo] + _PAIR_BLOCK, side="right")))
+            cols = np.repeat(col_shift[lo:hi], width[lo:hi]) + np.arange(begin[lo], end[hi - 1])
+            diffs = self.op_vec(np.repeat(x[lo:hi], width[lo:hi]), x_inv[cols])
+            counts += np.bincount(diffs, minlength=self.order)
+            lo = hi
+        return counts
 
     def to_json(self) -> dict:
         raise NotImplementedError

@@ -280,3 +280,84 @@ def test_pipeline_across_ring_kinds(run_cli, tmp_path):
             code, out, err = run_cli(["codes", "check-bounds", "--in", str(payload)])
             assert code == 0, (r.label, kind, err)
             assert json.loads(out)["checked"] is True
+
+
+def test_image_size_failure_names_kind_and_counts(run_cli, tmp_path):
+    f = tmp_path / "f.json"
+    run_cli(["zdb", "construct", "product", "--ring", Z7_RING, "--g", "2", "--h", "6",
+             "--out", str(f)])
+    data = json.loads(f.read_text())
+    data["q"] = 12  # the table still uses 11 symbols
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+
+    code, out, err = run_cli(["zdb", "verify", "--input", str(bad)])
+    assert code == 1
+    assert json.loads(out)["failure"] == "image"
+    assert "image size mismatch: the table uses 11 distinct symbols, expected 12" in err
+    assert "None" not in err
+    for kind in ("ccc", "cwc", "dss"):
+        code, _, err = run_cli(["codes", kind, "--input", str(bad)])
+        assert code == 1
+        assert "11 distinct symbols, expected 12" in err
+
+
+def _dss_file(tmp_path, blocks, **claims):
+    data = {
+        "kind": "DSS",
+        "group": {"kind": "ring_additive", "ring": {"kind": "residue", "n": 4}},
+        "blocks": blocks,
+        "q": len(blocks),
+        "tau": sum(len(b) for b in blocks),
+        "lambda": None,
+        "perfect": False,
+        "partitioned": False,
+    }
+    data.update(claims)
+    path = tmp_path / "dss.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_check_bounds_imperfect_dss_is_a_failed_check(run_cli, tmp_path):
+    # symbol preimages of the broken table [0, 1, 2, 0] on Z_4
+    path = _dss_file(tmp_path, [[0, 3], [1], [2]], partitioned=True)
+    code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+    assert code == 1
+    assert "check failed: the system is not perfect" in err
+    assert out == ""
+
+
+def test_check_bounds_overlapping_dss_blocks(run_cli, tmp_path):
+    path = _dss_file(tmp_path, [[0, 1], [1, 2]], **{"lambda": 1, "perfect": True})
+    code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+    assert code == 1
+    assert "check failed: blocks are not disjoint" in err
+    assert json.loads(out)["checked"] is False
+
+
+def test_check_bounds_rejects_dss_elements_outside_the_group(run_cli, tmp_path):
+    for element in (4, -1):
+        path = _dss_file(tmp_path, [[0, element], [1]])
+        code, _, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+        assert code == 2
+        assert f"block element {element} " in err
+
+
+def test_order_guard_follows_the_in_class_pair_count(run_cli, tmp_path):
+    # an injective table has sum(w^2) = n, so only the matrix builders are refused
+    n = 10_020
+    data = {
+        "domain": {"kind": "ring_additive", "ring": {"kind": "residue", "n": n}},
+        "q": n,
+        "lambda": 0,
+        "table": list(range(n)),
+    }
+    f = tmp_path / "injective.json"
+    f.write_text(json.dumps(data))
+    code, out, _ = run_cli(["zdb", "verify", "--input", str(f)])
+    assert code == 0
+    assert json.loads(out) == {"n": n, "m": n, "lambda": 0}
+    code, _, err = run_cli(["codes", "ccc", "--input", str(f)])
+    assert code == 2
+    assert "--force" in err

@@ -236,3 +236,18 @@ def test_dss_check_rejects_overlapping_blocks():
     )
     with pytest.raises(RuntimeError):
         dss_perfect_check(system)
+
+
+@pytest.mark.parametrize("element", [4, 9, -1])
+def test_dss_check_rejects_elements_outside_the_group(element):
+    system = DssSystem(
+        domain=RingAdditiveDomain(ResidueRing(4)),
+        blocks=((0, element), (1,)),
+        q=2,
+        tau=3,
+        lam=None,
+        perfect=False,
+        partitioned=False,
+    )
+    with pytest.raises(ValueError, match=f"block element {element} "):
+        dss_perfect_check(system)
