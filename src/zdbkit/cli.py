@@ -31,6 +31,7 @@ from .catalog import (
 from .codes import (
     CodeBook,
     DssSystem,
+    _row_compositions,
     ccc_from_zdb,
     ccc_report,
     cwc_from_zdb,
@@ -54,6 +55,7 @@ from .errors import (
     NotAUnitError,
     NotCwcEligibleError,
     NotFoundError,
+    OversizedError,
     RecipeHypothesisError,
     VerificationError,
 )
@@ -62,8 +64,9 @@ from .verify import VerificationResult, composition_profile, verify_zdb
 
 # refuse more than ORDER_LIMIT**2 elementary steps unless --force is passed.
 # A step is one in-class pair of the difference kernel (the sum of squared
-# symbol multiplicities) for verify and dss, and one entry of the n x n
-# codeword matrix for ccc and cwc.
+# symbol multiplicities) for verify and dss, one entry of the n x n
+# codeword matrix for ccc and cwc, and one same-symbol row pair of a
+# column (the sum of squared class sizes) for check-bounds on a codebook.
 ORDER_LIMIT = 10_000
 
 
@@ -256,19 +259,28 @@ def _cmd_codes(args) -> int:
     return 0
 
 
-def _recheck_codebook(book: CodeBook) -> list[str]:
+def _recheck_codebook(book: CodeBook, force: bool) -> list[str]:
     """Recompute everything the stored book claims; return mismatch notes."""
-    problems = []
     words = book.codewords
     if words.shape != (book.M, book.n):
-        problems.append(f"codeword matrix is {words.shape}, header says ({book.M}, {book.n})")
-        return problems
-    d, d_max = distance_range(words)
+        return [f"codeword matrix is {words.shape}, header says ({book.M}, {book.n})"]
+    outside = np.flatnonzero((words < 0) | (words >= book.q))
+    if outside.size:
+        r, y = divmod(int(outside[0]), book.n)
+        return [
+            f"row {r} column {y} has symbol {words[r, y]} outside the alphabet "
+            f"of size {book.q}"
+        ]
+    try:
+        d, d_max = distance_range(words, max_pairs=None if force else ORDER_LIMIT**2)
+    except OversizedError as exc:
+        raise _UsageError(f"{exc}; pass --force to run anyway") from None
+    problems = []
     if (d, d_max) != (book.d, book.d_max):
         problems.append(
             f"stored distances ({book.d}, {book.d_max}) but recomputed ({d}, {d_max})"
         )
-    comps = np.stack([np.bincount(row, minlength=book.q) for row in words])
+    comps = _row_compositions(words, book.q)
     if not (comps == comps[0]).all():
         problems.append("codewords do not share one composition")
     elif book.composition is not None and tuple(comps[0].tolist()) != book.composition:
@@ -281,12 +293,16 @@ def _recheck_codebook(book: CodeBook) -> list[str]:
 
 
 def _recheck_dss(system: DssSystem) -> list[str]:
-    """Recompute the coverage the stored system claims; return mismatch notes."""
+    """Recompute the counts and coverage the stored system claims; return
+    mismatch notes."""
     try:
         chk = dss_perfect_check(system)
     except RuntimeError as exc:  # overlapping blocks
         return [str(exc)]
     problems = []
+    q, tau = len(system.blocks), sum(len(block) for block in system.blocks)
+    if (system.q, system.tau) != (q, tau):
+        problems.append(f"stored q={system.q} tau={system.tau} but recounted q={q} tau={tau}")
     if chk.lam != system.lam or chk.perfect != system.perfect:
         problems.append(
             f"stored lambda={system.lam} perfect={system.perfect} but recomputed "
@@ -309,7 +325,8 @@ def _cmd_check_bounds(args) -> int:
     kind = data.get("kind")
     if kind in ("CCC", "CWC"):
         book = CodeBook.from_json(data)
-        problems = _recheck_codebook(book)
+        del data  # the parsed lists take several times the memory of the int32 matrix
+        problems = _recheck_codebook(book, args.force)
         report = ccc_report(book) if kind == "CCC" else cwc_report(book)
     elif kind == "DSS":
         system = DssSystem.from_json(data)

@@ -24,13 +24,18 @@ the construction or the caller's verification result:
   count of the union of its blocks minus the in-block count; the union
   term is the constant n when the blocks partition the group.
 
-``distance_range`` compares all pairs of stored codewords and is kept
-for codebooks that arrive as explicit matrices.  Bound arithmetic is
+Codebooks that arrive as explicit matrices are rechecked by
+``distance_range`` with the same in-class idea applied to the stored
+rows: two rows agree at a coordinate exactly when they share its
+symbol, so the agreements of every pair of rows are counted from the
+same-symbol row pairs of each column, at a cost of the sum of squared
+class sizes rather than M^2 n symbol comparisons.  Bound arithmetic is
 exact (integers and fractions); no floats are involved anywhere.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,8 +44,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .construct import ZdbFunction
-from .domains import _PAIR_BLOCK, AbelianDomain, domain_from_json
-from .errors import NotCwcEligibleError, VerificationError
+from .domains import _PAIR_BLOCK, AbelianDomain, _pair_blocks, domain_from_json
+from .errors import NotCwcEligibleError, OversizedError, VerificationError
 from .verify import VerificationResult, difference_spectrum, verify_zdb
 
 __all__ = [
@@ -62,7 +67,8 @@ __all__ = [
     "dss_report",
 ]
 
-_BLOCK = 96
+# matrix cells that distance_range sorts, or holds agreement counts for, at once
+_BAND = 1 << 15
 
 
 @dataclass
@@ -103,7 +109,19 @@ class CodeBook:
 
     @staticmethod
     def from_json(data: dict) -> "CodeBook":
-        words = np.asarray(data["codewords"], dtype=np.int32)
+        rows = data["codewords"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("codewords must be a list of rows")
+        if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+            r, y, s = next(
+                (r, y, s) for r, row in enumerate(rows) for y, s in enumerate(row)
+                if type(s) is not int
+            )
+            raise ValueError(f"codeword row {r} column {y} is {s!r}, not an integer")
+        try:
+            words = np.asarray(rows, dtype=np.int32)
+        except OverflowError as exc:
+            raise ValueError(f"codeword symbol out of range: {exc}") from None
         return CodeBook(
             kind=data["kind"],
             n=data["n"],
@@ -239,28 +257,70 @@ def _shift_distances(fn: ZdbFunction) -> tuple[int, int]:
     return fn.n - spec.max_count, fn.n - spec.min_count
 
 
-def distance_range(codewords: np.ndarray) -> tuple[int, int]:
-    """Minimum and maximum pairwise Hamming distance, all pairs compared."""
-    c = np.ascontiguousarray(codewords)
-    m = c.shape[0]
+def distance_range(codewords: np.ndarray, *, max_pairs: int | None = None) -> tuple[int, int]:
+    """Minimum and maximum Hamming distance between distinct rows.
+
+    Two rows agree at coordinate y exactly when they sit in the same symbol
+    class of column y, so the distance of rows i and j is n minus the number
+    of columns in whose classes they meet.  The rows are sorted by symbol
+    once per column, and each row is paired with the later rows of its
+    class in every column: k(k-1)/2 pairs for a class of size k, so the
+    cost follows the sum over columns and symbols of the squared class
+    size, not M^2 n.  Agreements are bincounted for one band of rows at a
+    time; memory is three int32 arrays the size of the matrix plus one
+    band of _BAND cells.
+
+    When max_pairs is given and that sum of squared class sizes exceeds
+    it, OversizedError is raised before any pair is formed.
+    """
+    c = np.asarray(codewords)
+    m, n = c.shape
     if m < 2:
         raise ValueError("distance needs at least two codewords")
-    dmin, dmax = c.shape[1] + 1, -1
-    for i in range(0, m, _BLOCK):
-        a = c[i : i + _BLOCK]
-        for j in range(i, m, _BLOCK):
-            b = c[j : j + _BLOCK]
-            dist = np.count_nonzero(a[:, None, :] != b[None, :, :], axis=2)
-            if i == j:
-                iu = np.triu_indices(a.shape[0], k=1, m=b.shape[0])
-                vals = dist[iu]
-                if vals.size == 0:
-                    continue
-            else:
-                vals = dist.ravel()
-            dmin = min(dmin, int(vals.min()))
-            dmax = max(dmax, int(vals.max()))
-    return dmin, dmax
+    cells = m * n
+    index = np.int32 if cells < 2**31 else np.int64
+    # column y's rows sorted by symbol fill the flat positions y*m .. y*m + m - 1
+    rows = np.empty(cells, dtype=index)  # flat position -> row
+    class_end = np.empty(cells, dtype=index)  # flat position -> one past its class
+    position = np.empty((m, n), dtype=index)  # (row, column) -> flat position
+    pairs = 0
+    step = max(1, _BAND // m)
+    for y0 in range(0, n, step):
+        cols = c[:, y0 : y0 + step].T
+        by_symbol = np.argsort(cols, axis=1, kind="stable")  # rows ascend inside a class
+        sym = np.take_along_axis(cols, by_symbol, axis=1)
+        opens = np.ones(sym.shape, dtype=bool)
+        opens[:, 1:] = sym[:, 1:] != sym[:, :-1]
+        span = np.arange(y0 * m, y0 * m + sym.size)
+        start = span[opens.ravel()]
+        size = np.diff(start, append=span[-1] + 1)
+        pairs += int(size @ size)
+        rows[span] = by_symbol.ravel()
+        class_end[span] = np.repeat(start + size, size)
+        position[by_symbol, np.arange(y0, y0 + len(sym))[:, None]] = span.reshape(sym.shape)
+    if max_pairs is not None and pairs > max_pairs:
+        raise OversizedError(
+            f"recounting the distances of {m} codewords of length {n} needs "
+            f"{pairs:,} in-class row pairs, over the limit of {max_pairs:,}"
+        )
+
+    lo_agree, hi_agree = n + 1, -1
+    band = max(1, _BAND // max(m, n))
+    for r0 in range(0, m - 1, band):
+        # each row of the band meets the later rows of its class in every column
+        b = min(band, m - 1 - r0)
+        first = position[r0 : r0 + b].ravel()
+        width = class_end[first] - first - 1
+        agree = np.zeros(b * m, dtype=np.int64)
+        for lo, hi, partners in _pair_blocks(first + 1, width):
+            band_row = np.arange(lo, hi) // n
+            key = np.repeat(band_row * m, width[lo:hi]) + rows[partners]
+            agree += np.bincount(key, minlength=b * m)
+        later = np.arange(m) > np.arange(r0, r0 + b)[:, None]
+        vals = agree.reshape(b, m)[later]
+        lo_agree = min(lo_agree, int(vals.min()))
+        hi_agree = max(hi_agree, int(vals.max()))
+    return n - hi_agree, n - lo_agree
 
 
 def min_distance(code: "CodeBook | np.ndarray | Sequence[Sequence[int]]") -> int:

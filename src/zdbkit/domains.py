@@ -29,6 +29,24 @@ __all__ = ["AbelianDomain", "RingAdditiveDomain", "RingTimesGroupDomain", "domai
 _PAIR_BLOCK = 1 << 18
 
 
+def _pair_blocks(start, width):
+    """Walk a pair layout in blocks of about _PAIR_BLOCK pairs.
+
+    Entry i pairs with the positions start[i], ..., start[i] + width[i] - 1.
+    Yields (lo, hi, partners): the pairs of entries lo..hi-1, in entry
+    order, as the partner position of each pair.  An entry with more than
+    _PAIR_BLOCK pairs makes a block of its own.
+    """
+    end = np.cumsum(width)
+    begin = end - width  # pairs are numbered consecutively, those of entry i from begin[i]
+    lo = 0
+    while lo < len(width):
+        hi = max(lo + 1, int(np.searchsorted(end, begin[lo] + _PAIR_BLOCK, side="right")))
+        shift = np.repeat(start[lo:hi] - begin[lo:hi], width[lo:hi])  # pair number -> partner
+        yield lo, hi, shift + np.arange(begin[lo], end[hi - 1])
+        lo = hi
+
+
 class AbelianDomain:
     """Interface shared by both domain shapes."""
 
@@ -62,20 +80,12 @@ class AbelianDomain:
         x = np.asarray(elements, dtype=np.int64)[by_label]
         x_inv = self.inverse_vec(x)
         _, first, size = np.unique(labels[by_label], return_index=True, return_counts=True)
-        # sorted position i pairs with the width[i] members of its class;
-        # pairs are numbered consecutively, those of position i from begin[i]
+        # sorted position i pairs with the members of its class
         width = np.repeat(size, size)
-        end = np.cumsum(width)
-        begin = end - width
-        col_shift = np.repeat(first, size) - begin  # pair number -> partner position
         counts = np.zeros(self.order, dtype=np.int64)
-        lo = 0
-        while lo < len(x):
-            hi = max(lo + 1, int(np.searchsorted(end, begin[lo] + _PAIR_BLOCK, side="right")))
-            cols = np.repeat(col_shift[lo:hi], width[lo:hi]) + np.arange(begin[lo], end[hi - 1])
-            diffs = self.op_vec(np.repeat(x[lo:hi], width[lo:hi]), x_inv[cols])
+        for lo, hi, partners in _pair_blocks(np.repeat(first, size), width):
+            diffs = self.op_vec(np.repeat(x[lo:hi], width[lo:hi]), x_inv[partners])
             counts += np.bincount(diffs, minlength=self.order)
-            lo = hi
         return counts
 
     def to_json(self) -> dict:

@@ -37,3 +37,7 @@ class VerificationError(ZdbError):
 
 class CertificationError(ZdbError):
     """A catalog instance failed one of its certification checks."""
+
+
+class OversizedError(ZdbError):
+    """Work over a caller's limit was refused; the message states the cost."""

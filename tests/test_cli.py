@@ -361,3 +361,69 @@ def test_order_guard_follows_the_in_class_pair_count(run_cli, tmp_path):
     code, _, err = run_cli(["codes", "ccc", "--input", str(f)])
     assert code == 2
     assert "--force" in err
+
+
+def _z7_payload(run_cli, tmp_path, kind):
+    f = tmp_path / "f.json"
+    run_cli(["zdb", "construct", "product", "--ring", Z7_RING, "--g", "2", "--h", "6",
+             "--out", str(f)])
+    target = tmp_path / f"{kind}.json"
+    assert run_cli(["codes", kind, "--input", str(f), "--out", str(target)])[0] == 0
+    return target, json.loads(target.read_text())
+
+
+def test_check_bounds_names_a_symbol_outside_the_alphabet(run_cli, tmp_path):
+    path, data = _z7_payload(run_cli, tmp_path, "cwc")
+    data["codewords"][4][9] = 11
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+    assert code == 1
+    assert (
+        "check failed: row 4 column 9 has symbol 11 outside the alphabet of size 11" in err
+    )
+    assert json.loads(out)["checked"] is False
+
+
+def test_check_bounds_rejects_malformed_symbols(run_cli, tmp_path):
+    path, data = _z7_payload(run_cli, tmp_path, "ccc")
+    for symbol, note in (
+        (1.5, "codeword row 2 column 3 is 1.5, not an integer"),
+        (True, "codeword row 2 column 3 is True, not an integer"),
+        (2**40, "codeword symbol out of range"),
+    ):
+        data["codewords"][2][3] = symbol
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+        assert code == 2
+        assert note in err
+        assert out == ""
+
+
+def test_check_bounds_recounts_dss_q_and_tau(run_cli, tmp_path):
+    path, data = _z7_payload(run_cli, tmp_path, "dss")
+    data["q"] = 12  # the file has 11 blocks
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+    assert code == 1
+    assert "check failed: stored q=12 tau=21 but recounted q=11 tau=21" in err
+    assert json.loads(out)["checked"] is False
+
+
+def test_check_bounds_guard_counts_in_class_row_pairs(run_cli, tmp_path):
+    # one symbol class per column: 500 columns of 500^2 row pairs
+    n = 500
+    data = {
+        "kind": "CCC", "n": n, "M": n, "q": 1, "d": 0, "d_max": 0,
+        "codewords": [[0] * n for _ in range(n)], "composition": [n],
+    }
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+    assert code == 2
+    assert "needs 125,000,000 in-class row pairs, over the limit of 100,000,000" in err
+    assert "--force" in err
+    assert out == ""
+    code, out, err = run_cli(["codes", "check-bounds", "--in", str(path), "--force"])
+    assert code == 1
+    assert "recomputed" not in err
+    assert json.loads(out)["applicable"] is False
