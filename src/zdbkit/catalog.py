@@ -47,7 +47,7 @@ from .construct import (
     construct_generic,
     construct_product,
 )
-from .cosets import Subgroup, cyclic_subgroup
+from .cosets import Subgroup, check_unit_difference, cyclic_subgroup
 from .errors import (
     CertificationError,
     NotFoundError,
@@ -155,11 +155,8 @@ def find_element_of_order(
             x = ring.mul(x, b)
         if order != e:
             continue
-        if require_unit_difference:
-            from .cosets import check_unit_difference
-
-            if not check_unit_difference(ring, cyclic_subgroup(ring, b)):
-                continue
+        if require_unit_difference and not check_unit_difference(ring, cyclic_subgroup(ring, b)):
+            continue
         return b
     return None
 
@@ -281,17 +278,18 @@ def _componentwise_generator(ring: Ring, fields: list[GaloisField], order: int) 
 
 
 def search_cor2(q_list: list[int], e: int) -> SearchResult:
-    """Product construction over prime-power fields q_i with e(e-1) | q_i - 1."""
-    if e < 2:
-        raise ValueError(f"product construction needs e >= 2, got {e}")
-    if not q_list:
-        raise ValueError("q_list cannot be empty")
+    """Product construction over prime-power fields q_i with e(e-1) | q_i - 1.
+
+    Every hypothesis is checked here, each failure a RecipeHypothesisError.
+    """
+    _require(e >= 2, f"e must be at least 2, got {e}")
+    _require(bool(q_list), "q_list cannot be empty")
     for q in q_list:
-        pp = prime_power(q)
-        if pp is None:
-            raise NotFoundError(f"q_i = {q} is not a prime power")
-        if (q - 1) % (e * (e - 1)) != 0:
-            raise NotFoundError(f"q_i = {q}: e(e-1) = {e * (e - 1)} does not divide q_i - 1")
+        _require(prime_power(q) is not None, f"q_i = {q} is not a prime power")
+        _require(
+            (q - 1) % (e * (e - 1)) == 0,
+            f"q_i = {q}: e(e-1) = {e * (e - 1)} does not divide q_i - 1",
+        )
     ring, fields = _field_tower(list(q_list))
     g = _componentwise_generator(ring, fields, e)
     h = _componentwise_generator(ring, fields, e - 1)
@@ -467,17 +465,7 @@ def _run_cor1(params: dict) -> SearchResult:
 
 
 def _run_cor2(params: dict) -> SearchResult:
-    q_list = [int(q) for q in params["q_list"]]
-    e = int(params["e"])
-    _require(e >= 2, f"e must be at least 2, got {e}")
-    _require(bool(q_list), "q_list cannot be empty")
-    for q in q_list:
-        _require(prime_power(q) is not None, f"q = {q} is not a prime power")
-        _require(
-            (q - 1) % (e * (e - 1)) == 0,
-            f"q_i = {q}: e(e-1) = {e * (e - 1)} does not divide q_i - 1",
-        )
-    return search_cor2(q_list, e)
+    return search_cor2([int(q) for q in params["q_list"]], int(params["e"]))
 
 
 _RUNNERS = {

@@ -71,6 +71,17 @@ __all__ = [
 _BAND = 1 << 15
 
 
+_TYPE_NAMES = {int: "an integer", bool: "a boolean", list: "a list"}
+
+
+def _typed(key: str, value, kind: type = int):
+    """value, if its type is exactly kind (so a bool is not an integer);
+    otherwise a ValueError naming the payload field."""
+    if type(value) is not kind:
+        raise ValueError(f"field {key!r} is {value!r}, not {_TYPE_NAMES[kind]}")
+    return value
+
+
 @dataclass
 class CodeBook:
     """A block code stored as an M x n symbol matrix.
@@ -122,16 +133,21 @@ class CodeBook:
             words = np.asarray(rows, dtype=np.int32)
         except OverflowError as exc:
             raise ValueError(f"codeword symbol out of range: {exc}") from None
+        n, M, q, d = (_typed(key, data[key]) for key in ("n", "M", "q", "d"))
+        composition = None
+        if "composition" in data:
+            entries = _typed("composition", data["composition"], list)
+            composition = tuple(_typed("composition", w) for w in entries)
         return CodeBook(
             kind=data["kind"],
-            n=data["n"],
-            M=data["M"],
-            q=data["q"],
-            d=data["d"],
-            d_max=data.get("d_max", data["d"]),
+            n=n,
+            M=M,
+            q=q,
+            d=d,
+            d_max=_typed("d_max", data.get("d_max", d)),
             codewords=words,
-            composition=tuple(data["composition"]) if "composition" in data else None,
-            weight=data.get("weight"),
+            composition=composition,
+            weight=_typed("weight", data["weight"]) if "weight" in data else None,
         )
 
     def to_csv(self) -> str:
@@ -172,14 +188,16 @@ class DssSystem:
 
     @staticmethod
     def from_json(data: dict) -> "DssSystem":
+        lam = data.get("lambda")
+        blocks = _typed("blocks", data["blocks"], list)
         return DssSystem(
             domain=domain_from_json(data["group"]),
-            blocks=tuple(tuple(b) for b in data["blocks"]),
-            q=data["q"],
-            tau=data["tau"],
-            lam=data.get("lambda"),
-            perfect=data["perfect"],
-            partitioned=data["partitioned"],
+            blocks=tuple(tuple(_typed("blocks", b, list)) for b in blocks),
+            q=_typed("q", data["q"]),
+            tau=_typed("tau", data["tau"]),
+            lam=None if lam is None else _typed("lambda", lam),
+            perfect=_typed("perfect", data["perfect"], bool),
+            partitioned=_typed("partitioned", data["partitioned"], bool),
         )
 
 

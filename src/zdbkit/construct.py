@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from .cosets import (
     Subgroup,
     check_plus_one,
-    check_unit_difference,
     coset_partition,
     doubled_subgroup,
 )
@@ -178,15 +177,7 @@ def construct_product(ring: Ring, g_group: Subgroup, h_group: Subgroup) -> ZdbFu
         raise ConditionNotSatisfiedError(
             f"subgroup orders must differ by one: |G| = {e}, |H| = {h_group.order}"
         )
-    if not check_unit_difference(ring, g_group):
-        raise ConditionNotSatisfiedError(
-            "first subgroup fails the unit-difference condition"
-        )
-    if not check_unit_difference(ring, h_group):
-        raise ConditionNotSatisfiedError(
-            "second subgroup fails the unit-difference condition"
-        )
-    pg = coset_partition(ring, g_group)
+    pg = coset_partition(ring, g_group)  # each enforces the unit-difference condition
     ph = coset_partition(ring, h_group)
     n = ring.order
     one = ring.one()
@@ -240,13 +231,12 @@ def construct_doubled(ring: Ring, group: Subgroup) -> ZdbFunction:
     """Generic construction over G union -G; needs g+1 invertible throughout."""
     if ring.order < 3:
         raise ConditionNotSatisfiedError("doubling needs a ring of order at least 3")
-    if not check_unit_difference(ring, group):
-        raise ConditionNotSatisfiedError("subgroup fails the unit-difference condition")
     doubled = doubled_subgroup(ring, group)  # rejects -1 in G first
     if not check_plus_one(ring, group):
         raise ConditionNotSatisfiedError(
             "subgroup fails the plus-one condition: some g + 1 is not a unit"
         )
+    # the partition by G union -G checks g - 1 for every g in G
     fn = construct_generic(ring, doubled)
     fn.provenance = {
         "construction": "doubled",

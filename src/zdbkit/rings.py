@@ -15,19 +15,27 @@ kinds are supported:
   index are the entries in row-major order, entry (0,0) least
   significant.
 
+The additive group of every kind is Z_{r1} x ... x Z_{rk} under the
+same index, read mixed-radix over ``radices`` = (r1, ..., rk) with the
+least significant digit first: (n,) for Z_n, (p,) * r for GF(p^r), the
+components' radices concatenated for a product, and the field's radices
+repeated k^2 times for M_k(GF(q)).  Addition adds digits, each modulo
+its radix, so ``add``/``neg`` and the vectorized ``add_vec``/``neg_vec``
+(numpy arrays with broadcasting, what the exhaustive verification
+kernels run on) are written once, in ``Ring``.  Orders must stay below
+2^62, so that the sum of two indices fits in int64.
+
 All operations are pure functions of an immutable descriptor, so ring
 objects can be shared freely between threads.  ``try_invert`` returns
 ``None`` for a non-unit instead of raising: non-units are ordinary
-values here, not errors.  The vectorized ``add_vec``/``neg_vec``
-variants accept numpy arrays with broadcasting and are what the
-exhaustive verification kernels run on.
+values here, not errors.
 """
 
 from __future__ import annotations
 
 import itertools
 from operator import index as _as_index
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,19 +51,54 @@ __all__ = [
 ]
 
 
+# orders from here up are refused: the vector kernels add two indices in int64
+_ORDER_LIMIT = 1 << 62
+
+
 class Ring:
     """Common interface for all ring kinds."""
 
     kind: str
     order: int
+    radices: tuple[int, ...]
+
+    def _set_radices(self, radices: Iterable[int]) -> None:
+        """Fix the additive group Z_{r1} x ... x Z_{rk} and its order, the
+        product of the radices; stops at the first radix past the limit."""
+        digits, place = [], 1
+        for r in radices:
+            if r < 2:
+                raise ValueError(f"{self!r} has an additive radix {r}; radices must be >= 2")
+            digits.append((r, place))
+            place *= r
+            if place >= _ORDER_LIMIT:
+                raise ValueError(f"{self!r} has order at least 2^62; orders must be below 2^62")
+        self.radices = tuple(r for r, _ in digits)
+        self.order = place
+        self._upper = tuple(digits[1:])  # (radix, place value) of each digit above the lowest
+
+    # Digitwise sum and negation; the same expressions serve Python ints and
+    # int64 arrays.  Digit i of a is (a // place_i) % r_i, and no carry leaves it.
+
+    def _add_digits(self, a, b):
+        out = (a + b) % self.radices[0]
+        for r, place in self._upper:
+            out = out + (a // place + b // place) % r * place
+        return out
+
+    def _neg_digits(self, a):
+        out = -a % self.radices[0]
+        for r, place in self._upper:
+            out = out + -(a // place) % r * place
+        return out
 
     # -- scalar operations ------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return self._add_digits(self._check(a), self._check(b))
 
     def neg(self, a: int) -> int:
-        raise NotImplementedError
+        return self._neg_digits(self._check(a))
 
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -88,10 +131,10 @@ class Ring:
 
     def add_vec(self, a, b) -> np.ndarray:
         """Elementwise add on index arrays, with numpy broadcasting."""
-        raise NotImplementedError
+        return self._add_digits(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
 
     def neg_vec(self, a) -> np.ndarray:
-        raise NotImplementedError
+        return self._neg_digits(np.asarray(a, dtype=np.int64))
 
     # -- serialization ----------------------------------------------------
 
@@ -124,13 +167,7 @@ class ResidueRing(Ring):
         if n < 2:
             raise ValueError(f"residue ring needs n >= 2, got {n}")
         self.n = n
-        self.order = n
-
-    def add(self, a: int, b: int) -> int:
-        return (self._check(a) + self._check(b)) % self.n
-
-    def neg(self, a: int) -> int:
-        return (-self._check(a)) % self.n
+        self._set_radices((n,))
 
     def mul(self, a: int, b: int) -> int:
         return (self._check(a) * self._check(b)) % self.n
@@ -148,11 +185,8 @@ class ResidueRing(Ring):
     def is_commutative(self) -> bool:
         return True
 
-    def add_vec(self, a, b) -> np.ndarray:
-        return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.n
-
-    def neg_vec(self, a) -> np.ndarray:
-        return (-np.asarray(a, dtype=np.int64)) % self.n
+    # own binding, not only inherited: perfbench/tracer.py wraps each ring class's add_vec
+    add_vec = Ring.add_vec
 
     def to_json(self) -> dict:
         return {"kind": "residue", "n": self.n}
@@ -236,13 +270,13 @@ class GaloisField(Ring):
     def __init__(self, p: int, r: int = 1, modulus: Sequence[int] | None = None):
         p = _as_index(p)
         r = _as_index(r)
-        if not is_prime(p):
-            raise ValueError(f"field characteristic must be prime, got {p}")
         if r < 1:
             raise ValueError(f"field extension degree must be >= 1, got {r}")
         self.p = p
         self.r = r
-        self.order = p**r
+        self._set_radices(p for _ in range(r))  # refuses a huge p before the primality test
+        if not is_prime(p):
+            raise ValueError(f"field characteristic must be prime, got {p}")
         if modulus is None:
             self.modulus = _smallest_irreducible(p, r)
         else:
@@ -267,15 +301,6 @@ class GaloisField(Ring):
         for d in reversed(tuple(c) + (0,) * (self.r - len(c))):
             out = out * self.p + d
         return out
-
-    def add(self, a: int, b: int) -> int:
-        ca = self._decode(self._check(a))
-        cb = self._decode(self._check(b))
-        return self._encode([(x + y) % self.p for x, y in zip(ca, cb)])
-
-    def neg(self, a: int) -> int:
-        ca = self._decode(self._check(a))
-        return self._encode([(-x) % self.p for x in ca])
 
     def mul(self, a: int, b: int) -> int:
         ca = self._decode(self._check(a))
@@ -302,26 +327,8 @@ class GaloisField(Ring):
     def is_commutative(self) -> bool:
         return True
 
-    def add_vec(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = 0
-        scale = 1
-        for _ in range(self.r):
-            out = out + ((a % self.p + b % self.p) % self.p) * scale
-            a, b = a // self.p, b // self.p
-            scale *= self.p
-        return out
-
-    def neg_vec(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        out = 0
-        scale = 1
-        for _ in range(self.r):
-            out = out + ((self.p - a % self.p) % self.p) * scale
-            a = a // self.p
-            scale *= self.p
-        return out
+    # own binding, not only inherited: perfbench/tracer.py wraps each ring class's add_vec
+    add_vec = Ring.add_vec
 
     def to_json(self) -> dict:
         return {"kind": "field", "p": self.p, "r": self.r, "modulus": list(self.modulus)}
@@ -345,9 +352,7 @@ class ProductRing(Ring):
         if not all(isinstance(c, Ring) for c in comps):
             raise TypeError("product components must be rings")
         self.components = comps
-        self.order = 1
-        for c in comps:
-            self.order *= c.order
+        self._set_radices(r for c in comps for r in c.radices)
 
     def _decode(self, a: int) -> tuple[int, ...]:
         out = []
@@ -362,20 +367,10 @@ class ProductRing(Ring):
             out = out * c.order + d
         return out
 
-    def _zip(self, op, a: int, b: int) -> int:
+    def mul(self, a: int, b: int) -> int:
         pa = self._decode(self._check(a))
         pb = self._decode(self._check(b))
-        return self._encode([op(c, x, y) for c, x, y in zip(self.components, pa, pb)])
-
-    def add(self, a: int, b: int) -> int:
-        return self._zip(lambda c, x, y: c.add(x, y), a, b)
-
-    def mul(self, a: int, b: int) -> int:
-        return self._zip(lambda c, x, y: c.mul(x, y), a, b)
-
-    def neg(self, a: int) -> int:
-        pa = self._decode(self._check(a))
-        return self._encode([c.neg(x) for c, x in zip(self.components, pa)])
+        return self._encode([c.mul(x, y) for c, x, y in zip(self.components, pa, pb)])
 
     def try_invert(self, a: int) -> int | None:
         pa = self._decode(self._check(a))
@@ -393,26 +388,8 @@ class ProductRing(Ring):
     def is_commutative(self) -> bool:
         return all(c.is_commutative() for c in self.components)
 
-    def add_vec(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = 0
-        scale = 1
-        for c in self.components:
-            out = out + c.add_vec(a % c.order, b % c.order) * scale
-            a, b = a // c.order, b // c.order
-            scale *= c.order
-        return out
-
-    def neg_vec(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        out = 0
-        scale = 1
-        for c in self.components:
-            out = out + c.neg_vec(a % c.order) * scale
-            a = a // c.order
-            scale *= c.order
-        return out
+    # own binding, not only inherited: perfbench/tracer.py wraps each ring class's add_vec
+    add_vec = Ring.add_vec
 
     def to_json(self) -> dict:
         return {"kind": "product", "components": [c.to_json() for c in self.components]}
@@ -438,7 +415,7 @@ class MatrixRing(Ring):
         self.k = k
         self.field = field
         self.q = field.order
-        self.order = self.q ** (k * k)
+        self._set_radices(r for _ in range(k * k) for r in field.radices)
 
     def _decode(self, a: int) -> list[list[int]]:
         rows = []
@@ -456,19 +433,6 @@ class MatrixRing(Ring):
             for j in reversed(range(self.k)):
                 out = out * self.q + rows[i][j]
         return out
-
-    def add(self, a: int, b: int) -> int:
-        ma = self._decode(self._check(a))
-        mb = self._decode(self._check(b))
-        f = self.field
-        return self._encode(
-            [[f.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(ma, mb)]
-        )
-
-    def neg(self, a: int) -> int:
-        ma = self._decode(self._check(a))
-        f = self.field
-        return self._encode([[f.neg(x) for x in row] for row in ma])
 
     def mul(self, a: int, b: int) -> int:
         ma = self._decode(self._check(a))
@@ -511,26 +475,8 @@ class MatrixRing(Ring):
     def is_commutative(self) -> bool:
         return self.k == 1
 
-    def add_vec(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = 0
-        scale = 1
-        for _ in range(self.k * self.k):
-            out = out + self.field.add_vec(a % self.q, b % self.q) * scale
-            a, b = a // self.q, b // self.q
-            scale *= self.q
-        return out
-
-    def neg_vec(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        out = 0
-        scale = 1
-        for _ in range(self.k * self.k):
-            out = out + self.field.neg_vec(a % self.q) * scale
-            a = a // self.q
-            scale *= self.q
-        return out
+    # own binding, not only inherited: perfbench/tracer.py wraps each ring class's add_vec
+    add_vec = Ring.add_vec
 
     def to_json(self) -> dict:
         return {"kind": "matrix", "k": self.k, "field": self.field.to_json()}

@@ -7,7 +7,6 @@ from zdbkit import (
     CertificationError,
     MatrixRing,
     GaloisField,
-    NotFoundError,
     Recipe,
     RecipeHypothesisError,
     ResidueRing,
@@ -73,9 +72,17 @@ def test_search_cor2_field_product():
 
 
 def test_search_cor2_names_the_offending_field():
-    with pytest.raises(NotFoundError) as info:
+    with pytest.raises(RecipeHypothesisError) as info:
         search_cor2([25, 8], 4)
     assert "8" in str(info.value)
+
+
+def test_cor2_hypotheses_fail_with_one_error_type():
+    for q_list, e, fragment in (([25], 1, "at least 2"), ([], 4, "empty"), ([24], 4, "prime")):
+        with pytest.raises(RecipeHypothesisError, match=fragment):
+            search_cor2(q_list, e)
+        with pytest.raises(RecipeHypothesisError, match=fragment):
+            run_recipe(Recipe("cor2", {"q_list": q_list, "e": e}))
 
 
 def test_search_cor2_scan_covers_admissible_prime_powers():

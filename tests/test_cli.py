@@ -427,3 +427,29 @@ def test_check_bounds_guard_counts_in_class_row_pairs(run_cli, tmp_path):
     assert code == 1
     assert "recomputed" not in err
     assert json.loads(out)["applicable"] is False
+
+
+HEADER_PROBES = [
+    ("ccc", "q", "11", "field 'q' is '11', not an integer"),
+    ("ccc", "n", 21.0, "field 'n' is 21.0, not an integer"),
+    ("ccc", "d", 20.5, "field 'd' is 20.5, not an integer"),
+    ("ccc", "M", True, "field 'M' is True, not an integer"),
+    ("ccc", "composition", [1.5] * 11, "field 'composition' is 1.5, not an integer"),
+    ("dss", "lambda", "20", "field 'lambda' is '20', not an integer"),
+    ("dss", "tau", 21.0, "field 'tau' is 21.0, not an integer"),
+    ("dss", "perfect", 1, "field 'perfect' is 1, not a boolean"),
+    ("dss", "blocks", [5, [1]], "field 'blocks' is 5, not a list"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,key,value,note", HEADER_PROBES, ids=[f"{k}-{f}-{v!r}" for k, f, v, _ in HEADER_PROBES]
+)
+def test_check_bounds_rejects_malformed_header_fields(run_cli, tmp_path, kind, key, value, note):
+    path, data = _z7_payload(run_cli, tmp_path, kind)
+    data[key] = value
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+    assert code == 2
+    assert f"error: {note}" in err
+    assert out == ""

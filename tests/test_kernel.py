@@ -8,8 +8,13 @@ codeword matrix, and the kernel's cross-block coverage against a
 scalar loop over all cross pairs.  The same-symbol recount of stored
 code distances is checked against the all-pairs comparison on random
 integer matrices and on the (2500, 834, 2) instance.
+
+The ring layer's one mixed-radix additive law is checked against the
+per-kind scalar sums it replaced, and the derived ``shift_rows``
+against the per-shape formulas it replaced.
 """
 
+import math
 from unittest.mock import patch
 
 import numpy as np
@@ -50,13 +55,28 @@ RINGS = [
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
+def shape_shift_rows(domain, deltas):
+    """Row i is y -> op(delta_i, y), written out for each domain shape:
+    the ring's add_vec, and on product domains the subgroup's mul_pos table."""
+    d = np.asarray(deltas, dtype=np.int64)
+    ys = np.arange(domain.order, dtype=np.int64)
+    if isinstance(domain, RingAdditiveDomain):
+        return domain.ring.add_vec(d[:, None], ys[None, :])
+    e = domain.e
+    mul_pos = np.asarray(domain.group.mul_pos, dtype=np.int64)
+    return (
+        domain.ring.add_vec(d[:, None] // e, ys[None, :] // e) * e
+        + mul_pos[d[:, None] % e, ys[None, :] % e]
+    )
+
+
 def gather_spectrum(fn):
     """Coincidence count of every non-identity shift, one full row per shift:
-    row a of shift_rows is y -> op(a, y), gathered through the table."""
+    row a is y -> op(a, y), gathered through the table."""
     domain = fn.domain
     table = np.asarray(fn.table)
     deltas = [d for d in range(domain.order) if d != domain.identity]
-    counts = (table[domain.shift_rows(deltas)] == table[None, :]).sum(axis=1)
+    counts = (table[shape_shift_rows(domain, deltas)] == table[None, :]).sum(axis=1)
     return dict(zip(deltas, counts.tolist()))
 
 
@@ -189,3 +209,80 @@ def test_kernel_coverage_matches_cross_pairs(fn, partitioned, block):
     nonzero = [c for a, c in enumerate(coverage) if a != fn.domain.identity]
     perfect = len(set(nonzero)) == 1
     assert chk == (min(nonzero), perfect, min(nonzero) if perfect else None)
+
+
+def kind_add(ring, a, b):
+    """a + b by each kind's own digits: residues, polynomial coefficients,
+    product components and matrix entries."""
+    if isinstance(ring, ResidueRing):
+        return (a + b) % ring.n
+    if isinstance(ring, GaloisField):
+        ca, cb = ring._decode(a), ring._decode(b)
+        return ring._encode([(x + y) % ring.p for x, y in zip(ca, cb)])
+    if isinstance(ring, ProductRing):
+        pa, pb = ring._decode(a), ring._decode(b)
+        return ring._encode([kind_add(c, x, y) for c, x, y in zip(ring.components, pa, pb)])
+    ma, mb = ring._decode(a), ring._decode(b)
+    return ring._encode(
+        [[kind_add(ring.field, x, y) for x, y in zip(ra, rb)] for ra, rb in zip(ma, mb)]
+    )
+
+
+def kind_neg(ring, a):
+    """-a by each kind's own digits, as kind_add."""
+    if isinstance(ring, ResidueRing):
+        return -a % ring.n
+    if isinstance(ring, GaloisField):
+        return ring._encode([-x % ring.p for x in ring._decode(a)])
+    if isinstance(ring, ProductRing):
+        return ring._encode([kind_neg(c, x) for c, x in zip(ring.components, ring._decode(a))])
+    return ring._encode([[kind_neg(ring.field, x) for x in row] for row in ring._decode(a)])
+
+
+FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (5, 2), (2, 4), (3, 3)]
+
+
+def simple_rings():
+    fields = st.sampled_from(FIELDS).map(lambda pr: GaloisField(*pr))
+    small_fields = st.sampled_from(FIELDS[:5]).map(lambda pr: GaloisField(*pr))
+    return st.one_of(
+        st.integers(2, 60).map(ResidueRing),
+        fields,
+        st.builds(MatrixRing, st.integers(1, 2), small_fields),
+    )
+
+
+def any_rings():
+    products = st.lists(simple_rings(), min_size=1, max_size=3).map(ProductRing)
+    return st.one_of(simple_rings(), products)
+
+
+@SETTINGS
+@example(GaloisField(3, 2), 0)
+@example(MatrixRing(2, GaloisField(2, 2)), 1)
+@example(ProductRing([ResidueRing(6), MatrixRing(2, GaloisField(3))]), 2)
+@given(any_rings(), st.integers(0, 2**32 - 1))
+def test_additive_law_matches_each_kind(ring, seed):
+    assert math.prod(ring.radices) == ring.order
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, ring.order, size=24)
+    b = rng.integers(0, ring.order, size=24)
+    a[:2], b[:2] = 0, ring.order - 1  # the identity and the top index
+    sums = [kind_add(ring, int(x), int(y)) for x, y in zip(a, b)]
+    negs = [kind_neg(ring, int(x)) for x in a]
+    assert [ring.add(int(x), int(y)) for x, y in zip(a, b)] == sums
+    assert [ring.neg(int(x)) for x in a] == negs
+    assert ring.add_vec(a, b).tolist() == sums
+    assert ring.neg_vec(a).tolist() == negs
+    table = ring.add_vec(a[:, None], b[None, :])  # broadcasting
+    assert table.shape == (24, 24)
+    assert table[5].tolist() == [kind_add(ring, int(a[5]), int(y)) for y in b]
+
+
+@SETTINGS
+@given(domains(), st.data())
+def test_derived_shift_rows_match_each_shape(domain, data):
+    deltas = data.draw(st.lists(st.integers(0, domain.order - 1), max_size=8))
+    rows = domain.shift_rows(deltas)
+    assert rows.shape == (len(deltas), domain.order)
+    assert np.array_equal(rows, shape_shift_rows(domain, deltas))

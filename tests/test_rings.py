@@ -198,6 +198,29 @@ def test_product_ring_componentwise():
     assert ring.mul(a, b) == ring._encode([(3 * 6) % 7, (5 * 9) % 13])
 
 
+def test_orders_from_two_to_the_62_are_refused():
+    # int64 sums of two indices below 2^62 cannot overflow
+    top = ResidueRing(2**62 - 1)
+    a = 2**62 - 2
+    assert top.add(a, a) == top.add_vec(a, a) == 2**62 - 3
+    with pytest.raises(ValueError, match="order at least 2\\^62"):
+        ResidueRing(2**62 + 3)
+    with pytest.raises(ValueError, match="order at least 2\\^62"):
+        ring_from_json({"kind": "residue", "n": 2**62})
+
+
+def test_product_crossing_the_order_limit_is_refused():
+    half = ResidueRing(2**31)
+    assert ProductRing([half, ResidueRing(2**31 - 1)]).order == 2**62 - 2**31
+    with pytest.raises(ValueError, match="order at least 2\\^62"):
+        ProductRing([half, half])
+    # refused digit by digit, before the order or the modulus is computed
+    with pytest.raises(ValueError, match="order at least 2\\^62"):
+        MatrixRing(10**9, GaloisField(2))
+    with pytest.raises(ValueError, match="order at least 2\\^62"):
+        GaloisField(2, 10**12)
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=IDS)
 def test_ring_json_round_trip(ring):
     data = ring.to_json()
