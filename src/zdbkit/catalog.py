@@ -1,30 +1,35 @@
 """Parameterized families of balanced functions, and batch certification.
 
-Each recipe names a family with a closed-form parameter promise:
+The recipe book is one table, ``_RECIPES``: each recipe id maps to its
+param names, in label order, and to one function of those params that
+checks the family's hypotheses (the only place they are checked) and
+returns (ring, construction, e, g, h, metadata), with g and h the
+generators of G and, for the product construction, of H.  Generators
+found by search are the smallest-index ones of their order.
 
-* ``cai_thm1``   generic construction on Z_n (n odd for e >= 2) with the
-  smallest generator of order e whose subgroup passes the
-  unit-difference check.
-* ``ding_thm1``  generic construction on a product of finite fields
-  with a componentwise generator of order e; needs e | q_i - 1.
-* ``ding_thm3``  generic construction on Z_(2^m - 1) with generator 2;
-  m prime.
-* ``ding_thm5``  the same family doubled; m an odd prime.
-* ``zha_cor1``   generic construction on Z_p, p = (b^s - 1)/(b - 1),
-  with generator b; s prime, gcd(s, b - 1) = 1.
-* ``zha_cor2``   that family doubled; s an odd prime.
-* ``zha_thm2``   generic construction on F_p x F_p, same p required to
-  be an odd prime, with generator (b, b).
-* ``cor1``       product construction on Z_n from subgroups of orders
-  e and e - 1; every prime of n must be 1 mod e(e-1).
-* ``cor2``       product construction on a product of finite fields;
-  e(e-1) | q_i - 1 for every component.
+* ``cor1``       product on Z_n, unit-difference G and H; n odd and
+  every prime of n 1 mod e(e-1).
+* ``cor2``       product on the fields GF(q_i), componentwise G and H;
+  e(e-1) | q_i - 1.
+* ``ding_thm1``  generic on the fields GF(q_i), componentwise G; e | q_i - 1.
+* ``ding_thm3``  generic on Z_(2^m - 1), G = <2>; m prime.
+* ``ding_thm5``  ding_thm3 doubled; m an odd prime.
+* ``zha_cor1``   generic on Z_p, p = (b^s - 1)/(b - 1), G = <b>; s prime,
+  gcd(s, b - 1) = 1.
+* ``zha_cor2``   zha_cor1 doubled; s an odd prime.
+* ``zha_thm2``   generic on F_p x F_p, G = <(b, b)>; zha_cor1's p an odd prime.
+* ``cai_thm1``   generic on Z_n, unit-difference G; n odd for e >= 2.
 
-``run_recipe`` checks the stated hypotheses, builds the instance,
-verifies it exhaustively, and compares the certified parameters with
-the closed form.  ``certify_all`` re-verifies a list of results and, on
-product instances, derives all three designs and demands every bound
-be met with equality.  Any failure aborts with the instance named.
+The closed form follows from the construction, the ring order n and e
+alone: generic (n, (n-1)/e + 1, e-1), doubled the same with 2e for e,
+product (en, (en-1)/(e-1) + 1, e-2).  ``run_recipe`` reads the params
+strictly (exact integers, no missing or unknown names), runs the family
+function, builds and verifies the instance exhaustively, and matches
+the closed form; ``search_cor1`` and ``search_cor2_scan`` keep the
+candidates of a range whose hypotheses hold.  ``certify_all``
+re-verifies a list of results and, on product instances, derives all
+three designs and demands every bound be met with equality.  Any
+failure aborts with the instance named.
 """
 
 from __future__ import annotations
@@ -47,12 +52,14 @@ from .construct import (
     construct_generic,
     construct_product,
 )
-from .cosets import Subgroup, check_unit_difference, cyclic_subgroup
+from .cosets import check_unit_difference, cyclic_subgroup
 from .errors import (
     CertificationError,
     NotFoundError,
     RecipeHypothesisError,
     VerificationError,
+    _field,
+    _int_list,
 )
 from .rings import GaloisField, MatrixRing, ProductRing, ResidueRing, Ring
 from .verify import composition_profile, verify_zdb
@@ -70,18 +77,6 @@ __all__ = [
     "default_catalog",
     "certify_all",
 ]
-
-RECIPE_IDS = (
-    "cor1",
-    "cor2",
-    "ding_thm1",
-    "ding_thm3",
-    "ding_thm5",
-    "zha_cor1",
-    "zha_cor2",
-    "zha_thm2",
-    "cai_thm1",
-)
 
 
 @dataclass(frozen=True)
@@ -161,16 +156,26 @@ def find_element_of_order(
     return None
 
 
+def _closed_form(construction: str, n: int, e: int) -> tuple[int, int, int]:
+    """The promised (n, m, lambda) of a construction over a ring of order n."""
+    if construction == "product":
+        return (e * n, (e * n - 1) // (e - 1) + 1, e - 2)
+    k = 2 * e if construction == "doubled" else e
+    return (n, (n - 1) // k + 1, k - 1)
+
+
 def _certified_build(
     label: str,
     recipe_id: str | None,
     ring: Ring,
     construction: str,
-    g_group: Subgroup,
-    h_group: Subgroup | None,
-    expected: tuple[int, int, int],
+    e: int,
+    g: int,
+    h: int | None = None,
     metadata: dict | None = None,
 ) -> SearchResult:
+    g_group = cyclic_subgroup(ring, g)
+    h_group = None if h is None else cyclic_subgroup(ring, h)
     if construction == "generic":
         fn = construct_generic(ring, g_group)
     elif construction == "doubled":
@@ -179,14 +184,14 @@ def _certified_build(
         fn = construct_product(ring, g_group, h_group)
     else:
         raise ValueError(f"unknown construction {construction!r}")
+    expected = _closed_form(construction, ring.order, e)
     result = verify_zdb(fn)
     if not result.ok:
         raise VerificationError(f"{label}: verification failed: {result.to_json()}")
     certified = result.certified_parameters()
-    if certified != tuple(expected):
+    if certified != expected:
         raise VerificationError(
-            f"{label}: certified parameters {certified} differ from the "
-            f"closed form {tuple(expected)}"
+            f"{label}: certified parameters {certified} differ from the closed form {expected}"
         )
     return SearchResult(
         label=label,
@@ -195,7 +200,7 @@ def _certified_build(
         construction=construction,
         g_elements=g_group.elements,
         h_elements=None if h_group is None else h_group.elements,
-        expected=tuple(expected),
+        expected=expected,
         certified=certified,
         fn=fn,
         metadata=metadata or {},
@@ -207,62 +212,23 @@ def _require(condition: bool, message: str) -> None:
         raise RecipeHypothesisError(message)
 
 
-def _generic_params(n: int, e: int) -> tuple[int, int, int]:
-    return (n, (n - 1) // e + 1, e - 1)
+def _at_least(name: str, value: int, low: int) -> None:
+    bound = "positive" if low == 1 else f"at least {low}"
+    _require(value >= low, f"{name} must be {bound}, got {value}")
 
 
-def _product_params(n: int, e: int) -> tuple[int, int, int]:
-    return (e * n, (e * n - 1) // (e - 1) + 1, e - 2)
+def _unit_difference_generator(ring: ResidueRing, order: int) -> int:
+    b = find_element_of_order(ring, order, require_unit_difference=True)
+    if b is None:
+        raise NotFoundError(f"no unit-difference generator of order {order} in Z_{ring.n}")
+    return b
 
 
-def _cor1_divisibility_ok(n: int, e: int) -> bool:
-    return n % 2 == 1 and all((p - 1) % (e * (e - 1)) == 0 for p in factorize(n))
-
-
-def _cor1_instance(n: int, e: int, recipe_id: str | None = "cor1") -> SearchResult:
-    ring = ResidueRing(n)
-    g = find_element_of_order(ring, e, require_unit_difference=True)
-    if g is None:
-        raise NotFoundError(f"no unit-difference generator of order {e} in Z_{n}")
-    h = find_element_of_order(ring, e - 1, require_unit_difference=True)
-    if h is None:
-        raise NotFoundError(f"no unit-difference generator of order {e - 1} in Z_{n}")
-    if math.gcd(n, e) != 1:
-        raise RuntimeError(f"gcd({n}, {e}) != 1")  # excluded by the divisibility filter
-    return _certified_build(
-        f"cor1 n={n} e={e}",
-        recipe_id,
-        ring,
-        "product",
-        cyclic_subgroup(ring, g),
-        cyclic_subgroup(ring, h),
-        _product_params(n, e),
-        metadata={"n": n, "e": e, "isomorphic_to_cyclic": e * n},
-    )
-
-
-def search_cor1(n_max: int, e: int) -> list[SearchResult]:
-    """All odd n <= n_max whose primes are 1 mod e(e-1), built and certified."""
-    if e < 2:
-        raise ValueError(f"product construction needs e >= 2, got {e}")
-    if n_max < 3:
-        raise ValueError(f"n_max must be at least 3, got {n_max}")
-    out = []
-    for n in range(3, n_max + 1, 2):
-        if _cor1_divisibility_ok(n, e):
-            out.append(_cor1_instance(n, e))
-    return out
-
-
-def _field_tower(q_list: list[int]) -> tuple[Ring, list[GaloisField]]:
-    fields = []
-    for q in q_list:
-        pp = prime_power(q)
-        if pp is None:
-            raise RecipeHypothesisError(f"q = {q} is not a prime power")
-        fields.append(GaloisField(pp[0], pp[1]))
-    ring = fields[0] if len(fields) == 1 else ProductRing(fields)
-    return ring, fields
+def _field_product(q_list: list[int]) -> tuple[Ring, list[GaloisField]]:
+    """The field, or product of fields, of the prime powers in q_list."""
+    _require(bool(q_list), "q_list cannot be empty")
+    fields = [GaloisField(*prime_power(q)) for q in q_list]
+    return (fields[0] if len(fields) == 1 else ProductRing(fields)), fields
 
 
 def _componentwise_generator(ring: Ring, fields: list[GaloisField], order: int) -> int:
@@ -272,37 +238,157 @@ def _componentwise_generator(ring: Ring, fields: list[GaloisField], order: int) 
         if b is None:
             raise NotFoundError(f"no element of order {order} in GF({f.order})")
         parts.append(b)
-    if len(fields) == 1:
-        return parts[0]
-    return ring._encode(parts)
+    return parts[0] if len(fields) == 1 else ring._encode(parts)
+
+
+def _zha_p(b: int, s: int, odd_s: bool) -> int:
+    """p = (b^s - 1)/(b - 1), after the hypotheses the three zha families share."""
+    _at_least("b", b, 2)
+    _require(is_prime(s), f"s must be prime, got {s}")
+    _require(not odd_s or s % 2 == 1, f"s must be odd, got {s}")
+    _require(math.gcd(s, b - 1) == 1, f"gcd(s, b-1) must be 1, got gcd({s}, {b - 1})")
+    return (b**s - 1) // (b - 1)
+
+
+def _cor1(n: int, e: int):
+    _at_least("e", e, 2)
+    _at_least("n", n, 3)
+    _require(
+        n % 2 == 1 and all((p - 1) % (e * (e - 1)) == 0 for p in factorize(n)),
+        f"every prime of n must be 1 mod e(e-1) = {e * (e - 1)} and n odd, got n = {n}",
+    )
+    ring = ResidueRing(n)
+    g = _unit_difference_generator(ring, e)
+    h = _unit_difference_generator(ring, e - 1)
+    return ring, "product", e, g, h, {"n": n, "e": e, "isomorphic_to_cyclic": e * n}
+
+
+def _cor2(q_list: list[int], e: int):
+    _at_least("e", e, 2)
+    step = e * (e - 1)
+    for q in q_list:
+        _require(prime_power(q) is not None, f"q_i = {q} is not a prime power")
+        _require((q - 1) % step == 0, f"q_i = {q}: e(e-1) = {step} does not divide q_i - 1")
+    ring, fields = _field_product(q_list)
+    g = _componentwise_generator(ring, fields, e)
+    h = _componentwise_generator(ring, fields, e - 1)
+    return ring, "product", e, g, h, {}
+
+
+def _ding_thm1(q_list: list[int], e: int):
+    _at_least("e", e, 1)
+    for q in q_list:
+        _require(prime_power(q) is not None, f"q = {q} is not a prime power")
+        _require((q - 1) % e == 0, f"e = {e} does not divide q - 1 for q = {q}")
+    ring, fields = _field_product(q_list)
+    return ring, "generic", e, _componentwise_generator(ring, fields, e), None, {}
+
+
+def _ding_thm3(m: int):
+    _require(is_prime(m), f"m must be prime, got {m}")
+    n = 2**m - 1
+    return ResidueRing(n), "generic", m, 2 % n, None, {}
+
+
+def _ding_thm5(m: int):
+    _require(is_prime(m) and m % 2 == 1, f"m must be an odd prime, got {m}")
+    return ResidueRing(2**m - 1), "doubled", m, 2, None, {}
+
+
+def _zha_cor1(b: int, s: int):
+    p = _zha_p(b, s, odd_s=False)
+    return ResidueRing(p), "generic", s, b % p, None, {}
+
+
+def _zha_cor2(b: int, s: int):
+    p = _zha_p(b, s, odd_s=True)
+    return ResidueRing(p), "doubled", s, b % p, None, {}
+
+
+def _zha_thm2(b: int, s: int):
+    p = _zha_p(b, s, odd_s=False)
+    _require(p % 2 == 1 and is_prime(p), f"(b^s - 1)/(b - 1) = {p} must be an odd prime")
+    ring = ProductRing([GaloisField(p, 1)] * 2)
+    return ring, "generic", s, ring._encode([b % p, b % p]), None, {}
+
+
+def _cai_thm1(n: int, e: int):
+    _at_least("n", n, 2)
+    _at_least("e", e, 1)
+    _require(e < 2 or n % 2 == 1, f"n must be odd for e >= 2, got n = {n}")
+    ring = ResidueRing(n)
+    return ring, "generic", e, _unit_difference_generator(ring, e), None, {}
+
+
+# recipe id -> (param names in label order, family function)
+_RECIPES = {
+    "cor1": (("n", "e"), _cor1),
+    "cor2": (("q_list", "e"), _cor2),
+    "ding_thm1": (("q_list", "e"), _ding_thm1),
+    "ding_thm3": (("m",), _ding_thm3),
+    "ding_thm5": (("m",), _ding_thm5),
+    "zha_cor1": (("b", "s"), _zha_cor1),
+    "zha_cor2": (("b", "s"), _zha_cor2),
+    "zha_thm2": (("b", "s"), _zha_thm2),
+    "cai_thm1": (("n", "e"), _cai_thm1),
+}
+
+RECIPE_IDS = tuple(_RECIPES)
+
+
+def _read_params(recipe: Recipe, names: tuple[str, ...]) -> list:
+    """The params in label order: exact integers, and a list of them for
+    q_list; a ValueError names the recipe and the field."""
+    params = recipe.params
+    where = f"recipe {recipe.id}"
+    if type(params) is not dict:
+        raise ValueError(f"{where}: params must be an object, got {params!r}")
+    unknown = [key for key in params if key not in names]
+    if unknown:
+        raise ValueError(f"{where}: unknown field {unknown[0]!r}; expected {', '.join(names)}")
+    try:
+        return [_int_list(params, k) if k == "q_list" else _field(params, k) for k in names]
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def run_recipe(recipe: Recipe) -> SearchResult:
+    """Check hypotheses, build, verify, and match the closed form."""
+    if recipe.id not in _RECIPES:
+        raise ValueError(f"unknown recipe id {recipe.id!r}; known: {RECIPE_IDS}")
+    names, family = _RECIPES[recipe.id]
+    values = _read_params(recipe, names)
+    ring, construction, e, g, h, metadata = family(*values)
+    # labels print q_list as q
+    words = [f"{name.removesuffix('_list')}={value}" for name, value in zip(names, values)]
+    label = " ".join([recipe.id, *words])
+    return _certified_build(label, recipe.id, ring, construction, e, g, h, metadata)
+
+
+def _admissible(recipes) -> list[SearchResult]:
+    """The certified instances of the recipes whose hypotheses hold."""
+    out = []
+    for recipe in recipes:
+        try:
+            out.append(run_recipe(recipe))
+        except RecipeHypothesisError:
+            continue
+    return out
+
+
+def search_cor1(n_max: int, e: int) -> list[SearchResult]:
+    """All odd n <= n_max whose primes are 1 mod e(e-1), built and certified."""
+    if e < 2:
+        raise ValueError(f"product construction needs e >= 2, got {e}")
+    if n_max < 3:
+        raise ValueError(f"n_max must be at least 3, got {n_max}")
+    return _admissible(Recipe("cor1", {"n": n, "e": e}) for n in range(3, n_max + 1, 2))
 
 
 def search_cor2(q_list: list[int], e: int) -> SearchResult:
-    """Product construction over prime-power fields q_i with e(e-1) | q_i - 1.
-
-    Every hypothesis is checked here, each failure a RecipeHypothesisError.
-    """
-    _require(e >= 2, f"e must be at least 2, got {e}")
-    _require(bool(q_list), "q_list cannot be empty")
-    for q in q_list:
-        _require(prime_power(q) is not None, f"q_i = {q} is not a prime power")
-        _require(
-            (q - 1) % (e * (e - 1)) == 0,
-            f"q_i = {q}: e(e-1) = {e * (e - 1)} does not divide q_i - 1",
-        )
-    ring, fields = _field_tower(list(q_list))
-    g = _componentwise_generator(ring, fields, e)
-    h = _componentwise_generator(ring, fields, e - 1)
-    n = ring.order
-    return _certified_build(
-        f"cor2 q={list(q_list)} e={e}",
-        "cor2",
-        ring,
-        "product",
-        cyclic_subgroup(ring, g),
-        cyclic_subgroup(ring, h),
-        _product_params(n, e),
-    )
+    """Product construction over prime-power fields q_i with e(e-1) | q_i - 1:
+    the cor2 recipe, each failed hypothesis a RecipeHypothesisError."""
+    return run_recipe(Recipe("cor2", {"q_list": list(q_list), "e": e}))
 
 
 def search_cor2_scan(q_max: int, e: int) -> list[SearchResult]:
@@ -314,178 +400,10 @@ def search_cor2_scan(q_max: int, e: int) -> list[SearchResult]:
     """
     if e < 2:
         raise ValueError(f"product construction needs e >= 2, got {e}")
-    out = []
     step = e * (e - 1)
-    for q in range(step + 1, q_max + 1, step):
-        if prime_power(q) is not None:
-            out.append(search_cor2([q], e))
-    return out
-
-
-def _run_cai_thm1(params: dict) -> SearchResult:
-    n, e = int(params["n"]), int(params["e"])
-    _require(n >= 2, f"n must be at least 2, got {n}")
-    _require(e >= 1, f"e must be positive, got {e}")
-    if e >= 2:
-        _require(n % 2 == 1, f"n must be odd for e >= 2, got n = {n}")
-    ring = ResidueRing(n)
-    b = find_element_of_order(ring, e, require_unit_difference=True)
-    if b is None:
-        raise NotFoundError(f"no unit-difference generator of order {e} in Z_{n}")
-    return _certified_build(
-        f"cai_thm1 n={n} e={e}",
-        "cai_thm1",
-        ring,
-        "generic",
-        cyclic_subgroup(ring, b),
-        None,
-        _generic_params(n, e),
+    return _admissible(
+        Recipe("cor2", {"q_list": [q], "e": e}) for q in range(step + 1, q_max + 1, step)
     )
-
-
-def _run_ding_thm1(params: dict) -> SearchResult:
-    q_list = [int(q) for q in params["q_list"]]
-    e = int(params["e"])
-    _require(e >= 1, f"e must be positive, got {e}")
-    _require(bool(q_list), "q_list cannot be empty")
-    for q in q_list:
-        _require(prime_power(q) is not None, f"q = {q} is not a prime power")
-        _require((q - 1) % e == 0, f"e = {e} does not divide q - 1 for q = {q}")
-    ring, fields = _field_tower(q_list)
-    b = _componentwise_generator(ring, fields, e)
-    return _certified_build(
-        f"ding_thm1 q={q_list} e={e}",
-        "ding_thm1",
-        ring,
-        "generic",
-        cyclic_subgroup(ring, b),
-        None,
-        _generic_params(ring.order, e),
-    )
-
-
-def _run_ding_thm3(params: dict) -> SearchResult:
-    m = int(params["m"])
-    _require(is_prime(m), f"m must be prime, got {m}")
-    n = 2**m - 1
-    ring = ResidueRing(n)
-    return _certified_build(
-        f"ding_thm3 m={m}",
-        "ding_thm3",
-        ring,
-        "generic",
-        cyclic_subgroup(ring, 2 % n),
-        None,
-        _generic_params(n, m),
-    )
-
-
-def _run_ding_thm5(params: dict) -> SearchResult:
-    m = int(params["m"])
-    _require(is_prime(m) and m % 2 == 1, f"m must be an odd prime, got {m}")
-    n = 2**m - 1
-    ring = ResidueRing(n)
-    return _certified_build(
-        f"ding_thm5 m={m}",
-        "ding_thm5",
-        ring,
-        "doubled",
-        cyclic_subgroup(ring, 2),
-        None,
-        (n, (n - 1) // (2 * m) + 1, 2 * m - 1),
-    )
-
-
-def _zha_checks(b: int, s: int, odd_s: bool) -> int:
-    _require(b >= 2, f"b must be at least 2, got {b}")
-    _require(is_prime(s), f"s must be prime, got {s}")
-    if odd_s:
-        _require(s % 2 == 1, f"s must be odd, got {s}")
-    _require(math.gcd(s, b - 1) == 1, f"gcd(s, b-1) must be 1, got gcd({s}, {b - 1})")
-    return (b**s - 1) // (b - 1)
-
-
-def _run_zha_cor1(params: dict) -> SearchResult:
-    b, s = int(params["b"]), int(params["s"])
-    p = _zha_checks(b, s, odd_s=False)
-    ring = ResidueRing(p)
-    return _certified_build(
-        f"zha_cor1 b={b} s={s}",
-        "zha_cor1",
-        ring,
-        "generic",
-        cyclic_subgroup(ring, b % p),
-        None,
-        _generic_params(p, s),
-    )
-
-
-def _run_zha_cor2(params: dict) -> SearchResult:
-    b, s = int(params["b"]), int(params["s"])
-    p = _zha_checks(b, s, odd_s=True)
-    ring = ResidueRing(p)
-    return _certified_build(
-        f"zha_cor2 b={b} s={s}",
-        "zha_cor2",
-        ring,
-        "doubled",
-        cyclic_subgroup(ring, b % p),
-        None,
-        (p, (p - 1) // (2 * s) + 1, 2 * s - 1),
-    )
-
-
-def _run_zha_thm2(params: dict) -> SearchResult:
-    b, s = int(params["b"]), int(params["s"])
-    p = _zha_checks(b, s, odd_s=False)
-    _require(p % 2 == 1 and is_prime(p), f"(b^s - 1)/(b - 1) = {p} must be an odd prime")
-    f = GaloisField(p, 1)
-    ring = ProductRing([f, f])
-    gen = ring._encode([b % p, b % p])
-    return _certified_build(
-        f"zha_thm2 b={b} s={s}",
-        "zha_thm2",
-        ring,
-        "generic",
-        cyclic_subgroup(ring, gen),
-        None,
-        _generic_params(p * p, s),
-    )
-
-
-def _run_cor1(params: dict) -> SearchResult:
-    n, e = int(params["n"]), int(params["e"])
-    _require(e >= 2, f"e must be at least 2, got {e}")
-    _require(n >= 3, f"n must be at least 3, got {n}")
-    _require(
-        _cor1_divisibility_ok(n, e),
-        f"every prime of n must be 1 mod e(e-1) = {e * (e - 1)} and n odd, got n = {n}",
-    )
-    return _cor1_instance(n, e)
-
-
-def _run_cor2(params: dict) -> SearchResult:
-    return search_cor2([int(q) for q in params["q_list"]], int(params["e"]))
-
-
-_RUNNERS = {
-    "cor1": _run_cor1,
-    "cor2": _run_cor2,
-    "ding_thm1": _run_ding_thm1,
-    "ding_thm3": _run_ding_thm3,
-    "ding_thm5": _run_ding_thm5,
-    "zha_cor1": _run_zha_cor1,
-    "zha_cor2": _run_zha_cor2,
-    "zha_thm2": _run_zha_thm2,
-    "cai_thm1": _run_cai_thm1,
-}
-
-
-def run_recipe(recipe: Recipe) -> SearchResult:
-    """Check hypotheses, build, verify, and match the closed form."""
-    if recipe.id not in _RUNNERS:
-        raise ValueError(f"unknown recipe id {recipe.id!r}; known: {RECIPE_IDS}")
-    return _RUNNERS[recipe.id](recipe.params)
 
 
 def default_catalog() -> list[SearchResult]:
@@ -505,17 +423,7 @@ def default_catalog() -> list[SearchResult]:
     m2 = MatrixRing(2, GaloisField(5, 1))
     scalar3 = m2._encode([[3, 0], [0, 3]])
     bmat = m2._encode([[4, 4], [1, 0]])
-    results.append(
-        _certified_build(
-            "matrix M2(F5) e=4",
-            None,
-            m2,
-            "product",
-            cyclic_subgroup(m2, scalar3),
-            cyclic_subgroup(m2, bmat),
-            _product_params(625, 4),
-        )
-    )
+    results.append(_certified_build("matrix M2(F5) e=4", None, m2, "product", 4, scalar3, bmat))
 
     results.append(run_recipe(Recipe("cai_thm1", {"n": 7, "e": 3})))
     results.append(run_recipe(Recipe("ding_thm1", {"q_list": [7, 13], "e": 3})))
@@ -524,19 +432,10 @@ def default_catalog() -> list[SearchResult]:
     results.append(run_recipe(Recipe("zha_thm2", {"b": 2, "s": 5})))
 
     z11 = ResidueRing(11)
-    trivial = cyclic_subgroup(z11, 1)
-    results.append(
-        _certified_build(
-            "generic Z_11 e=1", None, z11, "generic", trivial, None, (11, 11, 0)
-        )
-    )
+    results.append(_certified_build("generic Z_11 e=1", None, z11, "generic", 1, 1))
     results.append(run_recipe(Recipe("ding_thm5", {"m": 5})))
     results.append(run_recipe(Recipe("zha_cor2", {"b": 3, "s": 5})))
-    results.append(
-        _certified_build(
-            "doubled Z_11 e=1", None, z11, "doubled", trivial, None, (11, 6, 1)
-        )
-    )
+    results.append(_certified_build("doubled Z_11 e=1", None, z11, "doubled", 1, 1))
     return results
 
 

@@ -45,7 +45,13 @@ import numpy as np
 
 from .construct import ZdbFunction
 from .domains import _PAIR_BLOCK, AbelianDomain, _pair_blocks, domain_from_json
-from .errors import NotCwcEligibleError, OversizedError, VerificationError
+from .errors import (
+    NotCwcEligibleError,
+    OversizedError,
+    VerificationError,
+    _field,
+    _typed,
+)
 from .verify import VerificationResult, difference_spectrum, verify_zdb
 
 __all__ = [
@@ -69,17 +75,6 @@ __all__ = [
 
 # matrix cells that distance_range sorts, or holds agreement counts for, at once
 _BAND = 1 << 15
-
-
-_TYPE_NAMES = {int: "an integer", bool: "a boolean", list: "a list"}
-
-
-def _typed(key: str, value, kind: type = int):
-    """value, if its type is exactly kind (so a bool is not an integer);
-    otherwise a ValueError naming the payload field."""
-    if type(value) is not kind:
-        raise ValueError(f"field {key!r} is {value!r}, not {_TYPE_NAMES[kind]}")
-    return value
 
 
 @dataclass
@@ -120,7 +115,7 @@ class CodeBook:
 
     @staticmethod
     def from_json(data: dict) -> "CodeBook":
-        rows = data["codewords"]
+        rows = _field(data, "codewords", None)
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError("codewords must be a list of rows")
         if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
@@ -133,13 +128,13 @@ class CodeBook:
             words = np.asarray(rows, dtype=np.int32)
         except OverflowError as exc:
             raise ValueError(f"codeword symbol out of range: {exc}") from None
-        n, M, q, d = (_typed(key, data[key]) for key in ("n", "M", "q", "d"))
+        n, M, q, d = (_field(data, key) for key in ("n", "M", "q", "d"))
         composition = None
         if "composition" in data:
-            entries = _typed("composition", data["composition"], list)
+            entries = _field(data, "composition", list)
             composition = tuple(_typed("composition", w) for w in entries)
         return CodeBook(
-            kind=data["kind"],
+            kind=_field(data, "kind", None),
             n=n,
             M=M,
             q=q,
@@ -147,7 +142,7 @@ class CodeBook:
             d_max=_typed("d_max", data.get("d_max", d)),
             codewords=words,
             composition=composition,
-            weight=_typed("weight", data["weight"]) if "weight" in data else None,
+            weight=_field(data, "weight") if "weight" in data else None,
         )
 
     def to_csv(self) -> str:
@@ -189,15 +184,15 @@ class DssSystem:
     @staticmethod
     def from_json(data: dict) -> "DssSystem":
         lam = data.get("lambda")
-        blocks = _typed("blocks", data["blocks"], list)
+        blocks = _field(data, "blocks", list)
         return DssSystem(
-            domain=domain_from_json(data["group"]),
+            domain=domain_from_json(_field(data, "group", None)),
             blocks=tuple(tuple(_typed("blocks", b, list)) for b in blocks),
-            q=_typed("q", data["q"]),
-            tau=_typed("tau", data["tau"]),
+            q=_field(data, "q"),
+            tau=_field(data, "tau"),
             lam=None if lam is None else _typed("lambda", lam),
-            perfect=_typed("perfect", data["perfect"], bool),
-            partitioned=_typed("partitioned", data["partitioned"], bool),
+            perfect=_field(data, "perfect", bool),
+            partitioned=_field(data, "partitioned", bool),
         )
 
 

@@ -41,7 +41,7 @@ from .domains import (
     RingTimesGroupDomain,
     domain_from_json,
 )
-from .errors import ConditionNotSatisfiedError
+from .errors import ConditionNotSatisfiedError, _field, _int_list
 from .rings import Ring
 
 __all__ = ["ZdbFunction", "construct_generic", "construct_product", "construct_doubled"]
@@ -127,10 +127,10 @@ class ZdbFunction:
     @staticmethod
     def from_json(data: dict) -> "ZdbFunction":
         return ZdbFunction(
-            domain_from_json(data["domain"]),
-            data["q"],
-            data["table"],
-            data["lambda"],
+            domain_from_json(_field(data, "domain", None)),
+            _field(data, "q"),
+            _int_list(data, "table"),
+            _field(data, "lambda"),
             data.get("provenance") or {},
         )
 

@@ -21,7 +21,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cosets import Subgroup, subgroup_from_elements
+from .cosets import Subgroup, cyclic_subgroup, subgroup_from_elements
+from .errors import _field, _int_list, _typed
 from .rings import Ring, ring_from_json
 
 __all__ = ["AbelianDomain", "RingAdditiveDomain", "RingTimesGroupDomain", "domain_from_json"]
@@ -213,14 +214,18 @@ class RingTimesGroupDomain(AbelianDomain):
 
 
 def domain_from_json(data: dict) -> AbelianDomain:
+    ring = ring_from_json(_field(data, "ring", None))
     kind = data.get("kind")
-    ring = ring_from_json(data["ring"])
     if kind == "ring_additive":
         return RingAdditiveDomain(ring)
     if kind == "ring_times_group":
-        group = subgroup_from_elements(ring, data["group"]["elements"])
-        gen = data["group"].get("generator")
+        stored = _field(data, "group", dict)
+        group = subgroup_from_elements(ring, _int_list(stored, "elements"))
+        gen = stored.get("generator")
         if gen is not None:
+            # a generator outside the group is refused before its powers are walked
+            if _typed("generator", gen) not in group or cyclic_subgroup(ring, gen) != group:
+                raise ValueError(f"group generator {gen} does not generate the stored elements")
             group.generator = gen
         return RingTimesGroupDomain(ring, group)
     raise ValueError(f"unknown domain kind {kind!r}")

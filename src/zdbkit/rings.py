@@ -40,6 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .arith import is_prime
+from .errors import _field, _int_list
 
 __all__ = [
     "Ring",
@@ -494,14 +495,14 @@ def ring_from_json(data: dict) -> Ring:
         raise ValueError(f"not a ring descriptor: {data!r}")
     kind = data["kind"]
     if kind == "residue":
-        return ResidueRing(data["n"])
+        return ResidueRing(_field(data, "n"))
     if kind == "field":
-        return GaloisField(data["p"], data["r"], data["modulus"])
+        return GaloisField(_field(data, "p"), _field(data, "r"), _int_list(data, "modulus"))
     if kind == "product":
-        return ProductRing([ring_from_json(c) for c in data["components"]])
+        return ProductRing([ring_from_json(c) for c in _field(data, "components", list)])
     if kind == "matrix":
-        field = ring_from_json(data["field"])
+        field = ring_from_json(_field(data, "field", None))
         if not isinstance(field, GaloisField):
             raise ValueError("matrix ring requires a field descriptor")
-        return MatrixRing(data["k"], field)
+        return MatrixRing(_field(data, "k"), field)
     raise ValueError(f"unknown ring kind {kind!r}")

@@ -1,12 +1,21 @@
 """Recipe searches cross-checked against an independent sieve, closed
-form parameter promises, and hypothesis rejection."""
+form parameter promises, hypothesis rejection, random params per recipe,
+and the CLI output bytes frozen before the recipe table was introduced."""
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zdbkit import (
+    RECIPE_IDS,
     CertificationError,
     MatrixRing,
     GaloisField,
+    NotFoundError,
     Recipe,
     RecipeHypothesisError,
     ResidueRing,
@@ -214,3 +223,110 @@ def test_certify_all_flags_wrong_expectations(catalog):
     with pytest.raises(CertificationError) as info:
         certify_all([doctored])
     assert bad.label in str(info.value)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+FROZEN = json.loads((ROOT / "tests" / "catalog_frozen.json").read_text())
+FROZEN_RECIPES = {(x["id"], json.dumps(x["params"])): x["output"] for x in FROZEN["recipe"]}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_catalog_certify_bytes_match_the_benchmark_golden(run_cli):
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    golden = golden["certify"]["catalog_certify"]
+    code, out, err = run_cli(["catalog", "certify", "--all"])
+    assert code == golden["rc"]
+    assert _sha256(out) == golden["stdout"]
+    assert _sha256(err) == golden["stderr"]
+
+
+def _dumps(obj):
+    return json.dumps(obj, separators=(",", ":"))
+
+
+@pytest.mark.parametrize(
+    "recipe", [r for r, _, _ in RECIPE_CASES], ids=[f"{r.id}-{v}" for r, v, _ in RECIPE_CASES]
+)
+def test_recipe_output_is_frozen(run_cli, recipe):
+    params = json.dumps(recipe.params)
+    code, out, _ = run_cli(["catalog", "recipe", "--id", recipe.id, "--params", params])
+    assert code == 0
+    assert out == _dumps(FROZEN_RECIPES[recipe.id, params]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "frozen", FROZEN["search"], ids=lambda x: f"{x['construction']}-e{x['e']}"
+)
+def test_search_output_is_frozen(run_cli, frozen):
+    argv = ["catalog", "search", "--construction", frozen["construction"]]
+    code, out, _ = run_cli(argv + ["--e", str(frozen["e"]), "--max", str(frozen["max"])])
+    assert code == 0
+    assert out == "".join(_dumps(x) + "\n" for x in frozen["output"])
+
+
+PRIMES = [p for p in range(2, 500) if naive_factor(p) == [p]]
+
+
+def _or_admissible(raw, admissible):
+    """raw draws, mixed with draws from the admissible values when there are any."""
+    return st.one_of(raw, st.sampled_from(admissible)) if admissible else raw
+
+
+def _cor1_params(e):
+    admissible = [n for n in range(3, 300) if e >= 2 and admissible_cor1(n, e)]
+    n = _or_admissible(st.integers(-5, 300), admissible)
+    return st.fixed_dictionaries({"n": n, "e": st.just(e)})
+
+
+def _field_params(e, step):
+    """q_list of at most two entries, each a prime power 1 mod step or any small integer."""
+    prime_powers = [q for q in range(2, 101) if len(set(naive_factor(q))) == 1]
+    admissible = [q for q in prime_powers if step > 0 and (q - 1) % step == 0]
+    q = _or_admissible(st.integers(-5, 100), admissible)
+    return st.fixed_dictionaries({"q_list": st.lists(q, max_size=2), "e": st.just(e)})
+
+
+def _zha_params(max_order):
+    """b and s such that the ring of a zha family stays at most max_order
+    whenever the hypotheses let the recipe build it."""
+
+    def small(params):
+        b, s = params["b"], params["s"]
+        return b < 2 or s < 1 or (b**s - 1) // (b - 1) <= max_order
+
+    s = _or_admissible(st.integers(-3, 13), PRIMES[:6])
+    return st.fixed_dictionaries({"b": st.integers(-3, 12), "s": s}).filter(small)
+
+
+# small params, negative and zero included, mixed with params that meet the
+# hypotheses; every ring order stays at most 10^4
+RANDOM_PARAMS = {
+    "cor1": st.integers(-2, 7).flatmap(_cor1_params),
+    "cor2": st.integers(-2, 7).flatmap(lambda e: _field_params(e, e * (e - 1))),
+    "ding_thm1": st.integers(-2, 12).flatmap(lambda e: _field_params(e, e)),
+    "ding_thm3": st.fixed_dictionaries({"m": st.integers(-3, 13)}),
+    "ding_thm5": st.fixed_dictionaries({"m": st.integers(-3, 13)}),
+    "zha_cor1": _zha_params(10**4),
+    "zha_cor2": _zha_params(10**4),
+    "zha_thm2": _zha_params(100),
+    "cai_thm1": st.fixed_dictionaries(
+        {"n": _or_admissible(st.integers(-3, 500), PRIMES), "e": st.integers(-2, 12)}
+    ),
+}
+
+
+@pytest.mark.parametrize("recipe_id", RECIPE_IDS)
+def test_random_params_certify_or_fail_with_a_named_error(recipe_id):
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(RANDOM_PARAMS[recipe_id])
+    def check(params):
+        try:
+            result = run_recipe(Recipe(recipe_id, params))
+        except (RecipeHypothesisError, NotFoundError):
+            return
+        assert result.certified == result.expected
+
+    check()

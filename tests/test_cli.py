@@ -453,3 +453,96 @@ def test_check_bounds_rejects_malformed_header_fields(run_cli, tmp_path, kind, k
     assert code == 2
     assert f"error: {note}" in err
     assert out == ""
+
+
+RECIPE_PARAM_PROBES = [
+    ("cor1", '{"n":7.9,"e":3}', "field 'n' is 7.9, not an integer"),
+    ("cor1", '{"n":true,"e":3}', "field 'n' is True, not an integer"),
+    ("cor1", '{"e":3}', "missing field 'n'"),
+    ("cor2", '{"q_list":25,"e":4}', "field 'q_list' is 25, not a list"),
+    ("cor2", '{"q_list":[25.0],"e":4}', "field 'q_list' entry 0 is 25.0, not an integer"),
+    ("cor1", "[1]", "params must be an object, got [1]"),
+    ("cor1", '{"n":7,"e":3,"x":1}', "unknown field 'x'; expected n, e"),
+]
+
+
+@pytest.mark.parametrize("recipe_id,params,note", RECIPE_PARAM_PROBES)
+def test_recipe_params_are_exact_integers(run_cli, recipe_id, params, note):
+    code, out, err = run_cli(["catalog", "recipe", "--id", recipe_id, "--params", params])
+    assert code == 2
+    assert f"error: recipe {recipe_id}: {note}" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+RING_PROBES = [
+    ('{"kind":"residue","n":7.0}', "field 'n' is 7.0, not an integer"),
+    ('{"kind":"residue","n":true}', "field 'n' is True, not an integer"),
+    (
+        '{"kind":"field","p":2,"r":2,"modulus":[1,true,1]}',
+        "field 'modulus' entry 1 is True, not an integer",
+    ),
+    ('{"kind":"product","components":7}', "field 'components' is 7, not a list"),
+    ('{"kind":"field","p":5}', "missing field 'r'"),
+]
+
+
+@pytest.mark.parametrize("ring,note", RING_PROBES)
+def test_ring_descriptors_are_read_strictly(run_cli, ring, note):
+    code, out, err = run_cli(["ring", "info", "--ring", ring])
+    assert code == 2
+    assert f"error: {note}" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+DELETE = object()
+
+# (path of the edited key in the Z_7 product function, new value, note)
+FUNCTION_PROBES = [
+    (("q",), 11.0, "field 'q' is 11.0, not an integer"),
+    (("lambda",), 1.0, "field 'lambda' is 1.0, not an integer"),
+    (("table", 4), 1.5, "field 'table' entry 4 is 1.5, not an integer"),
+    (("table", 4), True, "field 'table' entry 4 is True, not an integer"),
+    (("domain",), DELETE, "missing field 'domain'"),
+    (("domain", "group", "generator"), 3, "group generator 3 does not generate"),
+    (("domain", "group", "generator"), 1, "group generator 1 does not generate"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,note",
+    FUNCTION_PROBES,
+    ids=[f"{p[-1]}={'deleted' if v is DELETE else v!r}" for p, v, _ in FUNCTION_PROBES],
+)
+def test_function_files_are_read_strictly(run_cli, tmp_path, path, value, note):
+    f = tmp_path / "f.json"
+    run_cli(["zdb", "construct", "product", "--ring", Z7_RING, "--g", "2", "--h", "6",
+             "--out", str(f)])
+    data = json.loads(f.read_text())
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    f.write_text(json.dumps(data))
+    code, out, err = run_cli(["zdb", "verify", "--input", str(f)])
+    assert code == 2
+    assert f"error: {note}" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_a_generator_of_the_stored_group_is_accepted(run_cli, tmp_path):
+    f = tmp_path / "f.json"
+    run_cli(["zdb", "construct", "product", "--ring", Z7_RING, "--g", "2", "--h", "6",
+             "--out", str(f)])
+    data = json.loads(f.read_text())
+    data["domain"]["group"]["generator"] = 4  # 4 = 2^2 also generates {1, 2, 4}
+    f.write_text(json.dumps(data))
+    code, out, _ = run_cli(["zdb", "verify", "--input", str(f)])
+    assert code == 0
+    assert out == '{"n":21,"m":11,"lambda":1}\n'
