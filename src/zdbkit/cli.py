@@ -30,6 +30,7 @@ from .catalog import (
 )
 from .codes import (
     CodeBook,
+    CodewordDecoder,
     DssSystem,
     _row_compositions,
     ccc_from_zdb,
@@ -40,6 +41,7 @@ from .codes import (
     dss_from_zdb,
     dss_perfect_check,
     dss_report,
+    matrix_json,
 )
 from .construct import (
     ZdbFunction,
@@ -74,8 +76,15 @@ class _UsageError(Exception):
     pass
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+def _dumps(obj, codewords: np.ndarray | None = None) -> str:
+    """Compact JSON; a given codeword matrix is rendered by ``matrix_json``
+    into the "codewords" slot, which obj holds as None."""
+    text = json.dumps(obj, separators=(",", ":"))
+    if codewords is None:
+        return text
+    head, _, tail = text.partition('"codewords":null')
+    parts = [head.encode(), b'"codewords":', *matrix_json(codewords), tail.encode()]
+    return b"".join(parts).decode("ascii")
 
 
 def _write(args, text: str) -> None:
@@ -250,7 +259,7 @@ def _cmd_codes(args) -> int:
     if args.kind == "cwc":
         book = cwc_from_zdb(fn, res, base=book)
     if args.format == "json":
-        _write(args, _dumps(book.to_json()) + "\n")
+        _write(args, _dumps(book.to_json(codewords=False), book.codewords) + "\n")
     elif args.format == "csv":
         _write(args, book.to_csv())
     else:
@@ -321,11 +330,13 @@ def _print_failures(problems: list[str]) -> None:
 
 def _cmd_check_bounds(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.loads(fh.read(), cls=CodewordDecoder)
+    if not isinstance(data, dict):
+        raise _UsageError(f"the payload must be a JSON object, not {type(data).__name__}")
     kind = data.get("kind")
     if kind in ("CCC", "CWC"):
         book = CodeBook.from_json(data)
-        del data  # the parsed lists take several times the memory of the int32 matrix
+        del data  # parsed lists, when the matrix was not canonical, take several times its memory
         problems = _recheck_codebook(book, args.force)
         report = ccc_report(book) if kind == "CCC" else cwc_report(book)
     elif kind == "DSS":

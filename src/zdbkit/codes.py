@@ -31,14 +31,25 @@ symbol, so the agreements of every pair of rows are counted from the
 same-symbol row pairs of each column, at a cost of the sum of squared
 class sizes rather than M^2 n symbol comparisons.  Bound arithmetic is
 exact (integers and fractions); no floats are involved anywhere.
+
+Codeword matrices cross the JSON boundary as arrays.  The writer renders
+an int matrix straight to the text ``json.dumps(words.tolist())`` gives
+with compact separators, and ``CodeBook.to_csv`` uses the same writer.
+The reader, ``CodewordDecoder``, has a fast path for a canonical matrix
+(``[[d,...],...]``: ASCII digits only, no leading zeros, at most nine
+digits, equal nonempty rows, no whitespace), a strict subset of what
+``json.loads`` accepts, on which it gives the same value as an array.
+Any other text goes through ``json.loads`` unchanged, errors included.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.decoder import WHITESPACE, scanstring
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -56,6 +67,7 @@ from .verify import VerificationResult, difference_spectrum, verify_zdb
 
 __all__ = [
     "CodeBook",
+    "CodewordDecoder",
     "DssSystem",
     "BoundReport",
     "PerfectCheck",
@@ -65,6 +77,7 @@ __all__ = [
     "dss_perfect_check",
     "min_distance",
     "distance_range",
+    "matrix_json",
     "ccc_bound",
     "cwc_bound",
     "dss_bound",
@@ -73,8 +86,11 @@ __all__ = [
     "dss_report",
 ]
 
-# matrix cells that distance_range sorts, or holds agreement counts for, at once
+# matrix cells that distance_range sorts, or holds agreement counts for, at once;
+# the matrix writer renders 8 * _BAND cells at a time
 _BAND = 1 << 15
+# characters of matrix text the reader parses at once
+_READ_BLOCK = 1 << 20
 
 
 @dataclass
@@ -97,7 +113,10 @@ class CodeBook:
     composition: tuple[int, ...] | None = None
     weight: int | None = None
 
-    def to_json(self) -> dict:
+    def to_json(self, *, codewords: bool = True) -> dict:
+        """The JSON object of the book.  With codewords=False the
+        "codewords" entry is None, a slot for a writer that renders the
+        matrix itself (``matrix_json``)."""
         out: dict = {
             "kind": self.kind,
             "n": self.n,
@@ -105,7 +124,7 @@ class CodeBook:
             "q": self.q,
             "d": self.d,
             "d_max": self.d_max,
-            "codewords": self.codewords.tolist(),
+            "codewords": self.codewords.tolist() if codewords else None,
         }
         if self.composition is not None:
             out["composition"] = list(self.composition)
@@ -115,19 +134,29 @@ class CodeBook:
 
     @staticmethod
     def from_json(data: dict) -> "CodeBook":
+        """Read a book parsed by ``json.loads``, where the codewords are
+        lists of rows, or by ``CodewordDecoder``, whose fast path gives a
+        canonical matrix, a strict subset of those texts, as an int32
+        array with the same value.  The matrix is stored as int16 when
+        every symbol fits, else as int32."""
         rows = _field(data, "codewords", None)
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise ValueError("codewords must be a list of rows")
-        if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
-            r, y, s = next(
-                (r, y, s) for r, row in enumerate(rows) for y, s in enumerate(row)
-                if type(s) is not int
-            )
-            raise ValueError(f"codeword row {r} column {y} is {s!r}, not an integer")
-        try:
-            words = np.asarray(rows, dtype=np.int32)
-        except OverflowError as exc:
-            raise ValueError(f"codeword symbol out of range: {exc}") from None
+        if isinstance(rows, np.ndarray):
+            words = rows
+        else:
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise ValueError("codewords must be a list of rows")
+            if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+                r, y, s = next(
+                    (r, y, s) for r, row in enumerate(rows) for y, s in enumerate(row)
+                    if type(s) is not int
+                )
+                raise ValueError(f"codeword row {r} column {y} is {s!r}, not an integer")
+            try:
+                words = np.asarray(rows, dtype=np.int32)
+            except OverflowError as exc:
+                raise ValueError(f"codeword symbol out of range: {exc}") from None
+        if words.size and -(2**15) <= words.min() and words.max() < 2**15:
+            words = words.astype(np.int16)
         n, M, q, d = (_field(data, key) for key in ("n", "M", "q", "d"))
         composition = None
         if "composition" in data:
@@ -146,8 +175,160 @@ class CodeBook:
         )
 
     def to_csv(self) -> str:
-        lines = [",".join(str(int(s)) for s in row) for row in self.codewords]
-        return "\n".join(lines) + "\n"
+        words = self.codewords
+        if not words.size:
+            return "\n" * max(len(words), 1)
+        return b"".join(_text_rows(words, b"\n", b"\n")).decode("ascii")
+
+
+def _text_rows(words: np.ndarray, row_end: bytes, last_end: bytes) -> list[bytes]:
+    """The rows of a nonempty int matrix as decimal text, one part per band
+    of rows: "," between the symbols of a row, row_end after each row but
+    the last, last_end after it.
+
+    Each band is gathered from per-call tables of fixed-width byte tokens,
+    "s," for a symbol inside a row and "s" for the last one, with a
+    row_end column appended; the NUL padding of shorter tokens is dropped.
+    """
+    m, n = words.shape
+    lo, hi = int(words.min()), int(words.max())
+    dense = hi - lo <= words.size
+    keys = np.arange(lo, hi + 1) if dense else np.unique(words)
+    mid = np.array([b"%d," % s for s in keys.tolist()])
+    token = np.dtype(f"S{max(mid.itemsize, len(row_end))}")
+    mid = mid.astype(token)
+    last = np.array([b"%d" % s for s in keys.tolist()], dtype=token)
+    parts = []
+    step = max(1, 8 * _BAND // (n + 1))
+    for r0 in range(0, m, step):
+        band = words[r0 : r0 + step]
+        index = np.subtract(band, lo, dtype=np.intp) if dense else np.searchsorted(keys, band)
+        cells = np.empty((len(band), n + 1), dtype=token)
+        cells[:, :-1] = mid[index]
+        cells[:, -2] = last[index[:, -1]]
+        cells[:, -1] = row_end
+        parts.append(cells.tobytes().replace(b"\0", b""))
+    parts[-1] = parts[-1][: -len(row_end)] + last_end
+    return parts
+
+
+def matrix_json(words: np.ndarray) -> list[bytes]:
+    """Parts of the text json.dumps(words.tolist(), separators=(",", ":"))."""
+    if not words.size:
+        return [json.dumps(words.tolist(), separators=(",", ":")).encode()]
+    return [b"[[", *_text_rows(words, b"],[", b"]]")]
+
+
+def _parse_rows(raw: bytes) -> tuple[np.ndarray, int] | None:
+    """Symbols and row width of canonical rows "[d,...],...,[d,...]", or None.
+
+    raw starts with "[" and ends with "]", where _parse_matrix cuts it.  A
+    canonical row holds ASCII digit runs without leading zeros, at most
+    nine digits each, so every symbol fits int32.  The text between two
+    runs must be "," inside a row or "],[" between rows.
+    """
+    a = np.frombuffer(raw, dtype=np.uint8)
+    digit = (a - ord("0")) < 10  # wraps below "0"
+    edge = np.diff(digit.view(np.int8))
+    start = np.flatnonzero(edge == 1).astype(np.int32) + 1
+    stop = np.flatnonzero(edge == -1).astype(np.int32) + 1
+    if len(start) == 0 or start[0] != 1 or stop[-1] != len(a) - 1:
+        return None
+    length = stop - start
+    longest = int(length.max())
+    if longest > 9 or (a[start[length > 1]] == ord("0")).any():
+        return None
+    gap, sep = start[1:] - stop[:-1], stop[:-1]
+    row_break = (gap == 3) & (a[sep] == ord("]")) & (a[sep + 1] == ord(",")) & (a[sep + 2] == ord("["))
+    if not (row_break | ((gap == 1) & (a[sep] == ord(",")))).all():
+        return None
+    breaks = np.flatnonzero(row_break)
+    width = int(breaks[0]) + 1 if breaks.size else len(start)
+    if len(start) % width or not np.array_equal(breaks, np.arange(width - 1, len(start) - 1, width)):
+        return None
+    value = a[start].astype(np.int32) - ord("0")
+    for k in range(1, longest):
+        more = np.flatnonzero(length > k)
+        value[more] = value[more] * 10 + (a[start[more] + k] - ord("0"))
+    return value, width
+
+
+def _parse_matrix(s: str, i: int) -> tuple[np.ndarray, int] | None:
+    """The canonical matrix starting at s[i] as an int32 array, and the index
+    just past it; None when the text there is anything else.
+
+    The rows are parsed in blocks of about _READ_BLOCK characters, each
+    cut after a row, so the temporaries stay the size of one block.
+    """
+    if not s.startswith("[[", i):
+        return None
+    stop = s.find("]]", i) + 1  # the rows are s[i + 1 : stop]
+    if stop == 0:
+        return None
+    values, width = [], None
+    p = i + 1
+    while p < stop:
+        # end the block after the first row that ends past p + _READ_BLOCK
+        cut = s.find("],[", p + _READ_BLOCK, stop) + 1 or stop
+        try:
+            rows = _parse_rows(s[p:cut].encode("ascii"))
+        except UnicodeEncodeError:
+            return None
+        if rows is None or width not in (None, rows[1]):
+            return None
+        values.append(rows[0])
+        width = rows[1]
+        p = cut + 1
+    return np.concatenate(values).reshape(-1, width), stop + 1
+
+
+class CodewordDecoder(json.JSONDecoder):
+    """``json.loads(text, cls=CodewordDecoder)`` reads a top-level object
+    whose "codewords" value, when it is a canonical matrix, arrives as an
+    int32 array instead of lists.
+
+    The top-level object is walked key by key; every other value goes
+    through the stdlib scanner.  Any text the walk or the matrix parser
+    does not accept (whitespace inside the matrix, floats, bools,
+    negatives, ragged or empty rows, a top level that is not an object)
+    is read by the stdlib decoder whole, so the value and every error
+    are those of ``json.loads``.  A repeated key keeps its first place
+    and its last value, as in ``json.loads``.
+    """
+
+    def decode(self, s: str, _w=WHITESPACE.match):
+        try:
+            data = self._walk(s, _w)
+        except (json.JSONDecodeError, StopIteration):
+            data = None
+        return super().decode(s) if data is None else data
+
+    def _walk(self, s: str, _w) -> dict | None:
+        i = _w(s, 0).end()
+        if not s.startswith("{", i):
+            return None
+        data: dict = {}
+        while True:
+            i = _w(s, i + 1).end()
+            if not s.startswith('"', i):
+                return None
+            key, i = scanstring(s, i + 1)
+            i = _w(s, i).end()
+            if not s.startswith(":", i):
+                return None
+            i = _w(s, i + 1).end()
+            if key != "codewords":
+                data[key], i = self.scan_once(s, i)
+            elif (parsed := _parse_matrix(s, i)) is None:
+                return None
+            else:
+                data[key], i = parsed
+            i = _w(s, i).end()
+            if not s.startswith(",", i):
+                break
+        if not s.startswith("}", i) or _w(s, i + 1).end() != len(s):
+            return None
+        return data
 
 
 @dataclass
@@ -343,9 +524,17 @@ def min_distance(code: "CodeBook | np.ndarray | Sequence[Sequence[int]]") -> int
 
 
 def _row_compositions(words: np.ndarray, q: int) -> np.ndarray:
+    """Per-row symbol counts of a matrix with symbols in range(q), bincounted
+    for one band of about _BAND cells at a time."""
     m, n = words.shape
-    flat = (np.arange(m, dtype=np.int64)[:, None] * q + words).ravel()
-    return np.bincount(flat, minlength=m * q).reshape(m, q)
+    out = np.empty((m, q), dtype=np.intp)
+    step = max(1, _BAND // max(n, 1))
+    for r0 in range(0, m, step):
+        band = words[r0 : r0 + step]
+        b = len(band)
+        flat = (np.arange(b, dtype=np.intp)[:, None] * q + band).ravel()
+        out[r0 : r0 + b] = np.bincount(flat, minlength=b * q).reshape(b, q)
+    return out
 
 
 def ccc_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> CodeBook:

@@ -1,9 +1,15 @@
 """End-to-end command line pipeline, golden output bytes, and the exit
 code contract."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
+
+from zdbkit import GaloisField
+
+ROOT = Path(__file__).resolve().parents[1]
 
 Z7_RING = '{"kind":"residue","n":7}'
 
@@ -52,6 +58,30 @@ def test_full_pipeline(run_cli, tmp_path):
         assert code == 0, err
         report = json.loads(out)
         assert report["optimal"] is True and report["checked"] is True
+
+
+def test_files_pipeline_bytes_match_the_benchmark_golden(run_cli, tmp_path):
+    # the benchmark's `files` workload on the (1156, 386, 2) GF(17^2) instance
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["files"]
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(GaloisField(17, 2).to_json()))
+    fn, ccc, dss = (str(tmp_path / f"{name}.json") for name in ("fn", "ccc", "dss"))
+    steps = [
+        ("zdb_construct", ["zdb", "construct", "product", "--ring", f"@{ring}", "--g", "4",
+                           "--h", "17"], fn),
+        ("zdb_verify", ["zdb", "verify", "--in", fn], None),
+        ("codes_ccc", ["codes", "ccc", "--in", fn], ccc),
+        ("check_bounds_ccc", ["codes", "check-bounds", "--in", ccc], None),
+        ("codes_dss", ["codes", "dss", "--in", fn], dss),
+        ("check_bounds_dss", ["codes", "check-bounds", "--in", dss], None),
+    ]
+    for name, argv, saved in steps:
+        code, out, err = run_cli(argv)
+        if saved is not None:
+            Path(saved).write_text(out)
+        sha = {key: hashlib.sha256(text.encode()).hexdigest() for key, text in
+               (("stdout", out), ("stderr", err))}
+        assert {"rc": code, **sha} == golden[name], name
 
 
 def test_construct_output_is_byte_deterministic(run_cli, tmp_path):
@@ -116,6 +146,17 @@ def test_malformed_json_reports_position(run_cli, tmp_path):
     code, _, err = run_cli(["ring", "info", "--ring", f"@{broken}"])
     assert code == 2
     assert "line" in err and "column" in err
+
+
+@pytest.mark.parametrize("payload", ["[1]", "1", '"x"'])
+def test_check_bounds_needs_an_object_at_the_top_level(run_cli, tmp_path, payload):
+    f = tmp_path / "f.json"
+    f.write_text(payload)
+    code, out, err = run_cli(["codes", "check-bounds", "--in", str(f)])
+    assert code == 2
+    kind = type(json.loads(payload)).__name__
+    assert err == f"error: the payload must be a JSON object, not {kind}\n"
+    assert out == ""
 
 
 def test_missing_file_is_a_usage_error(run_cli, tmp_path):

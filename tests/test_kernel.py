@@ -12,8 +12,16 @@ integer matrices and on the (2500, 834, 2) instance.
 The ring layer's one mixed-radix additive law is checked against the
 per-kind scalar sums it replaced, and the derived ``shift_rows``
 against the per-shape formulas it replaced.
+
+The JSON boundary of codeword matrices is checked the same way: the
+banded matrix writer against ``json.dumps`` of the nested lists and
+``CodeBook.to_csv`` against the per-element join it replaced; the
+vectorized reader against ``json.loads`` plus the list reader it
+bypasses, on canonical and mutated texts; and the banded row
+compositions against one bincount of the whole matrix.
 """
 
+import json
 import math
 from unittest.mock import patch
 
@@ -23,6 +31,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zdbkit import (
+    CodeBook,
+    CodewordDecoder,
     DssSystem,
     GaloisField,
     MatrixRing,
@@ -36,10 +46,11 @@ from zdbkit import (
     difference_spectrum,
     distance_range,
     dss_perfect_check,
+    matrix_json,
 )
 from zdbkit import codes as codes_module
 from zdbkit import domains as domains_module
-from zdbkit.codes import _shift_codewords, _shift_distances
+from zdbkit.codes import _row_compositions, _shift_codewords, _shift_distances
 
 RINGS = [
     ResidueRing(2),
@@ -286,3 +297,185 @@ def test_derived_shift_rows_match_each_shape(domain, data):
     rows = domain.shift_rows(deltas)
     assert rows.shape == (len(deltas), domain.order)
     assert np.array_equal(rows, shape_shift_rows(domain, deltas))
+
+
+# -- codeword matrices across the JSON boundary ----------------------------
+
+
+def joined_csv(words):
+    """CSV of a codeword matrix, one element at a time."""
+    lines = [",".join(str(int(s)) for s in row) for row in words]
+    return "\n".join(lines) + "\n"
+
+
+def list_codewords(data):
+    """The codeword matrix of a book parsed by json.loads, as the list reader
+    builds it: rows must be lists of exact ints that fit int32."""
+    rows = data["codewords"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("codewords must be a list of rows")
+    for r, row in enumerate(rows):
+        for y, s in enumerate(row):
+            if type(s) is not int:
+                raise ValueError(f"codeword row {r} column {y} is {s!r}, not an integer")
+    try:
+        return np.asarray(rows, dtype=np.int32)
+    except OverflowError as exc:
+        raise ValueError(f"codeword symbol out of range: {exc}") from None
+
+
+# largest symbol of a drawn matrix: one symbol only, 16-bit edges, sparse alphabets
+TOPS = [0, 1, 9, 10, 385, 2**15 - 1, 2**15, 10**5]
+
+
+@st.composite
+def code_matrices(draw):
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    top = draw(st.sampled_from(TOPS))
+    entries = draw(
+        st.lists(st.one_of(st.just(top), st.integers(0, top)), min_size=m * n, max_size=m * n)
+    )
+    dtype = draw(st.sampled_from([np.int16, np.int32, np.int64] if top < 2**15 else [np.int32]))
+    return np.array(entries, dtype=dtype).reshape(m, n)
+
+
+@SETTINGS
+@example(np.zeros((1, 1), dtype=np.int16), 1)
+@example(np.array([[2**15 - 1, 2**15], [0, 2**15]]), 1)  # across the int16 edge
+@example(np.array([[-3, 10**5], [7, -(2**15)]]), 2)  # negative and sparse symbols
+@example(np.array([[0, 2**40, 5]]), 1)  # an alphabet too wide for a table per symbol
+@given(code_matrices(), st.integers(1, 64))
+def test_matrix_writer_matches_json_dumps(words, band):
+    # a small band makes the writer cut the matrix into many parts
+    with patch.object(codes_module, "_BAND", band):
+        text = b"".join(matrix_json(words)).decode("ascii")
+    assert text == json.dumps(words.tolist(), separators=(",", ":"))
+
+
+@SETTINGS
+@example(np.zeros((1, 1), dtype=np.int16), 1)
+@example(np.array([[-3, 10**5], [7, -(2**15)]]), 2)
+@given(code_matrices(), st.integers(1, 64))
+def test_csv_writer_matches_the_element_join(words, band):
+    m, n = words.shape
+    book = CodeBook("CCC", n, m, int(words.max()) + 1, 0, 0, words)
+    with patch.object(codes_module, "_BAND", band):
+        assert book.to_csv() == joined_csv(words)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_empty_matrices_are_written_as_before(shape):
+    words = np.zeros(shape, dtype=np.int16)
+    assert b"".join(matrix_json(words)).decode() == json.dumps(words.tolist(), separators=(",", ":"))
+    assert CodeBook("CCC", 0, 0, 1, 0, 0, words).to_csv() == joined_csv(words)
+
+
+# each mutation replaces one symbol token, or reshapes the matrix or the object
+MUTATIONS = [
+    "canonical", " 5", "5 ", "1.0", "true", "-1", "01", "00", "999999999", "1234567890",
+    str(2**31 - 1), str(2**31), str(2**40), "1e2", '"7"', "null", "[3]", "ragged",
+    "empty row", "[[]]", "[]", "),[", "];[", "],(", "duplicate key", "quoted key", "escaped key",
+    "newline inside",
+]
+
+
+def _matrix_text(tokens, row_break="],["):
+    return "[[" + row_break.join(",".join(row) for row in tokens) + "]]"
+
+
+@st.composite
+def codebook_texts(draw, mutation):
+    words = draw(code_matrices())
+    m, n = words.shape
+    tokens = [[str(s) for s in row] for row in words.tolist()]
+    r, y = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+    before, key, after, row_break = "", '"codewords"', "", "],["
+    if mutation == "ragged":
+        tokens[r] = tokens[r][:-1] if n > 1 else tokens[r] + ["0"]
+    elif mutation == "empty row":
+        tokens[r] = []
+    elif mutation in ("),[", "];[", "],("):  # each byte of the row break
+        row_break = mutation
+    elif mutation == "duplicate key":
+        after = ',"codewords":' + _matrix_text([["4", "2"]])
+    elif mutation == "quoted key":
+        before = '"x\\"codewords\\"":[[1,2]],'
+    elif mutation == "escaped key":
+        key = '"code\\u0077ords"'
+    elif mutation == "newline inside":
+        tokens[r][y] = "\n" + tokens[r][y]
+    elif mutation != "canonical":
+        tokens[r][y] = mutation
+    matrix = {"[[]]": "[[]]", "[]": "[]"}.get(mutation) or _matrix_text(tokens, row_break)
+    head = f'{{"kind":"CCC","n":{n},"M":{m},"q":{int(words.max()) + 1},"d":0,'
+    return f"{head}{before}{key}:{matrix}{after}}}\n"
+
+
+def _read(text, decoder=None):
+    """Codewords or the error of one reader: CodewordDecoder with
+    CodeBook.from_json, or json.loads with the list reader."""
+    try:
+        if decoder is None:
+            return list_codewords(json.loads(text))
+        return CodeBook.from_json(json.loads(text, cls=decoder)).codewords
+    except (ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@settings(SETTINGS, max_examples=15)
+@given(data=st.data(), block=st.integers(1, 64))
+def test_fast_reader_matches_json_loads(mutation, data, block):
+    text = data.draw(codebook_texts(mutation))
+    # a small read block makes the reader cut the matrix after many rows
+    with patch.object(codes_module, "_READ_BLOCK", block):
+        fast = _read(text, CodewordDecoder)
+        if mutation in ("canonical", "999999999", "duplicate key", "escaped key", "quoted key"):
+            assert isinstance(json.loads(text, cls=CodewordDecoder)["codewords"], np.ndarray)
+    slow = _read(text)
+    if isinstance(slow, tuple):
+        assert fast == slow
+        return
+    assert np.array_equal(fast, slow) and fast.shape == slow.shape
+    fits = slow.size and -(2**15) <= slow.min() and slow.max() < 2**15
+    assert fast.dtype == (np.int16 if fits else np.int32)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[1]", "1", '"x"', "", "{}", '{"codewords":[[1]]', '{"codewords":[[1]]}x',
+     '{"a":1,}', '{"codewords":[[1],[2]],"codewords":[[3]]}', "\ufeff{}"],
+)
+def test_fast_reader_keeps_json_loads_values_and_errors(text):
+    def outcome(**kw):
+        try:
+            value = json.loads(text, **kw)
+        except json.JSONDecodeError as exc:
+            return "error", exc.msg, exc.pos
+        return "value", value
+
+    assert outcome(cls=CodewordDecoder) == outcome()
+
+
+def test_dss_blocks_of_equal_size_stay_lists():
+    text = json.dumps(
+        {"kind": "DSS", "group": {"kind": "additive"}, "blocks": [[0, 1], [2, 3], [4, 5]],
+         "q": 3, "tau": 6, "lambda": 4, "perfect": True, "partitioned": True},
+        separators=(",", ":"),
+    )
+    data = json.loads(text, cls=CodewordDecoder)
+    assert data == json.loads(text)
+    assert type(data["blocks"]) is list and all(type(b) is list for b in data["blocks"])
+
+
+@SETTINGS
+@example(np.zeros((3, 1), dtype=np.int16), 1, 1)
+@given(code_matrices(), st.integers(1, 6), st.integers(1, 64))
+def test_banded_row_compositions_match_one_bincount(words, extra, band):
+    m, n = words.shape
+    words = words % 7
+    q = int(words.max()) + extra
+    flat = (np.arange(m, dtype=np.int64)[:, None] * q + words).ravel()
+    whole = np.bincount(flat, minlength=m * q).reshape(m, q)
+    with patch.object(codes_module, "_BAND", band):
+        assert np.array_equal(_row_compositions(words, q), whole)
