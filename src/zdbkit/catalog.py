@@ -37,6 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .arith import factorize, is_prime, prime_power
 from .codes import (
     ccc_from_zdb,
@@ -127,32 +129,35 @@ class CertificationReport:
         return f"certified {len(self.rows)} instances"
 
 
+# candidates raised to their powers at once by find_element_of_order
+_SEARCH_CHUNK = 1 << 16
+
+
 def find_element_of_order(
     ring: Ring, e: int, require_unit_difference: bool = False
 ) -> int | None:
     """Smallest-index unit of multiplicative order exactly e, or None.
 
     With require_unit_difference the cyclic subgroup it generates must
-    also pass the unit-difference check.
+    also pass the unit-difference check.  Candidates b are taken in
+    index order, about 2^16 at a time, and raised to the powers 1 .. e
+    by ``mul_vec``; b^e = 1 already makes b a unit.
     """
     if e < 1:
         raise ValueError(f"order must be positive, got {e}")
     one = ring.one()
-    for b in range(1, ring.order):
-        if not ring.is_unit(b):
-            continue
-        x = b
-        order = None
-        for j in range(1, e + 1):
-            if x == one:
-                order = j
-                break
-            x = ring.mul(x, b)
-        if order != e:
-            continue
-        if require_unit_difference and not check_unit_difference(ring, cyclic_subgroup(ring, b)):
-            continue
-        return b
+    for start in range(1, ring.order, _SEARCH_CHUNK):
+        b = np.arange(start, min(start + _SEARCH_CHUNK, ring.order), dtype=np.int64)
+        x, short = b, np.zeros(len(b), dtype=bool)  # short: b^j = 1 for some j < e
+        for _ in range(e - 1):
+            short |= x == one
+            x = ring.mul_vec(x, b)
+        for cand in b[(x == one) & ~short].tolist():
+            if require_unit_difference and not check_unit_difference(
+                ring, cyclic_subgroup(ring, cand)
+            ):
+                continue
+            return cand
     return None
 
 

@@ -289,10 +289,15 @@ def _recheck_codebook(book: CodeBook, force: bool) -> list[str]:
         problems.append(
             f"stored distances ({book.d}, {book.d_max}) but recomputed ({d}, {d_max})"
         )
-    comps = _row_compositions(words, book.q)
+    # every symbol is below q, so counts past the largest one are zeros
+    comps = _row_compositions(words, int(words.max()) + 1 if words.size else 1)
+    composition = tuple(comps[0].tolist())
     if not (comps == comps[0]).all():
         problems.append("codewords do not share one composition")
-    elif book.composition is not None and tuple(comps[0].tolist()) != book.composition:
+    elif book.composition is not None and (
+        len(book.composition) != book.q
+        or book.composition != composition + (0,) * (book.q - len(composition))
+    ):
         problems.append("stored composition differs from the codewords")
     if book.kind == "CWC":
         weights = book.n - comps[:, 0]

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cosets import (
     Subgroup,
     check_plus_one,
@@ -70,14 +72,16 @@ class ZdbFunction:
     ``table[i]`` is the symbol at domain element index i; q is the size
     of the image alphabet and claimed_lambda the balance level the
     construction promises.  Claims are exactly that: claims.  The
-    verification module re-derives them from the table alone.
+    verification module re-derives them from the table alone.  The
+    table may be given as a sequence or as a 1-D integer array; it is
+    stored as a list of ints.
     """
 
     def __init__(
         self,
         domain: AbelianDomain,
         q: int,
-        table: list[int],
+        table: list[int] | np.ndarray,
         claimed_lambda: int,
         provenance: dict | None = None,
     ):
@@ -85,11 +89,17 @@ class ZdbFunction:
             raise ValueError(
                 f"table length {len(table)} does not match domain order {domain.order}"
             )
-        if any(not 0 <= s < q for s in table):
-            raise ValueError(f"table contains symbols outside range(0, {q})")
+        if isinstance(table, np.ndarray) and table.ndim == 1 and table.dtype.kind in "iu":
+            if table.min() < 0 or table.max() >= q:
+                raise ValueError(f"table contains symbols outside range(0, {q})")
+            table = table.tolist()
+        else:
+            if any(not 0 <= s < q for s in table):
+                raise ValueError(f"table contains symbols outside range(0, {q})")
+            table = [int(s) for s in table]
         self.domain = domain
         self.q = q
-        self.table = list(int(s) for s in table)
+        self.table = table
         self.claimed_lambda = int(claimed_lambda)
         self.provenance = provenance or {}
 
@@ -144,17 +154,9 @@ def construct_generic(ring: Ring, group: Subgroup) -> ZdbFunction:
     partition = coset_partition(ring, group)  # enforces the unit-difference condition
     n = ring.order
     e = group.order
-    symbol_of_rep = {0: 0}
-    labels = [Label("coset", rep=0)]
-    for rep in partition.nonzero_reps:
-        symbol_of_rep[rep] = len(labels)
-        labels.append(Label("coset", rep=rep))
-    table = [0] * n
-    for rep, coset in zip(partition.reps, partition.cosets):
-        s = symbol_of_rep[rep]
-        for r in coset:
-            table[r] = s
-    fn = ZdbFunction(
+    # symbol s is the coset of the s-th representative; row_indicators[0] = 0
+    table = np.searchsorted(np.asarray(partition.reps), partition.row_indicators)
+    return ZdbFunction(
         RingAdditiveDomain(ring),
         q=(n - 1) // e + 1,
         table=table,
@@ -162,10 +164,9 @@ def construct_generic(ring: Ring, group: Subgroup) -> ZdbFunction:
         provenance={
             "construction": "generic",
             "group": group.to_json(),
-            "symbols": [lab.to_json() for lab in labels],
+            "symbols": [{"kind": "coset", "rep": rep} for rep in partition.reps],
         },
     )
-    return fn
 
 
 def construct_product(ring: Ring, g_group: Subgroup, h_group: Subgroup) -> ZdbFunction:
@@ -180,49 +181,47 @@ def construct_product(ring: Ring, g_group: Subgroup, h_group: Subgroup) -> ZdbFu
     pg = coset_partition(ring, g_group)  # each enforces the unit-difference condition
     ph = coset_partition(ring, h_group)
     n = ring.order
-    one = ring.one()
 
-    labels = [Label("zero"), Label("zero_pair")]
-    h_symbol = {}
-    for rep in ph.nonzero_reps:
-        h_symbol[rep] = len(labels)
-        labels.append(Label("h_coset", rep=rep))
-    pair_symbol = {}
-    for rep in pg.nonzero_reps:
-        for g in g_group.elements:
-            pair_symbol[(rep, g)] = len(labels)
-            labels.append(Label("g_coset_pair", rep=rep, g=g))
-    q = len(labels)
+    # symbols: 0 zero, 1 zero_pair, then one per nonzero H coset, then
+    # e per nonzero G coset, in the order of g_group.elements
+    symbols = [{"kind": "zero"}, {"kind": "zero_pair"}]
+    symbols += [{"kind": "h_coset", "rep": rep} for rep in ph.nonzero_reps]
+    pair_base = len(symbols)
+    symbols += [
+        {"kind": "g_coset_pair", "rep": rep, "g": g}
+        for rep in pg.nonzero_reps
+        for g in g_group.elements
+    ]
+    q = len(symbols)
     expected_q = (e * n - 1) // (e - 1) + 1
     if q != expected_q:
         raise RuntimeError(f"alphabet size {q} != {expected_q}")  # unreachable
 
-    table = [0] * (n * e)
-    for r in range(n):
-        if r == 0:
-            row = None
-        else:
-            ri = pg.row_indicator(r)
-            ci = pg.column_indicator(r)
-        for pos, x in enumerate(g_group.elements):
-            flat = r * e + pos
-            if r == 0:
-                table[flat] = 0 if x == one else 1
-            elif x == one:
-                table[flat] = h_symbol[ph.row_indicator(r)]
-            else:
-                table[flat] = pair_symbol[(ri, ring.mul(x, ci))]
+    # row r, column pos holds (r, x) with x = g_group.elements[pos]; for r != 0
+    # and x != 1 the symbol is the pair (G rep of r, x * column indicator of r)
+    elems = np.asarray(g_group.elements, dtype=np.int64)
+    one_pos = g_group.identity_pos
+    x_times_col = ring.mul_vec(elems[None, :], pg.column_indicators[1:, None])
+    table = np.empty((n, e), dtype=np.int64)
+    table[1:] = (
+        pair_base
+        + np.searchsorted(np.asarray(pg.nonzero_reps), pg.row_indicators[1:])[:, None] * e
+        + np.searchsorted(elems, x_times_col)
+    )
+    table[1:, one_pos] = 2 + np.searchsorted(np.asarray(ph.nonzero_reps), ph.row_indicators[1:])
+    table[0] = 1
+    table[0, one_pos] = 0
 
     return ZdbFunction(
         RingTimesGroupDomain(ring, g_group),
         q=q,
-        table=table,
+        table=table.ravel(),
         claimed_lambda=e - 2,
         provenance={
             "construction": "product",
             "g_group": g_group.to_json(),
             "h_group": h_group.to_json(),
-            "symbols": [lab.to_json() for lab in labels],
+            "symbols": symbols,
         },
     )
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     ConditionNotSatisfiedError,
     DegenerateDoublingError,
@@ -152,11 +154,14 @@ def doubled_subgroup(ring: Ring, group: Subgroup) -> Subgroup:
 class CosetPartition:
     """The partition of a ring into {0} and left cosets of a subgroup.
 
-    Built by scanning element indices in increasing order, so the
-    representative of each coset is its smallest-index member and the
-    representative list is ascending.  Row and column indicator tables
-    are filled during the scan: for nonzero r = rep * g they give back
-    rep and g respectively.
+    Built from the n x e product table P[r, j] = r * g_j (``mul_vec``):
+    row r holds the coset rG, which contains r, so the representatives,
+    the smallest-index member of each coset, are the rows whose minimum
+    is their own index, and they come out ascending.  The partition is
+    checked exactly: the members of the representatives' rows, sorted,
+    must be 1 .. n-1.  The int arrays ``row_indicators`` and
+    ``column_indicators`` give back rep and g for nonzero r = rep * g
+    (entry 0 is 0 and -1).
     """
 
     def __init__(self, ring: Ring, group: Subgroup):
@@ -168,38 +173,24 @@ class CosetPartition:
         self.subgroup = group
         n = ring.order
         e = group.order
-        row = [-1] * n  # representative of the coset of r
-        col = [-1] * n  # group element g with r = rep * g
-        cosets: list[tuple[int, ...]] = [(0,)]
-        reps = [0]
-        row[0] = 0
-        for a in range(1, n):
-            if row[a] >= 0:
-                continue
-            members = []
-            for g in group.elements:
-                m = ring.mul(a, g)
-                if row[m] >= 0:
-                    raise ConditionNotSatisfiedError(
-                        f"cosets overlap at element {m}; partition impossible"
-                    )
-                row[m] = a
-                col[m] = g
-                members.append(m)
-            if len(set(members)) != e:
-                raise ConditionNotSatisfiedError(
-                    f"coset of {a} has size {len(set(members))}, expected {e}"
-                )
-            cosets.append(tuple(sorted(members)))
-            reps.append(a)
-        if (n - 1) % e != 0 or len(cosets) != (n - 1) // e + 1:
+        elems = np.asarray(group.elements, dtype=np.int64)
+        index = np.arange(n, dtype=np.int64)
+        products = ring.mul_vec(index[:, None], elems[None, :])
+        reps = np.flatnonzero(products.min(axis=1) == index)  # 0 comes first
+        rows = products[reps[1:]]
+        members = rows.ravel()
+        if not np.array_equal(np.sort(members), index[1:]):
             raise ConditionNotSatisfiedError(
-                f"{n - 1} nonzero elements do not split into cosets of size {e}"
+                f"the cosets of a subgroup of order {e} do not partition the "
+                f"{n - 1} nonzero elements"
             )
-        self.cosets = tuple(cosets)
-        self.reps = tuple(reps)
-        self._row = row
-        self._col = col
+        self.row_indicators = np.zeros(n, dtype=np.int64)
+        self.row_indicators[members] = np.repeat(reps[1:], e)
+        self.column_indicators = np.full(n, -1, dtype=np.int64)
+        self.column_indicators[members] = np.tile(elems, len(reps) - 1)
+        rows.sort(axis=1)
+        self.cosets = ((0,),) + tuple(map(tuple, rows.tolist()))
+        self.reps = tuple(reps.tolist())
 
     @property
     def nonzero_reps(self) -> tuple[int, ...]:
@@ -210,13 +201,13 @@ class CosetPartition:
         """The representative a of the coset containing nonzero r."""
         if r == 0:
             raise ValueError("indicators are defined for nonzero elements only")
-        return self._row[self.ring._check(r)]
+        return int(self.row_indicators[self.ring._check(r)])
 
     def column_indicator(self, r: int) -> int:
         """The group element g with r = row_indicator(r) * g."""
         if r == 0:
             raise ValueError("indicators are defined for nonzero elements only")
-        return self._col[self.ring._check(r)]
+        return int(self.column_indicators[self.ring._check(r)])
 
     def __repr__(self) -> str:
         return (

@@ -25,6 +25,16 @@ its radix, so ``add``/``neg`` and the vectorized ``add_vec``/``neg_vec``
 kernels run on) are written once, in ``Ring``.  Orders must stay below
 2^62, so that the sum of two indices fits in int64.
 
+Multiplication has one rule per kind, ``_mul_digits``, and like the
+sum it serves Python ints (``mul``) and int64 arrays (``mul_vec``, with
+broadcasting and a kept on the left), so the two cannot disagree: a * b
+mod n; for GF(p^r) the schoolbook product of the digit polynomials,
+reduced by the monic modulus from the top degree down (no log tables);
+componentwise for a product; and sum_t a_it * b_tj with the entry
+field's rules for M_k(GF(q)).  Where a digit product could overflow
+int64 (n or p from about 2^31 up), ``mul_vec`` computes on object arrays
+of Python ints, so results stay exact.
+
 All operations are pure functions of an immutable descriptor, so ring
 objects can be shared freely between threads.  ``try_invert`` returns
 ``None`` for a non-unit instead of raising: non-units are ordinary
@@ -102,7 +112,7 @@ class Ring:
         return self._neg_digits(self._check(a))
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return self._mul_digits(self._check(a), self._check(b))
 
     def try_invert(self, a: int) -> int | None:
         """Two-sided multiplicative inverse of a, or None if a is not a unit."""
@@ -137,6 +147,22 @@ class Ring:
     def neg_vec(self, a) -> np.ndarray:
         return self._neg_digits(np.asarray(a, dtype=np.int64))
 
+    # -- vectorized multiplication ----------------------------------------
+
+    _wide = False  # an int64 digit product could overflow; set per kind
+
+    def _mul_digits(self, a, b):
+        raise NotImplementedError
+
+    def mul_vec(self, a, b) -> np.ndarray:
+        """Elementwise product a * b on index arrays, with numpy broadcasting;
+        a stays the left factor."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if not self._wide:
+            return self._mul_digits(a, b)
+        return np.asarray(self._mul_digits(a.astype(object), b.astype(object)), dtype=np.int64)
+
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -169,9 +195,10 @@ class ResidueRing(Ring):
             raise ValueError(f"residue ring needs n >= 2, got {n}")
         self.n = n
         self._set_radices((n,))
+        self._wide = (n - 1) ** 2 >= 1 << 63
 
-    def mul(self, a: int, b: int) -> int:
-        return (self._check(a) * self._check(b)) % self.n
+    def _mul_digits(self, a, b):
+        return a * b % self.n
 
     def try_invert(self, a: int) -> int | None:
         a = self._check(a)
@@ -186,8 +213,10 @@ class ResidueRing(Ring):
     def is_commutative(self) -> bool:
         return True
 
-    # own binding, not only inherited: perfbench/tracer.py wraps each ring class's add_vec
+    # own bindings, not only inherited: perfbench/tracer.py wraps each ring class's
+    # add_vec and counts its mul
     add_vec = Ring.add_vec
+    mul = Ring.mul
 
     def to_json(self) -> dict:
         return {"kind": "residue", "n": self.n}
@@ -208,16 +237,6 @@ def _poly_trim(c: Sequence[int]) -> tuple[int, ...]:
         i -= 1
     return tuple(c[:i])
 
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
 
 def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
     # m must be monic
@@ -289,12 +308,16 @@ class GaloisField(Ring):
             if not _poly_irreducible(m, p):
                 raise ValueError(f"modulus {m} is reducible over F_{p}")
             self.modulus = m
+        # x^r = sum of t_i x^i with t_i = -m_i mod p; only the nonzero terms
+        self._tail = tuple((i, -c % p) for i, c in enumerate(self.modulus[:r]) if c)
+        # digit sums of the unreduced product stay below 2 r p^2
+        self._wide = 2 * r * p * p >= 1 << 63
 
     def _decode(self, a: int) -> tuple[int, ...]:
         digits = []
         for _ in range(self.r):
-            a, d = divmod(a, self.p)
-            digits.append(d)
+            digits.append(a % self.p)
+            a = a // self.p
         return tuple(digits)
 
     def _encode(self, c: Sequence[int]) -> int:
@@ -303,10 +326,20 @@ class GaloisField(Ring):
             out = out * self.p + d
         return out
 
-    def mul(self, a: int, b: int) -> int:
-        ca = self._decode(self._check(a))
-        cb = self._decode(self._check(b))
-        return self._encode(_poly_mod(_poly_mul(ca, cb, self.p), self.modulus, self.p))
+    def _mul_digits(self, a, b):
+        p, r = self.p, self.r
+        if r == 1:
+            return a * b % p
+        c = [0] * (2 * r - 1)
+        db = self._decode(b)
+        for i, x in enumerate(self._decode(a)):
+            for j, y in enumerate(db):
+                c[i + j] = c[i + j] + x * y
+        for k in range(2 * r - 2, r - 1, -1):  # fold x^k = x^(k-r) * x^r back in
+            lead = c[k] % p
+            for i, t in self._tail:
+                c[k - r + i] = c[k - r + i] + lead * t
+        return self._encode([d % p for d in c[:r]])
 
     def try_invert(self, a: int) -> int | None:
         a = self._check(a)
@@ -317,8 +350,8 @@ class GaloisField(Ring):
         acc, base = self.one(), a
         while e:
             if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
+                acc = self._mul_digits(acc, base)
+            base = self._mul_digits(base, base)
             e >>= 1
         return acc
 
@@ -328,8 +361,10 @@ class GaloisField(Ring):
     def is_commutative(self) -> bool:
         return True
 
-    # own binding, not only inherited: perfbench/tracer.py wraps each ring class's add_vec
+    # own bindings, not only inherited: perfbench/tracer.py wraps each ring class's
+    # add_vec and counts its mul
     add_vec = Ring.add_vec
+    mul = Ring.mul
 
     def to_json(self) -> dict:
         return {"kind": "field", "p": self.p, "r": self.r, "modulus": list(self.modulus)}
@@ -354,12 +389,13 @@ class ProductRing(Ring):
             raise TypeError("product components must be rings")
         self.components = comps
         self._set_radices(r for c in comps for r in c.radices)
+        self._wide = any(c._wide for c in comps)
 
     def _decode(self, a: int) -> tuple[int, ...]:
         out = []
         for c in self.components:
-            a, d = divmod(a, c.order)
-            out.append(d)
+            out.append(a % c.order)
+            a = a // c.order
         return tuple(out)
 
     def _encode(self, parts: Sequence[int]) -> int:
@@ -368,10 +404,9 @@ class ProductRing(Ring):
             out = out * c.order + d
         return out
 
-    def mul(self, a: int, b: int) -> int:
-        pa = self._decode(self._check(a))
-        pb = self._decode(self._check(b))
-        return self._encode([c.mul(x, y) for c, x, y in zip(self.components, pa, pb)])
+    def _mul_digits(self, a, b):
+        parts = zip(self.components, self._decode(a), self._decode(b))
+        return self._encode([c._mul_digits(x, y) for c, x, y in parts])
 
     def try_invert(self, a: int) -> int | None:
         pa = self._decode(self._check(a))
@@ -389,8 +424,10 @@ class ProductRing(Ring):
     def is_commutative(self) -> bool:
         return all(c.is_commutative() for c in self.components)
 
-    # own binding, not only inherited: perfbench/tracer.py wraps each ring class's add_vec
+    # own bindings, not only inherited: perfbench/tracer.py wraps each ring class's
+    # add_vec and counts its mul
     add_vec = Ring.add_vec
+    mul = Ring.mul
 
     def to_json(self) -> dict:
         return {"kind": "product", "components": [c.to_json() for c in self.components]}
@@ -417,14 +454,15 @@ class MatrixRing(Ring):
         self.field = field
         self.q = field.order
         self._set_radices(r for _ in range(k * k) for r in field.radices)
+        self._wide = field._wide
 
     def _decode(self, a: int) -> list[list[int]]:
         rows = []
         for _ in range(self.k):
             row = []
             for _ in range(self.k):
-                a, d = divmod(a, self.q)
-                row.append(d)
+                row.append(a % self.q)
+                a = a // self.q
             rows.append(row)
         return rows
 
@@ -435,17 +473,15 @@ class MatrixRing(Ring):
                 out = out * self.q + rows[i][j]
         return out
 
-    def mul(self, a: int, b: int) -> int:
-        ma = self._decode(self._check(a))
-        mb = self._decode(self._check(b))
-        f = self.field
-        k = self.k
+    def _mul_digits(self, a, b):
+        ma, mb = self._decode(a), self._decode(b)
+        f, k = self.field, self.k
         out = [[0] * k for _ in range(k)]
         for i in range(k):
             for j in range(k):
                 acc = 0
                 for t in range(k):
-                    acc = f.add(acc, f.mul(ma[i][t], mb[t][j]))
+                    acc = f._add_digits(acc, f._mul_digits(ma[i][t], mb[t][j]))
                 out[i][j] = acc
         return self._encode(out)
 
@@ -476,8 +512,10 @@ class MatrixRing(Ring):
     def is_commutative(self) -> bool:
         return self.k == 1
 
-    # own binding, not only inherited: perfbench/tracer.py wraps each ring class's add_vec
+    # own bindings, not only inherited: perfbench/tracer.py wraps each ring class's
+    # add_vec and counts its mul
     add_vec = Ring.add_vec
+    mul = Ring.mul
 
     def to_json(self) -> dict:
         return {"kind": "matrix", "k": self.k, "field": self.field.to_json()}

@@ -3,6 +3,7 @@ code contract."""
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,55 @@ def test_files_pipeline_bytes_match_the_benchmark_golden(run_cli, tmp_path):
         sha = {key: hashlib.sha256(text.encode()).hexdigest() for key, text in
                (("stdout", out), ("stderr", err))}
         assert {"rc": code, **sha} == golden[name], name
+
+
+# (ring, g, h, g of the doubled construction): one ring of each kind with
+# the smallest unit-difference generators of orders 3 and 2; on M2(F5),
+# G = <3I> of order 4 and H = <[[4, 4], [1, 0]]> of order 3
+FROZEN_RINGS = {
+    "residue": ('{"kind":"residue","n":91}', "9", "90", "9"),
+    "field": ('{"kind":"field","p":7,"r":3,"modulus":[1,0,1,1]}', "2", "6", "2"),
+    "product": ('{"kind":"product","components":[{"kind":"residue","n":7},'
+                '{"kind":"field","p":13,"r":1,"modulus":[0,1]}]}', "23", "90", "23"),
+    "matrix": ('{"kind":"matrix","k":2,"field":{"kind":"field","p":5,"r":1,"modulus":[0,1]}}',
+               "378", "49", "49"),
+}
+
+# stdout sha256 of each command, recorded from the scalar construction code
+FROZEN_CONSTRUCT_SHA256 = {
+    "residue-generic": "d6fd0c6db09ab8e9a4e6387a63371cc222c61d7dd68fbf84901a6df9fd7e4ef5",
+    "residue-doubled": "018689e8988eec521c3f5f838e10dbc39d6a2fa0c8114e46a0669135dd2a49a0",
+    "residue-product": "e40d0adfe88d42e7e77e982083a708406e92c088c95ed5b6bff4bd251a105baa",
+    "residue-partition": "918fcf25508b6dcd9fc697cbbe3e657c03d87a4bf18226cd5e89209f896383df",
+    "field-generic": "b105aae45d7b1b252aec5ebcefbc9cdbab6e1bce7d7a62f4d66541361434699c",
+    "field-doubled": "a4578f8e7044622c7d83c3711e8b95a116e27b6be9688988eb2a7ca7c12b6b71",
+    "field-product": "58b2f04b1af88ceb9f99e1ff18182caf30fe9330b0c0b2db6017180b90a6d141",
+    "field-partition": "50db8b70d18220fa4aaa798028c7416434e49e3a8bac25d99c3678e424220295",
+    "product-generic": "3ee709b1f603813c833f87ff56ce14faeb5b607eb026d1392d707741826eb000",
+    "product-doubled": "5c147b6689ca86d696b3cb0ef9edc0daeceedbe53ec8e84f3e3d8230130e0c5b",
+    "product-product": "aa3b7e2b2ea57db9ead610ef97776475d564379e7762b8e761ee2ec085169f97",
+    "product-partition": "ca360bedaebd5d92c0fc40e4709b25158bd4b3068730dd406564034687b3e9e5",
+    "matrix-generic": "af842423bb78a2dfadf99eb89afb05bc63023b2fa15e885f714b70937b0b530e",
+    "matrix-doubled": "46a58168ac57d95edfc36e1add3c4a526b230333d94c20f88b78f7775a5dd4f4",
+    "matrix-product": "fd9941d385d0481b3a023a20a10fe830019e05a00d0b88db530fab69aa3b8253",
+    "matrix-partition": "47e18bfb709a20775f1d33aa58d90f891ae8b5f03c6e2713c3549ea2bee753fe",
+}
+
+
+@pytest.mark.parametrize("kind", FROZEN_RINGS)
+def test_construct_and_partition_bytes_are_frozen(run_cli, kind):
+    ring, g, h, g_doubled = FROZEN_RINGS[kind]
+    commands = {
+        "generic": ["zdb", "construct", "generic", "--ring", ring, "--g", g],
+        "doubled": ["zdb", "construct", "doubled", "--ring", ring, "--g", g_doubled],
+        "product": ["zdb", "construct", "product", "--ring", ring, "--g", g, "--h", h],
+        "partition": ["cosets", "partition", "--ring", ring, "--g", g],
+    }
+    for name, argv in commands.items():
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, ""), name
+        sha = hashlib.sha256(out.encode()).hexdigest()
+        assert sha == FROZEN_CONSTRUCT_SHA256[f"{kind}-{name}"], name
 
 
 def test_construct_output_is_byte_deterministic(run_cli, tmp_path):
@@ -423,6 +473,35 @@ def test_check_bounds_names_a_symbol_outside_the_alphabet(run_cli, tmp_path):
         "check failed: row 4 column 9 has symbol 11 outside the alphabet of size 11" in err
     )
     assert json.loads(out)["checked"] is False
+
+
+@pytest.mark.parametrize("kind", ["ccc", "cwc"])
+def test_check_bounds_with_a_huge_alphabet_stays_small(run_cli, tmp_path, kind):
+    # symbol counts stop at the largest symbol; q = 10^12 once allocated m x q
+    path, data = _z7_payload(run_cli, tmp_path, kind)
+    data["q"] = 10**12
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+    assert time.perf_counter() - start < 1
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    assert json.loads(out)["checked"] is False
+    if kind == "ccc":
+        assert "check failed: stored composition differs from the codewords" in err
+
+
+@pytest.mark.parametrize("tail,differs", [([0, 0], False), ([0, 1], True), ([0], True)])
+def test_check_bounds_compares_the_composition_past_the_largest_symbol(
+    run_cli, tmp_path, tail, differs
+):
+    # q = 13 over symbols 0..10: the stored composition needs 13 entries, zero past 10
+    path, data = _z7_payload(run_cli, tmp_path, "ccc")
+    data["q"] = 13
+    data["composition"] += tail
+    path.write_text(json.dumps(data))
+    _, _, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+    assert ("stored composition differs from the codewords" in err) == differs
 
 
 def test_check_bounds_rejects_malformed_symbols(run_cli, tmp_path):

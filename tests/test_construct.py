@@ -1,6 +1,7 @@
 """Construction tables against hand-derived values, and the invariants
 the builders promise."""
 
+import numpy as np
 import pytest
 
 from zdbkit import (
@@ -152,3 +153,11 @@ def test_zdb_function_validates_table():
     data["table"][0] = 99
     with pytest.raises(ValueError):
         ZdbFunction.from_json(data)
+    # an int array table is range-checked at once and stored as a list of ints
+    same = ZdbFunction(fn.domain, fn.q, np.asarray(fn.table), fn.claimed_lambda)
+    assert same.table == fn.table and type(same.table[0]) is int
+    for bad in (fn.q, -1):
+        table = np.asarray(fn.table)
+        table[3] = bad
+        with pytest.raises(ValueError):
+            ZdbFunction(fn.domain, fn.q, table, fn.claimed_lambda)

@@ -10,8 +10,11 @@ code distances is checked against the all-pairs comparison on random
 integer matrices and on the (2500, 834, 2) instance.
 
 The ring layer's one mixed-radix additive law is checked against the
-per-kind scalar sums it replaced, and the derived ``shift_rows``
-against the per-shape formulas it replaced.
+per-kind scalar sums it replaced, each kind's one multiplication rule
+against the per-kind scalar products it replaced, element by element
+and under broadcasting (``mul_vec`` against ``mul``, int64 and object
+arrays), and the derived ``shift_rows`` against the per-shape formulas
+it replaced.
 
 The JSON boundary of codeword matrices is checked the same way: the
 banded matrix writer against ``json.dumps`` of the nested lists and
@@ -288,6 +291,89 @@ def test_additive_law_matches_each_kind(ring, seed):
     table = ring.add_vec(a[:, None], b[None, :])  # broadcasting
     assert table.shape == (24, 24)
     assert table[5].tolist() == [kind_add(ring, int(a[5]), int(y)) for y in b]
+
+
+def kind_mul(ring, a, b):
+    """a * b by each kind's own scalar rule, as the rings computed it before
+    ``mul_vec``: residues, the polynomial product reduced by the monic
+    modulus, product components, and the matrix product over the entries."""
+    if isinstance(ring, ResidueRing):
+        return a * b % ring.n
+    if isinstance(ring, GaloisField):
+        p, r, m = ring.p, ring.r, ring.modulus
+        ca, cb = ring._decode(a), ring._decode(b)
+        prod = [0] * (2 * r - 1)
+        for i, x in enumerate(ca):
+            for j, y in enumerate(cb):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for k in range(2 * r - 2, r - 1, -1):  # subtract prod[k] * x^(k-r) * m
+            lead = prod[k]
+            for i, c in enumerate(m):
+                prod[k - r + i] = (prod[k - r + i] - lead * c) % p
+        return ring._encode(prod[:r])
+    if isinstance(ring, ProductRing):
+        pa, pb = ring._decode(a), ring._decode(b)
+        return ring._encode([kind_mul(c, x, y) for c, x, y in zip(ring.components, pa, pb)])
+    f, k = ring.field, ring.k
+    ma, mb = ring._decode(a), ring._decode(b)
+    out = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            for t in range(k):
+                out[i][j] = kind_add(f, out[i][j], kind_mul(f, ma[i][t], mb[t][j]))
+    return ring._encode(out)
+
+
+# int64 digit products can overflow from about 2^31 up; these take object arrays
+WIDE_RINGS = [
+    ResidueRing(5 * 10**9 + 9),
+    ResidueRing(2**62 - 1),
+    GaloisField(2**31 + 11, 1, (0, 1)),
+    GaloisField(3037000493, 1, (0, 1)),
+    ProductRing([GaloisField(3, 2), ResidueRing(5 * 10**9 + 9)]),
+]
+
+
+def mul_rings():
+    big = st.sampled_from(WIDE_RINGS + [ResidueRing(2**31 + 1), ResidueRing(3 * 10**9)])
+    return st.one_of(any_rings(), big)
+
+
+@SETTINGS
+@example(ResidueRing(2**31 + 1), 0)  # int64: products stay below 2^63
+@example(ResidueRing(5 * 10**9 + 9), 1)
+@example(ResidueRing(2**62 - 1), 2)
+@example(GaloisField(2**31 + 11, 1, (0, 1)), 3)
+@example(GaloisField(3037000493, 1, (0, 1)), 4)
+@example(GaloisField(3, 4), 5)
+@example(GaloisField(7, 3), 6)
+@example(ProductRing([ResidueRing(6), GaloisField(5, 2), MatrixRing(2, GaloisField(2))]), 7)
+@example(ProductRing([GaloisField(3, 2), ResidueRing(5 * 10**9 + 9)]), 8)
+@example(MatrixRing(2, GaloisField(5)), 9)
+@example(MatrixRing(3, GaloisField(5)), 10)
+@example(MatrixRing(2, GaloisField(3, 2)), 11)
+@example(MatrixRing(3, GaloisField(2, 2)), 12)
+@given(mul_rings(), st.integers(0, 2**32 - 1))
+def test_mul_vec_matches_scalar_mul(ring, seed):
+    assert ring._wide == (ring in WIDE_RINGS)
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, ring.order, size=24)
+    b = rng.integers(0, ring.order, size=24)
+    a[:2], b[:2] = ring.order - 1, ring.one()  # the top index and the identity
+    if isinstance(ring, MatrixRing) and ring.k > 1:
+        a[2], b[2] = ring.q, ring.q**ring.k  # E_01 * E_10 = E_00, but E_10 * E_01 = E_11
+    products = [kind_mul(ring, int(x), int(y)) for x, y in zip(a, b)]
+    assert [ring.mul(int(x), int(y)) for x, y in zip(a, b)] == products
+    vec = ring.mul_vec(a, b)
+    assert vec.dtype == np.int64
+    assert vec.tolist() == products
+    table = ring.mul_vec(a[:, None], b[None, :])  # broadcasting keeps a on the left
+    assert table.shape == (24, 24)
+    assert table[5].tolist() == [kind_mul(ring, int(a[5]), int(y)) for y in b]
+    assert table[:, 7].tolist() == [kind_mul(ring, int(x), int(b[7])) for x in a]
+    assert ring.mul_vec(a[3], b).tolist() == [ring.mul(int(a[3]), int(y)) for y in b]
+    if isinstance(ring, MatrixRing) and ring.k > 1:
+        assert ring.mul_vec(a[2], b[2]) != ring.mul_vec(b[2], a[2])
 
 
 @SETTINGS
