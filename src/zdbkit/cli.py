@@ -32,7 +32,7 @@ from .codes import (
     CodeBook,
     CodewordDecoder,
     DssSystem,
-    _row_compositions,
+    _shared_composition,
     ccc_from_zdb,
     ccc_report,
     cwc_from_zdb,
@@ -289,18 +289,25 @@ def _recheck_codebook(book: CodeBook, force: bool) -> list[str]:
         problems.append(
             f"stored distances ({book.d}, {book.d_max}) but recomputed ({d}, {d_max})"
         )
-    # every symbol is below q, so counts past the largest one are zeros
-    comps = _row_compositions(words, int(words.max()) + 1 if words.size else 1)
-    composition = tuple(comps[0].tolist())
-    if not (comps == comps[0]).all():
+    # every symbol is below q, so counts past the largest one are zeros; an
+    # alphabet wider than the matrix is counted over the symbols that occur
+    top = int(words.max()) + 1 if words.size else 1
+    if top <= words.size:
+        symbols, index = range(top), words
+    else:
+        symbols, index = np.unique(words, return_inverse=True)
+        symbols, index = symbols.tolist(), index.reshape(words.shape)
+    shared = _shared_composition(index, len(symbols))
+    if shared is None:
         problems.append("codewords do not share one composition")
-    elif book.composition is not None and (
-        len(book.composition) != book.q
-        or book.composition != composition + (0,) * (book.q - len(composition))
-    ):
-        problems.append("stored composition differs from the codewords")
+    elif book.composition is not None:
+        composition = dict(zip(symbols, shared.tolist()))
+        if len(book.composition) != book.q or any(
+            w != composition.get(s, 0) for s, w in enumerate(book.composition)
+        ):
+            problems.append("stored composition differs from the codewords")
     if book.kind == "CWC":
-        weights = book.n - comps[:, 0]
+        weights = np.count_nonzero(words, axis=1)
         if book.weight is None or (weights != book.weight).any():
             problems.append("stored weight differs from the codewords")
     return problems

@@ -11,6 +11,10 @@ weight code of weight n - 1.  The preimages of the symbols form a
 partitioned difference system whose blocks cover every nonzero group
 element the same number of times.
 
+The codeword matrix is the domain's ``translates`` of the table: one
+strided copy of cyclic windows over the additive digits, with the
+subgroup coordinate gathered through its product table (see domains).
+
 Derivations refuse unverified input: each builder takes the function
 plus an optional verification result and re-runs the exhaustive
 verification when none is supplied.  Every count comes from the table
@@ -55,7 +59,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .construct import ZdbFunction
-from .domains import _PAIR_BLOCK, AbelianDomain, _pair_blocks, domain_from_json
+from .domains import AbelianDomain, _pair_blocks, domain_from_json
 from .errors import (
     NotCwcEligibleError,
     OversizedError,
@@ -432,16 +436,10 @@ def _require_verified(fn: ZdbFunction, result: VerificationResult | None) -> Ver
 
 
 def _shift_codewords(fn: ZdbFunction) -> np.ndarray:
-    domain = fn.domain
-    n = domain.order
+    """The n x n shift-code matrix, row a being y -> f(a + y); int16 when
+    every symbol fits, else int32."""
     dtype = np.int16 if fn.q < 2**15 else np.int32
-    table = np.asarray(fn.table, dtype=dtype)
-    out = np.empty((n, n), dtype=dtype)
-    step = max(1, _PAIR_BLOCK // n)
-    for start in range(0, n, step):
-        deltas = range(start, min(start + step, n))
-        out[start : start + step] = table[domain.shift_rows(deltas)]
-    return out
+    return fn.domain.translates(np.asarray(fn.table, dtype=dtype))
 
 
 def _shift_distances(fn: ZdbFunction) -> tuple[int, int]:
@@ -523,26 +521,29 @@ def min_distance(code: "CodeBook | np.ndarray | Sequence[Sequence[int]]") -> int
     return distance_range(words)[0]
 
 
-def _row_compositions(words: np.ndarray, q: int) -> np.ndarray:
-    """Per-row symbol counts of a matrix with symbols in range(q), bincounted
-    for one band of about _BAND cells at a time."""
+def _shared_composition(words: np.ndarray, q: int) -> np.ndarray | None:
+    """The symbol counts of the first row of a matrix with symbols in
+    range(q) when every row has the same counts, else None.  The rows are
+    bincounted one band of about _BAND cells at a time and compared with
+    the first row, so no m x q count matrix is held."""
     m, n = words.shape
-    out = np.empty((m, q), dtype=np.intp)
+    first = np.bincount(words[0], minlength=q)
     step = max(1, _BAND // max(n, 1))
     for r0 in range(0, m, step):
         band = words[r0 : r0 + step]
         b = len(band)
         flat = (np.arange(b, dtype=np.intp)[:, None] * q + band).ravel()
-        out[r0 : r0 + b] = np.bincount(flat, minlength=b * q).reshape(b, q)
-    return out
+        if not (np.bincount(flat, minlength=b * q).reshape(b, q) == first).all():
+            return None
+    return first
 
 
 def ccc_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> CodeBook:
     """Constant composition code of all shifted copies of a verified function."""
     _require_verified(fn, result)
     words = _shift_codewords(fn)
-    comps = _row_compositions(words, fn.q)
-    if not (comps == comps[0]).all():
+    composition = _shared_composition(words, fn.q)
+    if composition is None:
         raise VerificationError("shifted rows do not share one composition")
     dmin, dmax = _shift_distances(fn)
     return CodeBook(
@@ -553,7 +554,7 @@ def ccc_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> C
         d=dmin,
         d_max=dmax,
         codewords=words,
-        composition=tuple(int(c) for c in comps[0]),
+        composition=tuple(composition.tolist()),
     )
 
 

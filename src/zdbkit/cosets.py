@@ -53,29 +53,33 @@ class Subgroup:
         one = ring.one()
         if one not in elems:
             raise ValueError("subgroup must contain the multiplicative identity")
-        pos = {g: i for i, g in enumerate(elems)}
-        mul_pos = []
         for g in elems:
+            ring._check(g)
+        e = len(elems)
+        ordered = np.asarray(elems, dtype=np.int64)
+        products = ring.mul_vec(ordered[:, None], ordered[None, :])  # [i, j] = g_i * g_j
+        mul_pos = np.searchsorted(ordered, products)
+        closed = ordered[np.minimum(mul_pos, e - 1)] == products
+        one_pos = elems.index(one)
+        # a closed row is a unit's exactly when it holds the identity: a unit's
+        # left multiplication is injective, and a right inverse makes a unit in a finite ring
+        good = closed.all(axis=1) & (mul_pos == one_pos).any(axis=1)
+        if not good.all():
+            i = int(np.argmin(good))
+            g = elems[i]
             if ring.try_invert(g) is None:
                 raise NotAUnitError(f"subgroup element {g} is not a unit")
-            row = []
-            for h in elems:
-                gh = ring.mul(g, h)
-                if gh not in pos:
-                    raise ValueError(f"not closed under multiplication: {g}*{h} = {gh}")
-                row.append(pos[gh])
-            mul_pos.append(tuple(row))
+            j = int(np.argmin(closed[i]))
+            raise ValueError(
+                f"not closed under multiplication: {g}*{elems[j]} = {int(products[i, j])}"
+            )
         self.elements = elems
         self.generator = generator
-        self.order = len(elems)
-        self._pos = pos
-        self.identity_pos = pos[one]
-        self.mul_pos = tuple(mul_pos)
-        inv_pos = [0] * self.order
-        for i in range(self.order):
-            j = next(j for j in range(self.order) if mul_pos[i][j] == self.identity_pos)
-            inv_pos[i] = j
-        self.inv_pos = tuple(inv_pos)
+        self.order = e
+        self._pos = {g: i for i, g in enumerate(elems)}
+        self.identity_pos = one_pos
+        self.mul_pos = tuple(map(tuple, mul_pos.tolist()))
+        self.inv_pos = tuple(np.argmax(mul_pos == one_pos, axis=1).tolist())
 
     def __contains__(self, x: int) -> bool:
         return x in self._pos

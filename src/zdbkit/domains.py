@@ -10,9 +10,17 @@ order is also the codeword coordinate order used throughout.
 ``op_vec`` and ``inverse_vec`` are the bulk form of the group law.
 ``difference_counts``, the one kernel behind every certificate, is
 built on them and on nothing else.  ``shift_rows`` returns full
-translation rows, one permutation of the domain per shift, for callers
-that need the shifted tables themselves; it is derived from ``op_vec``
-once, for both shapes.
+translation rows for any list of shifts, one permutation of the domain
+per shift; it is derived from ``op_vec`` once, for both shapes.
+
+``translates`` builds the matrix of every translate of a table, row a
+being y -> table[op(a, y)], without index arithmetic.  The additive
+group is Z_{r1} x ... x Z_{rk} over the ring's ``radices``, so a table
+reshaped to (r_k, ..., r_1, e) is translated by a cyclic window on each
+ring axis and a gather through the subgroup's product table on the last
+axis.  The windows of the wrap-padded, gathered table are copied into
+the output at once.  The additive shape is the product shape with the
+trivial subgroup (e = 1), so both shapes share that one method.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cosets import Subgroup, cyclic_subgroup, subgroup_from_elements
 from .errors import _field, _int_list, _typed
@@ -52,8 +61,10 @@ def _pair_blocks(start, width):
 class AbelianDomain:
     """Interface shared by both domain shapes."""
 
+    ring: Ring
     order: int
     identity: int
+    _mul_pos: np.ndarray  # subgroup position products, (e, e)
 
     def op(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -68,6 +79,30 @@ class AbelianDomain:
         """Array of shape (len(deltas), order): row i is y -> op(delta_i, y)."""
         d = np.asarray(deltas, dtype=np.int64)
         return self.op_vec(d[:, None], np.arange(self.order, dtype=np.int64)[None, :])
+
+    def translates(self, table) -> np.ndarray:
+        """The (order, order) matrix, in the table's dtype, whose row a is
+        y -> table[op(a, y)].
+
+        Reshaped to (r_k, ..., r_1, e), the table's translate by a ring
+        element is a cyclic window on each ring axis, and the subgroup
+        part is a gather through mul_pos.  So the table is gathered once to
+        (e_a, r_k, ..., r_1, e_y), each ring axis is wrap-padded to 2r - 1,
+        and the output is one strided copy of that array's sliding windows.
+        The padded array has e^2 * prod(2r - 1) <= order^2 cells.
+        """
+        table = np.asarray(table)
+        out = np.empty((self.order, self.order), dtype=table.dtype)
+        radices = self.ring.radices[::-1]  # most significant digit first, as in C order
+        k, e = len(radices), len(self._mul_pos)
+        # gathered[p, ..., q] = table[ring part, mul_pos[p, q]]
+        gathered = np.moveaxis(table.reshape(radices + (e,))[..., self._mul_pos], k, 0)
+        padded = np.pad(gathered, [(0, 0), *((0, r - 1) for r in radices), (0, 0)], mode="wrap")
+        # windows[p, a_k..a_1, q, y_k..y_1] = padded[p, a_k + y_k, ..., a_1 + y_1, q]
+        windows = sliding_window_view(padded, radices, axis=tuple(range(1, k + 1)))
+        a, y = list(range(1, k + 1)), list(range(k + 2, 2 * k + 2))
+        out.reshape(radices + (e,) + radices + (e,))[...] = windows.transpose(a + [0] + y + [k + 1])
+        return out
 
     def difference_counts(self, elements, labels) -> np.ndarray:
         """counts[a] = #{(i, j) : labels[i] == labels[j] and
@@ -102,6 +137,9 @@ class RingAdditiveDomain(AbelianDomain):
     """The additive group (R, +) of a ring."""
 
     kind = "ring_additive"
+
+    # the trivial subgroup's product table, so translates serves both shapes
+    _mul_pos = np.zeros((1, 1), dtype=np.int64)
 
     def __init__(self, ring: Ring):
         self.ring = ring

@@ -269,9 +269,17 @@ def _poly_irreducible(m: Sequence[int], p: int) -> bool:
 
 def _smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
     """Monic irreducible of degree r over F_p with the lexicographically
-    smallest coefficient vector (c_0, ..., c_{r-1})."""
-    for tail in itertools.product(range(p), repeat=r):
-        cand = tuple(tail) + (1,)
+    smallest coefficient vector (c_0, ..., c_{r-1}).
+
+    The candidates are walked in that order as the base-p numerals
+    c_0 ... c_{r-1}, so range(p) is never materialized; those with c_0 = 0
+    are divisible by x, which is the answer for r = 1 and skipped above it.
+    """
+    if r == 1:
+        return (0, 1)
+    places = [p**j for j in reversed(range(r))]
+    for i in range(places[0], p**r):
+        cand = tuple(i // place % p for place in places) + (1,)
         if _poly_irreducible(cand, p):
             return cand
     raise RuntimeError(f"no irreducible of degree {r} over F_{p}")  # unreachable

@@ -1,14 +1,17 @@
 """The array layers against the scalar loops they replaced.
 
-The coset partition, the generic and product constructions and the
-generator search run on ``mul_vec`` product tables.  Here the scalar
-versions they replaced, one ``ring.mul`` per product, serve as oracles
-on rings of every kind up to order about 300: the partitions, the full
-``ZdbFunction.to_json()`` and the search results must be equal, and a
-subgroup failing the unit-difference condition must be refused by both.
+The subgroup position tables, the coset partition, the generic and
+product constructions and the generator search run on ``mul_vec``
+product tables.  Here the scalar versions they replaced, one
+``ring.mul`` per product, serve as oracles on rings of every kind up to
+order about 300: the subgroup tables and refusal messages, the
+partitions, the full ``ZdbFunction.to_json()`` and the search results
+must be equal, and a subgroup failing the unit-difference condition
+must be refused by both.
 """
 
 import functools
+import random
 from unittest.mock import patch
 
 import pytest
@@ -18,10 +21,12 @@ from zdbkit import (
     GaloisField,
     Label,
     MatrixRing,
+    NotAUnitError,
     ProductRing,
     ResidueRing,
     RingAdditiveDomain,
     RingTimesGroupDomain,
+    Subgroup,
     ZdbFunction,
     check_unit_difference,
     construct_generic,
@@ -34,6 +39,28 @@ from zdbkit import (
 )
 from zdbkit import catalog
 from zdbkit.arith import prime_power
+
+
+def scalar_subgroup(ring, elements):
+    """The subgroup tables (mul_pos, identity_pos, inv_pos) by the scalar
+    loop: in ascending order, each element must be a unit (try_invert) and
+    its products with every element (ring.mul) must stay inside."""
+    elems = tuple(sorted(set(elements)))
+    pos = {g: i for i, g in enumerate(elems)}
+    mul_pos = []
+    for g in elems:
+        if ring.try_invert(g) is None:
+            raise NotAUnitError(f"subgroup element {g} is not a unit")
+        row = []
+        for h in elems:
+            gh = ring.mul(g, h)
+            if gh not in pos:
+                raise ValueError(f"not closed under multiplication: {g}*{h} = {gh}")
+            row.append(pos[gh])
+        mul_pos.append(tuple(row))
+    identity_pos = pos[ring.one()]
+    inv_pos = tuple(row.index(identity_pos) for row in mul_pos)
+    return tuple(mul_pos), identity_pos, inv_pos
 
 
 def scalar_partition(ring, group):
@@ -223,6 +250,41 @@ def test_partitions_and_constructions_match_the_scalar_loops(ring):
                     continue
                 args = (ring, cyclic_subgroup(ring, gg), cyclic_subgroup(ring, hh))
                 assert outcome(construct_product, *args) == outcome(scalar_product, *args)
+
+
+def subgroup_outcome(build, ring, elements):
+    """The tables of a subgroup build, or the type and message it raised."""
+    try:
+        return build(ring, elements)
+    except (NotAUnitError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def vector_subgroup(ring, elements):
+    group = Subgroup(ring, elements)
+    return group.mul_pos, group.identity_pos, group.inv_pos
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_subgroup_tables_and_refusals_match_the_scalar_loop(ring):
+    rnd = random.Random(ring.order)
+    one = ring.one()
+    units = [u for u in range(ring.order) if ring.is_unit(u)]
+    subsets = []
+    for e in range(1, 9):
+        g = scalar_find(ring, e)
+        if g is not None:
+            group = cyclic_subgroup(ring, g)
+            subsets.append(group.elements)
+            if ring.neg(one) not in group:
+                subsets.append(doubled_subgroup(ring, group).elements)
+    for _ in range(24):
+        # bad subsets: random units (mostly not closed) or any elements (non-units too)
+        pool = units if rnd.random() < 0.5 else range(ring.order)
+        subsets.append([one, *rnd.sample(pool, min(len(pool), rnd.randint(1, 6)))])
+    for elements in subsets:
+        expected = subgroup_outcome(scalar_subgroup, ring, elements)
+        assert subgroup_outcome(vector_subgroup, ring, elements) == expected, elements
 
 
 def test_product_keeps_x_on_the_left_for_a_noncommutative_group():

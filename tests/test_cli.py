@@ -134,6 +134,36 @@ def test_construct_and_partition_bytes_are_frozen(run_cli, kind):
         assert sha == FROZEN_CONSTRUCT_SHA256[f"{kind}-{name}"], name
 
 
+# stdout sha256 of codes ccc/cwc on product-construction instances, recorded
+# from the shift-code matrix gathered through shift_rows; (ring, g, h)
+SHIFT_CODE_INSTANCES = {
+    "Z7": (Z7_RING, "2", "6"),
+    "GF(17^2)": ('{"kind":"field","p":17,"r":2,"modulus":[1,1,1]}', "4", "17"),
+    "M2(F5)": (FROZEN_RINGS["matrix"][0], "378", "49"),  # the (2500, 834, 2) instance
+}
+FROZEN_SHIFT_CODE_SHA256 = {
+    "Z7-ccc": "72e8234232298dbce326208cc155ca979d37c570309cc00c7c084867e49ba538",
+    "Z7-cwc": "bbe952995f21bb6ebaddf16dd73bdfd1bbbcb7e71596585b3143339eeb5c8523",
+    "GF(17^2)-ccc": "e661daabe744031c06e00fb900c0eccd037715e9fac7e6b51254fd42d6b6702a",
+    "GF(17^2)-cwc": "95d68610f44a95a7ac837d263dca0bc7ca55b237ab4ef966a31536249935ee4f",
+    "M2(F5)-ccc": "52a010af832b06f54cbf8ec682493aa7719de331dbf71050bef6183053550e3a",
+    "M2(F5)-cwc": "6af819dae3c060a50756c620d43ef23e266c88f9888f216a8b28cd7663c436da",
+}
+
+
+@pytest.mark.parametrize("name", SHIFT_CODE_INSTANCES)
+def test_shift_code_bytes_are_frozen(run_cli, tmp_path, name):
+    ring, g, h = SHIFT_CODE_INSTANCES[name]
+    fn = str(tmp_path / "fn.json")
+    argv = ["zdb", "construct", "product", "--ring", ring, "--g", g, "--h", h, "--out", fn]
+    assert run_cli(argv)[0] == 0
+    for kind in ("ccc", "cwc"):
+        code, out, err = run_cli(["codes", kind, "--in", fn])
+        assert (code, err) == (0, ""), kind
+        sha = hashlib.sha256(out.encode()).hexdigest()
+        assert sha == FROZEN_SHIFT_CODE_SHA256[f"{name}-{kind}"], kind
+
+
 def test_construct_output_is_byte_deterministic(run_cli, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["zdb", "construct", "generic", "--ring", Z7_RING, "--g", "2"]
@@ -489,6 +519,26 @@ def test_check_bounds_with_a_huge_alphabet_stays_small(run_cli, tmp_path, kind):
     assert json.loads(out)["checked"] is False
     if kind == "ccc":
         assert "check failed: stored composition differs from the codewords" in err
+
+
+@pytest.mark.parametrize("kind", ["ccc", "cwc"])
+def test_check_bounds_counts_only_the_symbols_that_occur(run_cli, tmp_path, kind):
+    # symbol 10 renamed 999999999 in every row, so the rows still share a composition;
+    # counting up to the largest symbol would need a 7.45 GiB vector per row band
+    path, data = _z7_payload(run_cli, tmp_path, kind)
+    data["q"] = 10**12
+    data["codewords"] = [[999_999_999 if s == 10 else s for s in row] for row in data["codewords"]]
+    for mixed in (False, True):
+        if mixed:
+            data["codewords"][3][0] = 7  # row 3 now differs from the others
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and "Traceback" not in err
+        assert json.loads(out)["checked"] is False
+        assert ("codewords do not share one composition" in err) == mixed
+        assert ("stored composition differs" in err) == (kind == "ccc" and not mixed)
 
 
 @pytest.mark.parametrize("tail,differs", [([0, 0], False), ([0, 1], True), ([0], True)])

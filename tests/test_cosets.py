@@ -41,6 +41,9 @@ def test_subgroup_from_elements_validates():
         subgroup_from_elements(ring, [2, 4])  # identity missing
     with pytest.raises(ValueError):
         subgroup_from_elements(ring, [])
+    for elements, bad in (([1, 9], 9), ([-1, 1, 8], -1)):
+        with pytest.raises(ValueError, match=f"element index {bad} out of range"):
+            subgroup_from_elements(ring, elements)
 
 
 def test_position_tables_are_exact():

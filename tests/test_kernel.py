@@ -13,15 +13,16 @@ The ring layer's one mixed-radix additive law is checked against the
 per-kind scalar sums it replaced, each kind's one multiplication rule
 against the per-kind scalar products it replaced, element by element
 and under broadcasting (``mul_vec`` against ``mul``, int64 and object
-arrays), and the derived ``shift_rows`` against the per-shape formulas
-it replaced.
+arrays), the derived ``shift_rows`` against the per-shape formulas it
+replaced, and the strided-window ``translates`` against the shift-code
+matrix gathered through ``shift_rows``, values and dtype.
 
 The JSON boundary of codeword matrices is checked the same way: the
 banded matrix writer against ``json.dumps`` of the nested lists and
 ``CodeBook.to_csv`` against the per-element join it replaced; the
 vectorized reader against ``json.loads`` plus the list reader it
-bypasses, on canonical and mutated texts; and the banded row
-compositions against one bincount of the whole matrix.
+bypasses, on canonical and mutated texts; and the banded shared
+composition check against one bincount of the whole matrix.
 """
 
 import json
@@ -53,7 +54,7 @@ from zdbkit import (
 )
 from zdbkit import codes as codes_module
 from zdbkit import domains as domains_module
-from zdbkit.codes import _row_compositions, _shift_codewords, _shift_distances
+from zdbkit.codes import _shared_composition, _shift_codewords, _shift_distances
 
 RINGS = [
     ResidueRing(2),
@@ -131,8 +132,8 @@ def brute_cross_coverage(domain, blocks):
 
 
 @st.composite
-def domains(draw):
-    ring = draw(st.sampled_from(RINGS))
+def domains(draw, rings=RINGS):
+    ring = draw(st.sampled_from(rings))
     if draw(st.booleans()):
         return RingAdditiveDomain(ring)
     units = [u for u in range(ring.order) if ring.is_unit(u)]
@@ -385,6 +386,39 @@ def test_derived_shift_rows_match_each_shape(domain, data):
     assert np.array_equal(rows, shape_shift_rows(domain, deltas))
 
 
+def gathered_translates(domain, table):
+    """Row a is y -> table[op(a, y)], gathered through shift_rows: the
+    shift-code matrix as built before the strided-window copy."""
+    return table[domain.shift_rows(range(domain.order))]
+
+
+# every ring kind: residue, radix-2 field digits, mixed radices, matrices
+M2F3 = MatrixRing(2, GaloisField(3))
+TRANSLATE_RINGS = RINGS + [
+    ResidueRing(25),
+    GaloisField(2, 5),
+    GaloisField(5, 2),
+    ProductRing([ResidueRing(4), GaloisField(3), GaloisField(2, 2)]),
+    ProductRing([GaloisField(2, 2), MatrixRing(1, GaloisField(3))]),
+    M2F3,
+    MatrixRing(1, GaloisField(7)),
+]
+
+
+@SETTINGS
+@example(RingAdditiveDomain(GaloisField(2, 5)), np.int16, 1)
+@example(RingTimesGroupDomain(M2F3, cyclic_subgroup(M2F3, 56)), np.int32, 2**20)  # G = <2I>
+@given(domains(TRANSLATE_RINGS), st.sampled_from([np.int16, np.int32]), st.integers(1, 2**20))
+def test_translates_match_the_gathered_shift_code(domain, dtype, q):
+    rng = np.random.default_rng(q)
+    table = rng.integers(0, min(q, np.iinfo(dtype).max), size=domain.order).astype(dtype)
+    words = domain.translates(table)
+    expected = gathered_translates(domain, table)
+    assert words.dtype == expected.dtype == dtype
+    assert words.shape == (domain.order, domain.order)
+    assert np.array_equal(words, expected)
+
+
 # -- codeword matrices across the JSON boundary ----------------------------
 
 
@@ -561,7 +595,14 @@ def test_banded_row_compositions_match_one_bincount(words, extra, band):
     m, n = words.shape
     words = words % 7
     q = int(words.max()) + extra
-    flat = (np.arange(m, dtype=np.int64)[:, None] * q + words).ravel()
-    whole = np.bincount(flat, minlength=m * q).reshape(m, q)
-    with patch.object(codes_module, "_BAND", band):
-        assert np.array_equal(_row_compositions(words, q), whole)
+    # the rows permuted within themselves share the first row's composition
+    shuffled = np.random.default_rng(band).permuted(np.broadcast_to(words[0], words.shape), axis=1)
+    for matrix in (words, shuffled):
+        flat = (np.arange(m, dtype=np.int64)[:, None] * q + matrix).ravel()
+        whole = np.bincount(flat, minlength=m * q).reshape(m, q)
+        with patch.object(codes_module, "_BAND", band):
+            shared = _shared_composition(matrix, q)
+        if (whole == whole[0]).all():
+            assert np.array_equal(shared, whole[0])
+        else:
+            assert shared is None

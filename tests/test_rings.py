@@ -2,6 +2,7 @@
 frozen encodings for the worked examples."""
 
 import math
+import tracemalloc
 from itertools import product as iproduct
 
 import numpy as np
@@ -15,6 +16,7 @@ from zdbkit import (
     ring_from_json,
 )
 from zdbkit.arith import factorize, is_prime, prime_power
+from zdbkit.rings import _poly_irreducible
 
 RINGS = [
     ResidueRing(2),
@@ -134,6 +136,30 @@ def test_modulus_is_first_monic_irreducible(p, r, expected):
         if coeffs >= modulus:
             break
         assert not _irreducible_oracle(p, coeffs)
+
+
+def product_scan_modulus(p, r):
+    """The first irreducible of itertools.product(range(p), repeat=r) + (1,)."""
+    return next(
+        tail + (1,) for tail in iproduct(range(p), repeat=r) if _poly_irreducible(tail + (1,), p)
+    )
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (7, 1), (2, 4), (2, 5), (2, 8), (3, 3), (3, 4),
+                                 (5, 3), (7, 2), (13, 2)])
+def test_default_modulus_matches_the_product_scan(p, r):
+    assert GaloisField(p, r).modulus == product_scan_modulus(p, r)
+
+
+def test_default_modulus_of_a_large_prime_field_is_x_without_a_range_of_p():
+    tracemalloc.start()
+    try:
+        field = GaloisField(1_000_003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.modulus == (0, 1)
+    assert peak < 1 << 20
 
 
 def test_reducible_modulus_rejected():
