@@ -492,7 +492,7 @@ def certify_all(results: list[SearchResult]) -> CertificationReport:
                     f"{r.label}: pairwise distances span [{ccc.d}, {ccc.d_max}], "
                     f"expected all equal to {n - lam}"
                 )
-            cwc = cwc_from_zdb(r.fn, res, base=ccc)
+            cwc = cwc_from_zdb(r.fn, res)
             dss = dss_from_zdb(r.fn, res)
             if not (dss.perfect and dss.lam == n - lam):
                 raise CertificationError(

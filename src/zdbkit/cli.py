@@ -66,9 +66,10 @@ from .verify import VerificationResult, composition_profile, verify_zdb
 
 # refuse more than ORDER_LIMIT**2 elementary steps unless --force is passed.
 # A step is one in-class pair of the difference kernel (the sum of squared
-# symbol multiplicities) for verify and dss, one entry of the n x n
-# codeword matrix for ccc and cwc, and one same-symbol row pair of a
-# column (the sum of squared class sizes) for check-bounds on a codebook.
+# symbol multiplicities) for verify, dss and the text format of ccc and
+# cwc, one entry of the n x n codeword matrix for ccc and cwc in json or
+# csv, which write it, and one same-symbol row pair of a column (the sum
+# of squared class sizes) for check-bounds on a codebook.
 ORDER_LIMIT = 10_000
 
 
@@ -156,7 +157,7 @@ def _emit_zdb(args, fn: ZdbFunction) -> None:
 
 def _cmd_ring_info(args) -> int:
     ring = _ring_arg(args.ring)
-    units = sum(1 for a in ring.elements() if ring.is_unit(a))
+    units = ring.unit_count()
     spec = ring.to_json()
     info = {
         "kind": spec["kind"],
@@ -234,7 +235,7 @@ def _dss_csv(system: DssSystem) -> str:
 
 def _cmd_codes(args) -> int:
     fn = _load_fn(args.input)
-    _guard(fn, matrix=args.kind != "dss", force=args.force)
+    _guard(fn, matrix=args.kind != "dss" and args.format != "text", force=args.force)
     res = verify_zdb(fn)
     if not res.ok:
         print(
@@ -255,9 +256,7 @@ def _cmd_codes(args) -> int:
                 f"perfect={str(system.perfect).lower()}\n",
             )
         return 0
-    book = ccc_from_zdb(fn, res)
-    if args.kind == "cwc":
-        book = cwc_from_zdb(fn, res, base=book)
+    book = (ccc_from_zdb if args.kind == "ccc" else cwc_from_zdb)(fn, res)
     if args.format == "json":
         _write(args, _dumps(book.to_json(codewords=False), book.codewords) + "\n")
     elif args.format == "csv":

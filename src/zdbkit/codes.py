@@ -11,7 +11,12 @@ weight code of weight n - 1.  The preimages of the symbols form a
 partitioned difference system whose blocks cover every nonzero group
 element the same number of times.
 
-The codeword matrix is the domain's ``translates`` of the table: one
+A derived book holds its function, that is the domain and the table,
+and builds no matrix: every row of the shift code is the table permuted
+(y -> a + y is a bijection of the domain), so the shared composition is
+the table's symbol counts and a table with one zero gives every codeword
+weight n - 1.  The n x n matrix is built only when ``codewords`` is read,
+for an explicit export: the domain's ``translates`` of the table, one
 strided copy of cyclic windows over the additive digits, with the
 subgroup coordinate gathered through its product table (see domains).
 
@@ -67,7 +72,7 @@ from .errors import (
     _field,
     _typed,
 )
-from .verify import VerificationResult, difference_spectrum, verify_zdb
+from .verify import VerificationResult, composition_profile, difference_spectrum, verify_zdb
 
 __all__ = [
     "CodeBook",
@@ -99,12 +104,17 @@ _READ_BLOCK = 1 << 20
 
 @dataclass
 class CodeBook:
-    """A block code stored as an M x n symbol matrix.
+    """A block code of M codewords of length n over the symbols range(q).
 
     kind is "CCC" (constant composition) or "CWC" (constant weight).
     d and d_max are the exhaustively computed minimum and maximum
     pairwise Hamming distances.  composition is the per-symbol count
     vector shared by all codewords; weight is set on CWC books.
+
+    A book read from a file holds its explicit M x n matrix as words.  A
+    book derived from a verified function holds the function as fn, and
+    its matrix, the shift code, is built by ``codewords`` on first read
+    and kept in words.
     """
 
     kind: str
@@ -113,9 +123,17 @@ class CodeBook:
     q: int
     d: int
     d_max: int
-    codewords: np.ndarray
+    words: np.ndarray | None = None
     composition: tuple[int, ...] | None = None
     weight: int | None = None
+    fn: ZdbFunction | None = None
+
+    @property
+    def codewords(self) -> np.ndarray:
+        """The M x n symbol matrix."""
+        if self.words is None:
+            self.words = _shift_codewords(self.fn)
+        return self.words
 
     def to_json(self, *, codewords: bool = True) -> dict:
         """The JSON object of the book.  With codewords=False the
@@ -173,7 +191,7 @@ class CodeBook:
             q=q,
             d=d,
             d_max=_typed("d_max", data.get("d_max", d)),
-            codewords=words,
+            words=words,
             composition=composition,
             weight=_field(data, "weight") if "weight" in data else None,
         )
@@ -539,12 +557,13 @@ def _shared_composition(words: np.ndarray, q: int) -> np.ndarray | None:
 
 
 def ccc_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> CodeBook:
-    """Constant composition code of all shifted copies of a verified function."""
+    """Constant composition code of all shifted copies of a verified function.
+
+    Every codeword is the table permuted, so the shared composition is
+    the table's symbol counts.  The book holds fn; its matrix is built
+    only when ``codewords`` is read.
+    """
     _require_verified(fn, result)
-    words = _shift_codewords(fn)
-    composition = _shared_composition(words, fn.q)
-    if composition is None:
-        raise VerificationError("shifted rows do not share one composition")
     dmin, dmax = _shift_distances(fn)
     return CodeBook(
         kind="CCC",
@@ -553,21 +572,18 @@ def ccc_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> C
         q=fn.q,
         d=dmin,
         d_max=dmax,
-        codewords=words,
-        composition=tuple(composition.tolist()),
+        composition=composition_profile(fn).counts,
+        fn=fn,
     )
 
 
-def cwc_from_zdb(
-    fn: ZdbFunction,
-    result: VerificationResult | None = None,
-    base: CodeBook | None = None,
-) -> CodeBook:
-    """Constant weight view of the same codeword matrix.
+def cwc_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> CodeBook:
+    """Constant weight view of the same shift code.
 
-    Requires symbol 0 to have exactly one preimage, so that every
-    codeword contains exactly one zero.  Pass the already-built CCC as
-    ``base`` to reuse its codeword matrix.
+    Requires symbol 0 to have exactly one preimage.  Every codeword is
+    the table permuted, so each then holds exactly one zero and has
+    weight n - 1.  The book holds fn; its matrix is built only when
+    ``codewords`` is read.
     """
     _require_verified(fn, result)
     zero_count = fn.table.count(0)
@@ -575,13 +591,7 @@ def cwc_from_zdb(
         raise NotCwcEligibleError(
             f"symbol 0 must have exactly one preimage, found {zero_count}"
         )
-    if base is not None and (base.n != fn.n or base.M != fn.n or base.q != fn.q):
-        raise ValueError("base codebook does not match the function")
-    words = _shift_codewords(fn) if base is None else base.codewords
     dmin, dmax = _shift_distances(fn)
-    weights = np.count_nonzero(words, axis=1)
-    if not (weights == fn.n - 1).all():
-        raise VerificationError("codewords do not share weight n - 1")
     return CodeBook(
         kind="CWC",
         n=fn.n,
@@ -589,8 +599,8 @@ def cwc_from_zdb(
         q=fn.q,
         d=dmin,
         d_max=dmax,
-        codewords=words,
         weight=fn.n - 1,
+        fn=fn,
     )
 
 

@@ -44,12 +44,13 @@ values here, not errors.
 from __future__ import annotations
 
 import itertools
+import math
 from operator import index as _as_index
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import factorize, is_prime
 from .errors import _field, _int_list
 
 __all__ = [
@@ -131,6 +132,10 @@ class Ring:
     def is_unit(self, a: int) -> bool:
         return self.try_invert(a) is not None
 
+    def unit_count(self) -> int:
+        """Number of units, in closed form."""
+        raise NotImplementedError
+
     def elements(self) -> range:
         """All elements in index order."""
         return range(self.order)
@@ -209,6 +214,13 @@ class ResidueRing(Ring):
 
     def one(self) -> int:
         return 1 % self.n
+
+    def unit_count(self) -> int:
+        """Euler's phi(n)."""
+        count = self.n
+        for p in factorize(self.n):
+            count = count // p * (p - 1)
+        return count
 
     def is_commutative(self) -> bool:
         return True
@@ -366,6 +378,9 @@ class GaloisField(Ring):
     def one(self) -> int:
         return 1
 
+    def unit_count(self) -> int:
+        return self.order - 1
+
     def is_commutative(self) -> bool:
         return True
 
@@ -428,6 +443,9 @@ class ProductRing(Ring):
 
     def one(self) -> int:
         return self._encode([c.one() for c in self.components])
+
+    def unit_count(self) -> int:
+        return math.prod(c.unit_count() for c in self.components)
 
     def is_commutative(self) -> bool:
         return all(c.is_commutative() for c in self.components)
@@ -516,6 +534,10 @@ class MatrixRing(Ring):
         return self._encode(
             [[self.field.one() if i == j else 0 for j in range(self.k)] for i in range(self.k)]
         )
+
+    def unit_count(self) -> int:
+        """|GL_k(q)|: the product of q^k - q^i over i < k."""
+        return math.prod(self.q**self.k - self.q**i for i in range(self.k))
 
     def is_commutative(self) -> bool:
         return self.k == 1

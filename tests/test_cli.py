@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from zdbkit import GaloisField
+from zdbkit import GaloisField, MatrixRing, Recipe, run_recipe
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,6 +22,23 @@ def test_ring_info_golden(run_cli):
         '{"kind":"residue","order":7,"commutative":true,"units":6,'
         '"spec":{"kind":"residue","n":7}}\n'
     )
+
+
+@pytest.mark.parametrize(
+    "ring,units",
+    [
+        ('{"kind":"residue","n":1000000000}', 400_000_000),
+        (json.dumps(MatrixRing(3, GaloisField(7)).to_json()), 33_784_128),
+    ],
+    ids=["Z_1e9", "M3(F7)"],
+)
+def test_ring_info_counts_units_in_closed_form(run_cli, ring, units):
+    start = time.perf_counter()
+    code, out, _ = run_cli(["ring", "info", "--ring", ring])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["units"] == units
+    assert elapsed < 0.5
 
 
 def test_cosets_partition(run_cli):
@@ -482,6 +499,22 @@ def test_order_guard_follows_the_in_class_pair_count(run_cli, tmp_path):
     code, _, err = run_cli(["codes", "ccc", "--input", str(f)])
     assert code == 2
     assert "--force" in err
+
+
+def test_text_codes_guard_counts_in_class_pairs(run_cli, tmp_path):
+    # cor2 over GF(3343) with e = 3: n = 10029 > 10^4, yet only about 3n in-class
+    # pairs; the text format builds no matrix, json and csv write one
+    fn = run_recipe(Recipe("cor2", {"q_list": [3343], "e": 3})).fn
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(fn.to_json()))
+    for kind, tail in (("ccc", ""), ("cwc", " w=10028")):
+        code, out, err = run_cli(["codes", kind, "--in", str(f), "--format", "text"])
+        assert (code, out, err) == (0, f"(10029, 10029, 10028) {kind.upper()} q=5015{tail}\n", "")
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli(["codes", kind, "--in", str(f), "--format", fmt])
+            assert (code, out) == (2, "")
+            assert "needs 100,580,841 codeword matrix entries" in err
+            assert "pass --force" in err
 
 
 def _z7_payload(run_cli, tmp_path, kind):

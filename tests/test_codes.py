@@ -1,12 +1,17 @@
 """Derived codes, their exhaustive distance scans, and the three bound
-calculators with frozen rational values."""
+calculators with frozen rational values.  Derived books build no
+codeword matrix unless it is read: certifying the catalog never
+translates a table, and certifying the (2500, 834, 2) instance allocates
+less than one byte per matrix cell at its peak."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from zdbkit import (
+    AbelianDomain,
     CodeBook,
     DssSystem,
     NotCwcEligibleError,
@@ -17,6 +22,7 @@ from zdbkit import (
     ccc_bound,
     ccc_from_zdb,
     ccc_report,
+    certify_all,
     construct_generic,
     cwc_bound,
     cwc_from_zdb,
@@ -72,13 +78,32 @@ def test_ccc_composition_per_row(z7_product):
 def test_cwc_from_z7_product(z7_product):
     res = verify_zdb(z7_product)
     ccc = ccc_from_zdb(z7_product, res)
-    cwc = cwc_from_zdb(z7_product, res, base=ccc)
+    cwc = cwc_from_zdb(z7_product, res)
     assert cwc.kind == "CWC"
     assert cwc.weight == 20
     assert cwc.d == 20
     assert np.array_equal(cwc.codewords, ccc.codewords)
     again = cwc_from_zdb(z7_product, res)
     assert np.array_equal(again.codewords, cwc.codewords)
+
+
+def test_certify_all_builds_no_codeword_matrix(catalog, certification, monkeypatch):
+    def refuse(self, table):
+        raise AssertionError("a codeword matrix was built")
+
+    monkeypatch.setattr(AbelianDomain, "translates", refuse)
+    assert certify_all(catalog).rows == certification.rows
+
+
+def test_certifying_the_2500_instance_peaks_below_n_squared_bytes(catalog):
+    result = next(r for r in catalog if r.certified == (2500, 834, 2))
+    tracemalloc.start()
+    try:
+        certify_all([result])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2500**2
 
 
 def test_equidistant_identity_generic():
@@ -194,7 +219,7 @@ def test_dss_bound_frozen_values():
 def test_reports_match_direct_bounds(z7_product):
     res = verify_zdb(z7_product)
     ccc = ccc_from_zdb(z7_product, res)
-    cwc = cwc_from_zdb(z7_product, res, base=ccc)
+    cwc = cwc_from_zdb(z7_product, res)
     dss = dss_from_zdb(z7_product, res)
     assert ccc_report(ccc).to_json() == ccc_bound(21, 20, ccc.composition, 21).to_json()
     assert cwc_report(cwc).to_json() == cwc_bound(21, 20, 20, 11, 21).to_json()

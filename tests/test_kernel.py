@@ -15,7 +15,11 @@ against the per-kind scalar products it replaced, element by element
 and under broadcasting (``mul_vec`` against ``mul``, int64 and object
 arrays), the derived ``shift_rows`` against the per-shape formulas it
 replaced, and the strided-window ``translates`` against the shift-code
-matrix gathered through ``shift_rows``, values and dtype.
+matrix gathered through ``shift_rows``, values and dtype.  The books
+``ccc_from_zdb`` and ``cwc_from_zdb`` build without a matrix are checked
+against that matrix: composition, weight and distances against the
+shared-composition check, the row weights and the same-symbol recount,
+and ``codewords``, built on first read, against the matrix itself.
 
 The JSON boundary of codeword matrices is checked the same way: the
 banded matrix writer against ``json.dumps`` of the nested lists and
@@ -40,12 +44,17 @@ from zdbkit import (
     DssSystem,
     GaloisField,
     MatrixRing,
+    NotCwcEligibleError,
     OversizedError,
     ProductRing,
     ResidueRing,
     RingAdditiveDomain,
     RingTimesGroupDomain,
+    VerificationResult,
     ZdbFunction,
+    ccc_from_zdb,
+    construct_product,
+    cwc_from_zdb,
     cyclic_subgroup,
     difference_spectrum,
     distance_range,
@@ -417,6 +426,55 @@ def test_translates_match_the_gathered_shift_code(domain, dtype, q):
     assert words.dtype == expected.dtype == dtype
     assert words.shape == (domain.order, domain.order)
     assert np.array_equal(words, expected)
+
+
+@st.composite
+def shift_tables(draw):
+    """A domain, an alphabet size q and a table over range(q); half of the
+    tables with q > 1 have symbol 0 at exactly one place."""
+    domain = draw(domains(TRANSLATE_RINGS))
+    n = domain.order
+    q = draw(st.one_of(st.integers(1, 8), st.integers(2**15 - 2, 2**15 + 2)))
+    table = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    if q > 1 and draw(st.booleans()):
+        table = [1 + s % (q - 1) for s in table]
+        table[draw(st.integers(0, n - 1))] = 0
+    return domain, q, table
+
+
+Z7 = ResidueRing(7)
+Z7_PRODUCT = construct_product(Z7, cyclic_subgroup(Z7, 2), cyclic_subgroup(Z7, 6))
+
+
+@SETTINGS
+@example((Z7_PRODUCT.domain, Z7_PRODUCT.q, Z7_PRODUCT.table))  # the verified (21, 11, 1)
+@given(shift_tables())
+def test_matrix_free_books_match_the_shift_code_matrix(case):
+    domain, q, table = case
+    fn = ZdbFunction(domain, q, table, 0)
+    # a passing result: the identities hold for every table, balanced or not
+    res = VerificationResult(ok=True, n=fn.n)
+    dtype = np.int16 if q < 2**15 else np.int32
+    words = domain.translates(np.asarray(table, dtype=dtype))
+    distances = distance_range(words)
+    ccc = ccc_from_zdb(fn, res)
+    assert ccc.words is None
+    assert ccc.composition == tuple(_shared_composition(words, q).tolist())
+    assert (ccc.d, ccc.d_max) == distances
+    books = [ccc]
+    if table.count(0) == 1:
+        cwc = cwc_from_zdb(fn, res)
+        assert cwc.words is None
+        assert (np.count_nonzero(words, axis=1) == cwc.weight).all()
+        assert (cwc.d, cwc.d_max) == distances
+        books.append(cwc)
+    else:
+        with pytest.raises(NotCwcEligibleError):
+            cwc_from_zdb(fn, res)
+    for book in books:
+        assert book.codewords.dtype == words.dtype
+        assert np.array_equal(book.codewords, words)
+        assert book.codewords is book.words  # built once, then kept
 
 
 # -- codeword matrices across the JSON boundary ----------------------------

@@ -97,6 +97,29 @@ def test_residue_units_match_gcd(n):
         assert ring.is_unit(a) == (math.gcd(a, n) == 1)
 
 
+def enumerated_units(ring):
+    """The units counted one element at a time."""
+    return sum(1 for a in ring.elements() if ring.is_unit(a))
+
+
+UNIT_RINGS = RINGS + [
+    ResidueRing(36),
+    ResidueRing(97),
+    ResidueRing(210),
+    GaloisField(7),
+    MatrixRing(1, GaloisField(5)),
+    MatrixRing(2, GaloisField(2, 2)),
+    MatrixRing(3, GaloisField(2)),
+    ProductRing([ResidueRing(4), GaloisField(3), MatrixRing(2, GaloisField(2))]),
+    ProductRing([ProductRing([ResidueRing(6), GaloisField(2, 2)]), ResidueRing(9)]),
+]
+
+
+@pytest.mark.parametrize("ring", UNIT_RINGS, ids=repr)
+def test_unit_count_matches_enumeration(ring):
+    assert ring.unit_count() == enumerated_units(ring)
+
+
 def test_residue_ring_rejects_tiny_order():
     with pytest.raises(ValueError):
         ResidueRing(1)
