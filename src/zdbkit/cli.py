@@ -512,8 +512,11 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: the JSON input nests too deeply to read", file=sys.stderr)
         return 2
     except (
         NotAUnitError,

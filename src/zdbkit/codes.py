@@ -20,18 +20,18 @@ for an explicit export: the domain's ``translates`` of the table, one
 strided copy of cyclic windows over the additive digits, with the
 subgroup coordinate gathered through its product table (see domains).
 
-Derivations refuse unverified input: each builder takes the function
-plus an optional verification result and re-runs the exhaustive
-verification when none is supplied.  Every count comes from the table
-through the domain's in-class ``difference_counts`` kernel, never from
-the construction or the caller's verification result:
+Derivations refuse unverified input: each builder takes the function and
+an optional verification result, runs ``verify_zdb`` when none is given,
+and refuses a failed result or the result of another function.  Every
+derived count is read from the difference spectrum in that result, which
+the domain's in-class ``difference_counts`` kernel counted once:
 
 * the distance between the shifted rows c_a and c_b is n minus the
   spectrum at a - b, so the distance range of the shift code is
   n - (max, min) of the spectrum;
-* the cross-block difference count of a block system is the difference
-  count of the union of its blocks minus the in-block count; the union
-  term is the constant n when the blocks partition the group.
+* the symbol classes partition the group, so the cross-block count of a
+  nonzero a is n minus the in-class count, the spectrum at a; stored
+  systems are recounted with the kernel itself by ``dss_perfect_check``.
 
 Codebooks that arrive as explicit matrices are rechecked by
 ``distance_range`` with the same in-class idea applied to the stored
@@ -72,7 +72,7 @@ from .errors import (
     _field,
     _typed,
 )
-from .verify import VerificationResult, composition_profile, difference_spectrum, verify_zdb
+from .verify import DifferenceSpectrum, VerificationResult, composition_profile, verify_zdb
 
 __all__ = [
     "CodeBook",
@@ -173,6 +173,11 @@ class CodeBook:
                     if type(s) is not int
                 )
                 raise ValueError(f"codeword row {r} column {y} is {s!r}, not an integer")
+            r = next((r for r, row in enumerate(rows) if len(row) != len(rows[0])), None)
+            if r is not None:
+                raise ValueError(
+                    f"codeword row {r} has {len(rows[r])} symbols, row 0 has {len(rows[0])}"
+                )
             try:
                 words = np.asarray(rows, dtype=np.int32)
             except OverflowError as exc:
@@ -448,7 +453,7 @@ def _require_verified(fn: ZdbFunction, result: VerificationResult | None) -> Ver
         raise VerificationError(
             f"refusing to derive from an unverified function: {result.to_json()}"
         )
-    if result.n != fn.n:
+    if result.fn is not fn:
         raise VerificationError("verification result belongs to a different function")
     return result
 
@@ -458,13 +463,6 @@ def _shift_codewords(fn: ZdbFunction) -> np.ndarray:
     every symbol fits, else int32."""
     dtype = np.int16 if fn.q < 2**15 else np.int32
     return fn.domain.translates(np.asarray(fn.table, dtype=dtype))
-
-
-def _shift_distances(fn: ZdbFunction) -> tuple[int, int]:
-    """Minimum and maximum distance between distinct shifted rows:
-    d(c_a, c_b) = n - spectrum(a - b)."""
-    spec = difference_spectrum(fn)
-    return fn.n - spec.max_count, fn.n - spec.min_count
 
 
 def distance_range(codewords: np.ndarray, *, max_pairs: int | None = None) -> tuple[int, int]:
@@ -556,25 +554,23 @@ def _shared_composition(words: np.ndarray, q: int) -> np.ndarray | None:
     return first
 
 
+def _shift_book(kind: str, fn: ZdbFunction, spec: DifferenceSpectrum, **extra) -> CodeBook:
+    """The shift code of fn as a book without a matrix; d(c_a, c_b) is
+    n - spectrum(a - b), so d and d_max are n minus the extreme counts."""
+    n = fn.n
+    return CodeBook(kind, n, n, fn.q, n - spec.max_count, n - spec.min_count, fn=fn, **extra)
+
+
 def ccc_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> CodeBook:
     """Constant composition code of all shifted copies of a verified function.
 
     Every codeword is the table permuted, so the shared composition is
-    the table's symbol counts.  The book holds fn; its matrix is built
-    only when ``codewords`` is read.
+    the table's symbol counts; d and d_max are n minus the extremes of
+    the verified spectrum.  The book holds fn; its matrix is built only
+    when ``codewords`` is read.
     """
-    _require_verified(fn, result)
-    dmin, dmax = _shift_distances(fn)
-    return CodeBook(
-        kind="CCC",
-        n=fn.n,
-        M=fn.n,
-        q=fn.q,
-        d=dmin,
-        d_max=dmax,
-        composition=composition_profile(fn).counts,
-        fn=fn,
-    )
+    spec = _require_verified(fn, result).spectrum
+    return _shift_book("CCC", fn, spec, composition=composition_profile(fn).counts)
 
 
 def cwc_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> CodeBook:
@@ -585,44 +581,37 @@ def cwc_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> C
     weight n - 1.  The book holds fn; its matrix is built only when
     ``codewords`` is read.
     """
-    _require_verified(fn, result)
+    spec = _require_verified(fn, result).spectrum
     zero_count = fn.table.count(0)
     if zero_count != 1:
         raise NotCwcEligibleError(
             f"symbol 0 must have exactly one preimage, found {zero_count}"
         )
-    dmin, dmax = _shift_distances(fn)
-    return CodeBook(
-        kind="CWC",
-        n=fn.n,
-        M=fn.n,
-        q=fn.q,
-        d=dmin,
-        d_max=dmax,
-        weight=fn.n - 1,
-        fn=fn,
-    )
+    return _shift_book("CWC", fn, spec, weight=fn.n - 1)
 
 
 def dss_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> DssSystem:
-    """Partitioned difference system from the symbol preimages."""
-    _require_verified(fn, result)
+    """Partitioned difference system from the symbol preimages.
+
+    The cross-block coverage is n minus the verified spectrum: lam is n
+    minus its largest count, and the system is perfect when it is
+    constant.  With fewer than two blocks there are no cross pairs, so
+    lam is 0 and the system is not perfect, as in ``dss_perfect_check``.
+    """
+    spec = _require_verified(fn, result).spectrum
     blocks: list[list[int]] = [[] for _ in range(fn.q)]
     for y, s in enumerate(fn.table):
         blocks[s].append(y)
-    system = DssSystem(
+    crossed = fn.q >= 2
+    return DssSystem(
         domain=fn.domain,
         blocks=tuple(tuple(b) for b in blocks),
         q=fn.q,
         tau=fn.n,
-        lam=None,
-        perfect=False,
+        lam=fn.n - spec.max_count if crossed else 0,
+        perfect=crossed and spec.is_constant,
         partitioned=True,
     )
-    lam_min, perfect, lam = dss_perfect_check(system)
-    system.lam = lam if perfect else lam_min
-    system.perfect = perfect
-    return system
 
 
 def dss_perfect_check(system: DssSystem) -> PerfectCheck:

@@ -28,7 +28,7 @@ zero), which catches table or group-law corruption early.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,6 +107,10 @@ class VerificationResult:
     first offending shift is the debugging artifact: for a spectrum
     failure it is the smallest shift whose count differs from the
     claim; an image failure (alphabet size mismatch) carries no shift.
+
+    fn is the function checked and spectrum its counted spectrum (None
+    after an image failure); the derived designs read their counts from
+    it.  Neither is compared, printed, or written to JSON.
     """
 
     ok: bool
@@ -117,6 +121,8 @@ class VerificationResult:
     witness_shift: int | None = None
     expected: int | None = None
     actual: int | None = None
+    fn: ZdbFunction | None = field(default=None, compare=False, repr=False)
+    spectrum: DifferenceSpectrum | None = field(default=None, compare=False, repr=False)
 
     def certified_parameters(self) -> tuple[int, int, int]:
         if not self.ok:
@@ -167,11 +173,7 @@ def verify_zdb(fn: ZdbFunction) -> VerificationResult:
     distinct = len(set(fn.table))
     if distinct != fn.q:
         return VerificationResult(
-            ok=False,
-            n=fn.n,
-            failure_kind="image",
-            expected=fn.q,
-            actual=distinct,
+            ok=False, n=fn.n, failure_kind="image", expected=fn.q, actual=distinct, fn=fn
         )
     claimed = fn.claimed_lambda
     spec = difference_spectrum(fn)
@@ -184,8 +186,10 @@ def verify_zdb(fn: ZdbFunction) -> VerificationResult:
                 witness_shift=shift,
                 expected=claimed,
                 actual=int(spec.counts[shift]),
+                fn=fn,
+                spectrum=spec,
             )
-    return VerificationResult(ok=True, n=fn.n, m=fn.q, lam=claimed)
+    return VerificationResult(ok=True, n=fn.n, m=fn.q, lam=claimed, fn=fn, spectrum=spec)
 
 
 def composition_profile(fn: ZdbFunction) -> CompositionProfile:

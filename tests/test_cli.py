@@ -8,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from zdbkit import GaloisField, MatrixRing, Recipe, run_recipe
+from zdbkit import (
+    AbelianDomain,
+    GaloisField,
+    MatrixRing,
+    Recipe,
+    ResidueRing,
+    RingAdditiveDomain,
+    ZdbFunction,
+    run_recipe,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -259,6 +268,24 @@ def test_check_bounds_needs_an_object_at_the_top_level(run_cli, tmp_path, payloa
 def test_missing_file_is_a_usage_error(run_cli, tmp_path):
     code, _, err = run_cli(["zdb", "verify", "--input", str(tmp_path / "nope.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [["codes", "check-bounds"], ["zdb", "verify"]])
+def test_a_directory_as_input_is_a_usage_error(run_cli, tmp_path, command):
+    code, out, err = run_cli([*command, "--in", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error: ") and f"'{tmp_path}'" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", [["codes", "check-bounds"], ["zdb", "verify"]])
+def test_too_deeply_nested_json_is_a_usage_error(run_cli, tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run_cli([*command, "--in", str(deep)])
+    assert code == 2
+    assert err == "error: the JSON input nests too deeply to read\n"
+    assert out == ""
 
 
 def test_oversized_instance_needs_force(run_cli, tmp_path):
@@ -526,6 +553,36 @@ def _z7_payload(run_cli, tmp_path, kind):
     return target, json.loads(target.read_text())
 
 
+@pytest.mark.parametrize("kind", ["ccc", "cwc", "dss"])
+def test_codes_count_the_spectrum_once(run_cli, tmp_path, monkeypatch, kind):
+    f = tmp_path / "f.json"
+    run_cli(["zdb", "construct", "product", "--ring", Z7_RING, "--g", "2", "--h", "6",
+             "--out", str(f)])
+    kernel = AbelianDomain.difference_counts
+    calls = []
+
+    def counted(self, elements, labels):
+        calls.append(self.order)
+        return kernel(self, elements, labels)
+
+    monkeypatch.setattr(AbelianDomain, "difference_counts", counted)
+    for fmt in ("json", "csv", "text"):
+        assert run_cli(["codes", kind, "--input", str(f), "--format", fmt])[0] == 0
+    assert calls == [21, 21, 21]
+
+
+def test_codes_dss_on_a_one_symbol_table(run_cli, tmp_path):
+    # a verified (3, 1, 3) table: one block, so no cross pairs at all
+    f = tmp_path / "f.json"
+    fn = ZdbFunction(RingAdditiveDomain(ResidueRing(3)), 1, [0, 0, 0], 3)
+    f.write_text(json.dumps(fn.to_json()))
+    code, out, _ = run_cli(["codes", "dss", "--input", str(f), "--format", "text"])
+    assert (code, out) == (0, "DSS q=1 tau=3 lambda=0 perfect=false\n")
+    code, out, _ = run_cli(["codes", "dss", "--input", str(f)])
+    assert code == 0
+    assert (json.loads(out)["lambda"], json.loads(out)["perfect"]) == (0, False)
+
+
 def test_check_bounds_names_a_symbol_outside_the_alphabet(run_cli, tmp_path):
     path, data = _z7_payload(run_cli, tmp_path, "cwc")
     data["codewords"][4][9] = 11
@@ -600,6 +657,28 @@ def test_check_bounds_rejects_malformed_symbols(run_cli, tmp_path):
         assert code == 2
         assert note in err
         assert out == ""
+
+
+@pytest.mark.parametrize(
+    "row,change,note",
+    [
+        (1, "drop", "codeword row 1 has 20 symbols, row 0 has 21"),
+        (0, "drop", "codeword row 1 has 21 symbols, row 0 has 20"),
+        (17, "add", "codeword row 17 has 22 symbols, row 0 has 21"),
+    ],
+)
+def test_check_bounds_names_the_first_ragged_row(run_cli, tmp_path, row, change, note):
+    path, data = _z7_payload(run_cli, tmp_path, "cwc")
+    if change == "drop":
+        data["codewords"][row].pop()
+    else:
+        data["codewords"][row].append(0)
+    data["codewords"][19].pop()  # a later ragged row is not the one named
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+    assert code == 2
+    assert err == f"error: {note}\n"
+    assert out == ""
 
 
 def test_check_bounds_recounts_dss_q_and_tau(run_cli, tmp_path):

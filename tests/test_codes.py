@@ -2,7 +2,10 @@
 calculators with frozen rational values.  Derived books build no
 codeword matrix unless it is read: certifying the catalog never
 translates a table, and certifying the (2500, 834, 2) instance allocates
-less than one byte per matrix cell at its peak."""
+less than one byte per matrix cell at its peak.  The derived designs
+read the spectrum of the verification result they are given: the
+builders refuse a result of another function, and certifying the
+catalog counts one spectrum per instance."""
 
 import tracemalloc
 from fractions import Fraction
@@ -164,6 +167,39 @@ def test_builders_refuse_unverified_tables():
         ccc_from_zdb(fn)
     with pytest.raises(VerificationError):
         dss_from_zdb(fn)
+
+
+def test_builders_refuse_the_result_of_another_function(z7_product):
+    res = verify_zdb(z7_product)
+    # move one element of class 1 into class 2 and back: the spectrum fails at shift 1
+    table = list(z7_product.table)
+    assert (table[1], table[3]) == (1, 2)
+    table[1], table[3] = table[3], table[1]
+    other = ZdbFunction(z7_product.domain, z7_product.q, table, z7_product.claimed_lambda)
+    assert verify_zdb(other).to_json()["witness_shift"] == 1
+    for build in (ccc_from_zdb, cwc_from_zdb, dss_from_zdb):
+        with pytest.raises(VerificationError, match="belongs to a different function"):
+            build(other, res)
+    # an equal result of the same table is still another function's result
+    again = ZdbFunction(z7_product.domain, z7_product.q, list(z7_product.table), 1)
+    assert verify_zdb(again) == res
+    with pytest.raises(VerificationError, match="belongs to a different function"):
+        ccc_from_zdb(again, res)
+
+
+def test_certify_all_counts_one_spectrum_per_instance(catalog, certification, monkeypatch):
+    kernel = AbelianDomain.difference_counts
+    calls = []
+
+    def counted(self, elements, labels):
+        calls.append(self.order)
+        return kernel(self, elements, labels)
+
+    monkeypatch.setattr(AbelianDomain, "difference_counts", counted)
+    report = certify_all(catalog)
+    assert calls == [r.fn.n for r in catalog]
+    assert len(calls) == 23
+    assert report.to_json() == certification.to_json()
 
 
 def test_cwc_needs_unique_zero_preimage():

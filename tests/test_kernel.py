@@ -7,7 +7,11 @@ shift-code distance identity against an all-pairs comparison of the
 codeword matrix, and the kernel's cross-block coverage against a
 scalar loop over all cross pairs.  The same-symbol recount of stored
 code distances is checked against the all-pairs comparison on random
-integer matrices and on the (2500, 834, 2) instance.
+integer matrices and on the (2500, 834, 2) instance.  The distances and
+the coverage the builders read from the spectrum of a verification
+result are checked against the all-pairs comparison and against the
+kernel recount ``dss_perfect_check``, on random tables and on every
+catalog instance.
 
 The ring layer's one mixed-radix additive law is checked against the
 per-kind scalar sums it replaced, each kind's one multiplication rule
@@ -29,6 +33,7 @@ bypasses, on canonical and mutated texts; and the banded shared
 composition check against one bincount of the whole matrix.
 """
 
+import dataclasses
 import json
 import math
 from unittest.mock import patch
@@ -58,12 +63,14 @@ from zdbkit import (
     cyclic_subgroup,
     difference_spectrum,
     distance_range,
+    dss_from_zdb,
     dss_perfect_check,
     matrix_json,
+    verify_zdb,
 )
 from zdbkit import codes as codes_module
 from zdbkit import domains as domains_module
-from zdbkit.codes import _shared_composition, _shift_codewords, _shift_distances
+from zdbkit.codes import _shared_composition, _shift_codewords
 
 RINGS = [
     ResidueRing(2),
@@ -177,10 +184,17 @@ def matrices(draw):
     return np.array(entries, dtype=np.int64).reshape(m, n)
 
 
+def passing_result(fn):
+    """A passing verification result bound to fn, whatever its table: the
+    derived counts are identities of the spectrum, balanced or not."""
+    return VerificationResult(ok=True, n=fn.n, fn=fn, spectrum=difference_spectrum(fn))
+
+
 @SETTINGS
 @given(functions())
 def test_distance_identity_matches_all_pairs(fn):
-    assert _shift_distances(fn) == all_pairs_distance_range(_shift_codewords(fn))
+    book = ccc_from_zdb(fn, passing_result(fn))
+    assert (book.d, book.d_max) == all_pairs_distance_range(_shift_codewords(fn))
 
 
 @SETTINGS
@@ -205,7 +219,8 @@ def test_same_symbol_recount_matches_all_pairs(words, band, block):
 
 def test_same_symbol_recount_on_the_2500_instance(catalog):
     fn = next(r.fn for r in catalog if r.certified == (2500, 834, 2))
-    assert distance_range(_shift_codewords(fn)) == _shift_distances(fn) == (2498, 2498)
+    book = ccc_from_zdb(fn)
+    assert distance_range(_shift_codewords(fn)) == (book.d, book.d_max) == (2498, 2498)
 
 
 @SETTINGS
@@ -233,6 +248,41 @@ def test_kernel_coverage_matches_cross_pairs(fn, partitioned, block):
     nonzero = [c for a, c in enumerate(coverage) if a != fn.domain.identity]
     perfect = len(set(nonzero)) == 1
     assert chk == (min(nonzero), perfect, min(nonzero) if perfect else None)
+
+
+@st.composite
+def imaged_functions(draw):
+    """A function whose table uses every symbol of range(q), claiming the
+    largest count of its spectrum: constant spectra verify, the others
+    fail with a witness."""
+    fn = draw(functions())
+    symbols = sorted(set(fn.table))
+    table = [symbols.index(s) for s in fn.table]
+    claim = max(gather_spectrum(fn).values())
+    return ZdbFunction(fn.domain, len(symbols), table, claim)
+
+
+@SETTINGS
+@example(ZdbFunction(RingAdditiveDomain(ResidueRing(3)), 1, [0, 0, 0], 3))  # no cross pairs
+@given(imaged_functions())
+def test_derived_coverage_matches_the_recount(fn):
+    res = verify_zdb(fn)
+    assert res.fn is fn and res.spectrum is not None
+    # the coverage identity holds for every table: a failed result keeps
+    # its binding to fn and its spectrum, and is let through
+    system = dss_from_zdb(fn, dataclasses.replace(res, ok=True))
+    chk = dss_perfect_check(system)
+    assert (system.lam, system.perfect) == (chk.lam_min, chk.perfect)
+    if fn.q == 1:
+        assert (system.lam, system.perfect) == (0, False)
+
+
+def test_derived_coverage_matches_the_recount_on_the_catalog(catalog):
+    for r in catalog:
+        system = dss_from_zdb(r.fn)
+        chk = dss_perfect_check(system)
+        n, _, lam = r.certified
+        assert (system.lam, system.perfect) == (chk.lam_min, chk.perfect) == (n - lam, True)
 
 
 def kind_add(ring, a, b):
@@ -452,8 +502,7 @@ Z7_PRODUCT = construct_product(Z7, cyclic_subgroup(Z7, 2), cyclic_subgroup(Z7, 6
 def test_matrix_free_books_match_the_shift_code_matrix(case):
     domain, q, table = case
     fn = ZdbFunction(domain, q, table, 0)
-    # a passing result: the identities hold for every table, balanced or not
-    res = VerificationResult(ok=True, n=fn.n)
+    res = passing_result(fn)
     dtype = np.int16 if q < 2**15 else np.int32
     words = domain.translates(np.asarray(table, dtype=dtype))
     distances = distance_range(words)
@@ -488,7 +537,8 @@ def joined_csv(words):
 
 def list_codewords(data):
     """The codeword matrix of a book parsed by json.loads, as the list reader
-    builds it: rows must be lists of exact ints that fit int32."""
+    builds it: rows must be lists of exact ints that fit int32, each as long
+    as row 0."""
     rows = data["codewords"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("codewords must be a list of rows")
@@ -496,6 +546,9 @@ def list_codewords(data):
         for y, s in enumerate(row):
             if type(s) is not int:
                 raise ValueError(f"codeword row {r} column {y} is {s!r}, not an integer")
+    for r, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"codeword row {r} has {len(row)} symbols, row 0 has {len(rows[0])}")
     try:
         return np.asarray(rows, dtype=np.int32)
     except OverflowError as exc:
