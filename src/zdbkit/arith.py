@@ -1,7 +1,9 @@
 """Small integer-arithmetic helpers used by ring validation and recipes.
 
-Everything here is exact and deterministic; sizes stay in the desk-scale
-range (n below about 10**6), so trial division is enough.
+Everything here is exact and deterministic.  Factoring and primality use
+trial division, which costs about sqrt(n) steps: instant for the recipe
+and catalog sizes, but ring orders go up to 2**62, where sqrt(n) is 2**31
+steps.  A faster factorization is ROADMAP item 7.
 """
 
 from __future__ import annotations

@@ -26,10 +26,13 @@ product (en, (en-1)/(e-1) + 1, e-2).  ``run_recipe`` reads the params
 strictly (exact integers, no missing or unknown names), runs the family
 function, builds and verifies the instance exhaustively, and matches
 the closed form; ``search_cor1`` and ``search_cor2_scan`` keep the
-candidates of a range whose hypotheses hold.  ``certify_all``
-re-verifies a list of results and, on product instances, derives all
-three designs and demands every bound be met with equality.  Any
-failure aborts with the instance named.
+candidates of a range whose hypotheses hold.  Each result keeps the
+verification its build made; a function's table is read-only, so that
+result stays valid.  ``certify_all`` checks each result against the
+closed form and the composition profile and, on product instances,
+derives all three designs from it and demands every bound be met with
+equality.  It counts no spectrum again.  Any failure aborts with the
+instance named.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from .errors import (
     _int_list,
 )
 from .rings import GaloisField, MatrixRing, ProductRing, ResidueRing, Ring
-from .verify import composition_profile, verify_zdb
+from .verify import VerificationResult, composition_profile, verify_zdb
 
 __all__ = [
     "Recipe",
@@ -92,7 +95,8 @@ class Recipe:
 
 @dataclass
 class SearchResult:
-    """One constructed and certified instance."""
+    """One constructed and certified instance; verification is the
+    passing result of verify_zdb on fn that certified it."""
 
     label: str
     recipe_id: str | None
@@ -103,6 +107,7 @@ class SearchResult:
     expected: tuple[int, int, int]
     certified: tuple[int, int, int]
     fn: ZdbFunction
+    verification: VerificationResult
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -208,6 +213,7 @@ def _certified_build(
         expected=expected,
         certified=certified,
         fn=fn,
+        verification=result,
         metadata=metadata or {},
     )
 
@@ -452,18 +458,24 @@ def _expected_profile(result: SearchResult) -> tuple[int, ...]:
 
 
 def certify_all(results: list[SearchResult]) -> CertificationReport:
-    """Re-verify every instance and certify the derived designs.
+    """Certify every instance from its stored verification, and the
+    derived designs.
 
-    Product instances must produce equidistant codebooks meeting the
-    constant composition and constant weight bounds, and a perfect
-    partitioned difference system meeting the point-count bound, all
-    with equality.  The first failure aborts with the instance named.
+    Each result must carry a passing verification of its own function;
+    the certified parameters must match the expected closed form and
+    the symbol counts the closed-form profile.  Product instances must
+    produce equidistant codebooks meeting the constant composition and
+    constant weight bounds, and a perfect partitioned difference system
+    meeting the point-count bound, all with equality.  The first failure
+    aborts with the instance named.
     """
     rows = []
     for r in results:
-        res = verify_zdb(r.fn)
+        res = r.verification
         if not res.ok:
             raise CertificationError(f"{r.label}: verification failed: {res.to_json()}")
+        if res.fn is not r.fn:
+            raise CertificationError(f"{r.label}: verification belongs to a different function")
         certified = res.certified_parameters()
         if certified != r.expected:
             raise CertificationError(

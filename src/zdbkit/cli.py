@@ -62,7 +62,7 @@ from .errors import (
     VerificationError,
 )
 from .rings import Ring, ring_from_json
-from .verify import VerificationResult, composition_profile, verify_zdb
+from .verify import VerificationResult, verify_zdb
 
 # refuse more than ORDER_LIMIT**2 elementary steps unless --force is passed.
 # A step is one in-class pair of the difference kernel (the sum of squared
@@ -125,7 +125,9 @@ def _guard(fn: ZdbFunction, matrix: bool, force: bool) -> None:
     if matrix:
         cost, what = fn.n * fn.n, "codeword matrix entries"
     else:
-        cost, what = sum(w * w for w in composition_profile(fn).counts), "in-class pairs"
+        # over the symbols that occur: the claimed q may be far larger than the table
+        multiplicity = np.unique(fn.table, return_counts=True)[1]
+        cost, what = int(multiplicity @ multiplicity), "in-class pairs"
     if cost > ORDER_LIMIT**2 and not force:
         raise _UsageError(
             f"instance of order {fn.n} needs {cost:,} {what}, over the limit of "
@@ -323,10 +325,11 @@ def _recheck_dss(system: DssSystem) -> list[str]:
     q, tau = len(system.blocks), sum(len(block) for block in system.blocks)
     if (system.q, system.tau) != (q, tau):
         problems.append(f"stored q={system.q} tau={system.tau} but recounted q={q} tau={tau}")
-    if chk.lam != system.lam or chk.perfect != system.perfect:
+    # lambda is the minimum coverage, as dss_from_zdb writes it, perfect or not
+    if chk.lam_min != system.lam or chk.perfect != system.perfect:
         problems.append(
             f"stored lambda={system.lam} perfect={system.perfect} but recomputed "
-            f"lambda={chk.lam} perfect={chk.perfect}"
+            f"lambda={chk.lam_min} perfect={chk.perfect}"
         )
     covered = sorted(x for block in system.blocks for x in block)
     if system.partitioned and covered != list(range(system.domain.order)):

@@ -461,8 +461,7 @@ def _require_verified(fn: ZdbFunction, result: VerificationResult | None) -> Ver
 def _shift_codewords(fn: ZdbFunction) -> np.ndarray:
     """The n x n shift-code matrix, row a being y -> f(a + y); int16 when
     every symbol fits, else int32."""
-    dtype = np.int16 if fn.q < 2**15 else np.int32
-    return fn.domain.translates(np.asarray(fn.table, dtype=dtype))
+    return fn.domain.translates(fn.table.astype(np.int16 if fn.q < 2**15 else np.int32))
 
 
 def distance_range(codewords: np.ndarray, *, max_pairs: int | None = None) -> tuple[int, int]:
@@ -582,7 +581,7 @@ def cwc_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> C
     ``codewords`` is read.
     """
     spec = _require_verified(fn, result).spectrum
-    zero_count = fn.table.count(0)
+    zero_count = np.count_nonzero(fn.table == 0)
     if zero_count != 1:
         raise NotCwcEligibleError(
             f"symbol 0 must have exactly one preimage, found {zero_count}"
@@ -597,15 +596,16 @@ def dss_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> D
     minus its largest count, and the system is perfect when it is
     constant.  With fewer than two blocks there are no cross pairs, so
     lam is 0 and the system is not perfect, as in ``dss_perfect_check``.
+    Block b lists the preimage of symbol b in ascending order: one stable
+    argsort of the table, cut at the symbol counts.
     """
     spec = _require_verified(fn, result).spectrum
-    blocks: list[list[int]] = [[] for _ in range(fn.q)]
-    for y, s in enumerate(fn.table):
-        blocks[s].append(y)
+    members = np.argsort(fn.table, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(fn.table, minlength=fn.q)).tolist()
     crossed = fn.q >= 2
     return DssSystem(
         domain=fn.domain,
-        blocks=tuple(tuple(b) for b in blocks),
+        blocks=tuple(tuple(members[a:b]) for a, b in zip([0, *ends], ends)),
         q=fn.q,
         tau=fn.n,
         lam=fn.n - spec.max_count if crossed else 0,

@@ -28,6 +28,7 @@ order makes every construction byte-deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -72,36 +73,41 @@ class ZdbFunction:
     ``table[i]`` is the symbol at domain element index i; q is the size
     of the image alphabet and claimed_lambda the balance level the
     construction promises.  Claims are exactly that: claims.  The
-    verification module re-derives them from the table alone.  The
-    table may be given as a sequence or as a 1-D integer array; it is
-    stored as a list of ints.
+    verification module re-derives them from the table alone.
+
+    The table may be given as any 1-D sequence or array of integers in
+    range(q); floats, strings and out-of-range symbols raise ValueError.
+    It is copied once into a read-only array, int32 unless q exceeds
+    2**31 - 1 (then int64), so a verification result stays the result of
+    the table it counted: ``table`` can be neither written nor rebound.
     """
 
     def __init__(
         self,
         domain: AbelianDomain,
         q: int,
-        table: list[int] | np.ndarray,
+        table: Sequence[int] | np.ndarray,
         claimed_lambda: int,
         provenance: dict | None = None,
     ):
-        if len(table) != domain.order:
-            raise ValueError(
-                f"table length {len(table)} does not match domain order {domain.order}"
-            )
-        if isinstance(table, np.ndarray) and table.ndim == 1 and table.dtype.kind in "iu":
-            if table.min() < 0 or table.max() >= q:
-                raise ValueError(f"table contains symbols outside range(0, {q})")
-            table = table.tolist()
-        else:
-            if any(not 0 <= s < q for s in table):
-                raise ValueError(f"table contains symbols outside range(0, {q})")
-            table = [int(s) for s in table]
+        symbols = np.asarray(table)
+        if symbols.shape != (domain.order,):
+            raise ValueError(f"table length {len(table)} does not match domain order {domain.order}")
+        if symbols.dtype.kind not in "iu":
+            raise ValueError(f"table symbols must be integers, got {symbols.dtype} entries")
+        # an int64 table holds symbols below 2**63 whatever q claims
+        if int(symbols.min()) < 0 or int(symbols.max()) >= min(q, 2**63):
+            raise ValueError(f"table contains symbols outside range(0, {min(q, 2**63)})")
+        self._table = symbols.astype(np.int32 if q <= 2**31 - 1 else np.int64)
+        self._table.flags.writeable = False
         self.domain = domain
         self.q = q
-        self.table = table
         self.claimed_lambda = int(claimed_lambda)
         self.provenance = provenance or {}
+
+    @property
+    def table(self) -> np.ndarray:
+        return self._table
 
     @property
     def n(self) -> int:
@@ -119,18 +125,18 @@ class ZdbFunction:
 
     def evaluate(self, y) -> int:
         """Symbol at y; y is a flat index, or a (ring, group) pair on product domains."""
-        return self.table[self._flat(y)]
+        return int(self.table[self._flat(y)])
 
     def shift_evaluate(self, y, delta) -> int:
         """Symbol at y + delta."""
-        return self.table[self.domain.op(self._flat(y), self._flat(delta))]
+        return int(self.table[self.domain.op(self._flat(y), self._flat(delta))])
 
     def to_json(self) -> dict:
         return {
             "domain": self.domain.to_json(),
             "q": self.q,
             "lambda": self.claimed_lambda,
-            "table": list(self.table),
+            "table": self.table.tolist(),
             "provenance": self.provenance,
         }
 

@@ -110,7 +110,9 @@ class VerificationResult:
 
     fn is the function checked and spectrum its counted spectrum (None
     after an image failure); the derived designs read their counts from
-    it.  Neither is compared, printed, or written to JSON.
+    it.  A function's table is read-only, so the spectrum stays the
+    spectrum of fn.table.  Neither is compared, printed, or written to
+    JSON.
     """
 
     ok: bool
@@ -170,7 +172,7 @@ def verify_zdb(fn: ZdbFunction) -> VerificationResult:
     Succeeds iff the spectrum is constant at the claimed lambda and the
     table uses exactly q distinct symbols.
     """
-    distinct = len(set(fn.table))
+    distinct = len(np.unique(fn.table))
     if distinct != fn.q:
         return VerificationResult(
             ok=False, n=fn.n, failure_kind="image", expected=fn.q, actual=distinct, fn=fn
@@ -193,11 +195,8 @@ def verify_zdb(fn: ZdbFunction) -> VerificationResult:
 
 
 def composition_profile(fn: ZdbFunction) -> CompositionProfile:
-    counts = np.bincount(np.asarray(fn.table, dtype=np.int64), minlength=fn.q)
-    return CompositionProfile(
-        counts=tuple(int(c) for c in counts),
-        sorted_counts=tuple(sorted(int(c) for c in counts)),
-    )
+    counts = np.bincount(fn.table, minlength=fn.q)
+    return CompositionProfile(tuple(counts.tolist()), tuple(np.sort(counts).tolist()))
 
 
 def check_solution_set(ring: Ring, group: Subgroup, a: int) -> bool:
@@ -211,8 +210,7 @@ def check_solution_set(ring: Ring, group: Subgroup, a: int) -> bool:
         raise ValueError("the shift must be nonzero")
     if not ring.is_commutative():
         raise ValueError("the closed form applies to commutative rings only")
-    fn = construct_generic(ring, group)
-    table = fn.table
+    table = construct_generic(ring, group).table
     brute = {x for x in range(ring.order) if table[ring.add(x, a)] == table[x]}
     one = ring.one()
     closed = set()

@@ -2,6 +2,7 @@
 form parameter promises, hypothesis rejection, random params per recipe,
 and the CLI output bytes frozen before the recipe table was introduced."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -19,12 +20,14 @@ from zdbkit import (
     Recipe,
     RecipeHypothesisError,
     ResidueRing,
+    ZdbFunction,
     certify_all,
     find_element_of_order,
     run_recipe,
     search_cor1,
     search_cor2,
     search_cor2_scan,
+    verify_zdb,
 )
 
 
@@ -218,10 +221,32 @@ def test_certify_all_flags_wrong_expectations(catalog):
         expected=(bad.expected[0], bad.expected[1], bad.expected[2] + 1),
         certified=bad.certified,
         fn=bad.fn,
+        verification=bad.verification,
         metadata=bad.metadata,
     )
     with pytest.raises(CertificationError) as info:
         certify_all([doctored])
+    assert bad.label in str(info.value)
+
+
+def test_certify_all_refuses_a_verification_of_another_function(catalog):
+    bad, other = catalog[0], catalog[1]
+    swapped = dataclasses.replace(bad, verification=other.verification)
+    with pytest.raises(CertificationError, match="belongs to a different function") as info:
+        certify_all([swapped])
+    assert bad.label in str(info.value)
+    # an equal verification of an equal table is still another function's
+    twin = ZdbFunction.from_json(bad.fn.to_json())
+    assert verify_zdb(twin) == bad.verification
+    with pytest.raises(CertificationError, match="belongs to a different function"):
+        certify_all([dataclasses.replace(bad, verification=verify_zdb(twin))])
+
+
+def test_certify_all_refuses_a_failed_verification(catalog):
+    bad = catalog[0]
+    failed = dataclasses.replace(bad.verification, ok=False, failure_kind="spectrum")
+    with pytest.raises(CertificationError, match="verification failed") as info:
+        certify_all([dataclasses.replace(bad, verification=failed)])
     assert bad.label in str(info.value)
 
 

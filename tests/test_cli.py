@@ -467,6 +467,27 @@ def test_image_size_failure_names_kind_and_counts(run_cli, tmp_path):
         assert "11 distinct symbols, expected 12" in err
 
 
+@pytest.mark.parametrize("q", [2**40, 2**62])
+def test_a_huge_claimed_alphabet_is_an_image_mismatch(run_cli, tmp_path, q):
+    # the guard counts in-class pairs over the symbols that occur, not over range(q)
+    f = tmp_path / "f.json"
+    run_cli(["zdb", "construct", "generic", "--ring", Z7_RING, "--g", "1", "--out", str(f)])
+    data = json.loads(f.read_text())
+    data["q"] = q  # the table uses 7 symbols
+    f.write_text(json.dumps(data))
+    note = f"image size mismatch: the table uses 7 distinct symbols, expected {q}\n"
+    code, out, err = run_cli(["zdb", "verify", "--input", str(f)])
+    assert (code, err) == (1, "verification failed: " + note)
+    assert json.loads(out) == {
+        "ok": False, "n": 7, "failure": "image", "witness_shift": None,
+        "expected": q, "actual": 7,
+    }
+    for argv in (["codes", "ccc", "--format", "text"], ["codes", "dss"]):
+        code, out, err = run_cli([*argv, "--input", str(f)])
+        assert (code, out) == (1, "")
+        assert err == "refusing to derive a code from an unverified table: " + note
+
+
 def _dss_file(tmp_path, blocks, **claims):
     data = {
         "kind": "DSS",
@@ -491,6 +512,18 @@ def test_check_bounds_imperfect_dss_is_a_failed_check(run_cli, tmp_path):
     assert code == 1
     assert "check failed: the system is not perfect" in err
     assert out == ""
+
+
+def test_check_bounds_accepts_the_lambda_of_a_one_block_dss(run_cli, tmp_path):
+    # dss writes lambda=0 for one block, the minimum coverage check-bounds recomputes
+    f, dss = tmp_path / "f.json", tmp_path / "dss.json"
+    fn = ZdbFunction(RingAdditiveDomain(ResidueRing(3)), 1, [0, 0, 0], 3)
+    f.write_text(json.dumps(fn.to_json()))
+    assert run_cli(["codes", "dss", "--input", str(f), "--out", str(dss)])[0] == 0
+    assert json.loads(dss.read_text())["lambda"] == 0
+    code, out, err = run_cli(["codes", "check-bounds", "--in", str(dss)])
+    assert (code, out) == (1, "")
+    assert err == "check failed: the system is not perfect, so no bound applies\n"
 
 
 def test_check_bounds_overlapping_dss_blocks(run_cli, tmp_path):

@@ -4,8 +4,8 @@ codeword matrix unless it is read: certifying the catalog never
 translates a table, and certifying the (2500, 834, 2) instance allocates
 less than one byte per matrix cell at its peak.  The derived designs
 read the spectrum of the verification result they are given: the
-builders refuse a result of another function, and certifying the
-catalog counts one spectrum per instance."""
+builders refuse a result of another function, and building and
+certifying the catalog counts one spectrum per instance."""
 
 import tracemalloc
 from fractions import Fraction
@@ -31,6 +31,7 @@ from zdbkit import (
     cwc_from_zdb,
     cwc_report,
     cyclic_subgroup,
+    default_catalog,
     distance_range,
     dss_bound,
     dss_from_zdb,
@@ -187,7 +188,8 @@ def test_builders_refuse_the_result_of_another_function(z7_product):
         ccc_from_zdb(again, res)
 
 
-def test_certify_all_counts_one_spectrum_per_instance(catalog, certification, monkeypatch):
+def test_certify_all_counts_one_spectrum_per_instance(certification, monkeypatch):
+    # one per instance in all: default_catalog verifies each build, certify_all counts none
     kernel = AbelianDomain.difference_counts
     calls = []
 
@@ -196,10 +198,25 @@ def test_certify_all_counts_one_spectrum_per_instance(catalog, certification, mo
         return kernel(self, elements, labels)
 
     monkeypatch.setattr(AbelianDomain, "difference_counts", counted)
-    report = certify_all(catalog)
+    catalog = default_catalog()
     assert calls == [r.fn.n for r in catalog]
+    # certify_all derives from the verification each build stored
+    report = certify_all(catalog)
     assert len(calls) == 23
     assert report.to_json() == certification.to_json()
+
+
+def test_a_verified_table_cannot_change_under_its_certificate(z7_product):
+    res = verify_zdb(z7_product)
+    table = z7_product.table
+    with pytest.raises(ValueError, match="read-only"):
+        table[1], table[3] = table[3], table[1]
+    assert (ccc_from_zdb(z7_product, res).d, dss_from_zdb(z7_product, res).lam) == (20, 20)
+    # the swap on a copy fails afresh at shift 1
+    swapped = np.array(table)
+    swapped[[1, 3]] = swapped[[3, 1]]
+    other = ZdbFunction(z7_product.domain, z7_product.q, swapped, z7_product.claimed_lambda)
+    assert verify_zdb(other).to_json()["witness_shift"] == 1
 
 
 def test_cwc_needs_unique_zero_preimage():

@@ -9,6 +9,7 @@ from zdbkit import (
     DegenerateDoublingError,
     GaloisField,
     ResidueRing,
+    RingAdditiveDomain,
     RingTimesGroupDomain,
     ZdbFunction,
     construct_doubled,
@@ -153,11 +154,85 @@ def test_zdb_function_validates_table():
     data["table"][0] = 99
     with pytest.raises(ValueError):
         ZdbFunction.from_json(data)
-    # an int array table is range-checked at once and stored as a list of ints
-    same = ZdbFunction(fn.domain, fn.q, np.asarray(fn.table), fn.claimed_lambda)
-    assert same.table == fn.table and type(same.table[0]) is int
+    # an int array table is range-checked at once and stored as a read-only int32 array
+    same = ZdbFunction(fn.domain, fn.q, np.asarray(fn.table, np.int64), fn.claimed_lambda)
+    assert np.array_equal(same.table, fn.table) and same.table.dtype == np.int32
     for bad in (fn.q, -1):
-        table = np.asarray(fn.table)
+        table = np.array(fn.table)
         table[3] = bad
         with pytest.raises(ValueError):
             ZdbFunction(fn.domain, fn.q, table, fn.claimed_lambda)
+
+
+Z3 = RingAdditiveDomain(ResidueRing(3))
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+@pytest.mark.parametrize(
+    "table, match",
+    [
+        ([0.9, 1.5, 0], "must be integers"),  # once truncated to [0, 1, 0]
+        ([0.0, 1.0, 2.0], "must be integers"),
+        (["0", 1, 2], "must be integers"),
+        ([0, 1, 3], r"outside range\(0, 3\)"),
+        ([0, -1, 2], r"outside range\(0, 3\)"),
+        ([0, 1], "table length 2 does not match domain order 3"),
+    ],
+)
+def test_zdb_function_refuses_non_integer_and_out_of_range_tables(table, match, as_array):
+    with pytest.raises(ValueError, match=match):
+        ZdbFunction(Z3, 3, np.array(table) if as_array else table, 0)
+
+
+@pytest.mark.parametrize("table", [[0, 1, 2], [np.int64(0), 1, np.uint8(2)], range(3)])
+def test_zdb_function_accepts_integer_sequences(table):
+    fn = ZdbFunction(Z3, 3, table, 0)
+    assert fn.table.tolist() == [0, 1, 2] and fn.table.dtype == np.int32
+    assert [fn.evaluate(y) for y in range(3)] == [0, 1, 2]
+    assert type(fn.evaluate(1)) is int
+
+
+def test_zdb_function_table_width_follows_q():
+    assert ZdbFunction(Z3, 2**31 - 1, [0, 1, 2], 0).table.dtype == np.int32
+    assert ZdbFunction(Z3, 2**31, [0, 1, 2], 0).table.dtype == np.int64
+    big = ZdbFunction(Z3, 2**64, [0, 1, 2**62], 0)
+    assert big.table.dtype == np.int64 and big.table.tolist() == [0, 1, 2**62]
+    # an int64 table cannot hold 2**63, whatever q claims
+    with pytest.raises(ValueError, match=r"outside range\(0, 9223372036854775808\)"):
+        ZdbFunction(Z3, 2**64, np.array([0, 1, 2**63], dtype=np.uint64), 0)
+    with pytest.raises(ValueError, match="must be integers"):  # numpy reads the list as floats
+        ZdbFunction(Z3, 2**64, [0, 1, 2**63], 0)
+
+
+def _constructed():
+    z7, z9, z31 = ResidueRing(7), ResidueRing(9), ResidueRing(31)
+    yield construct_generic(z7, cyclic_subgroup(z7, 2))
+    yield construct_product(z7, cyclic_subgroup(z7, 2), cyclic_subgroup(z7, 6))
+    yield construct_doubled(z9, cyclic_subgroup(z9, 1))
+    yield construct_doubled(z31, cyclic_subgroup(z31, 2))
+
+
+@pytest.mark.parametrize("built", ["construction", "from_json"])
+def test_tables_are_read_only_after_every_construction(built):
+    for fn in _constructed():
+        if built == "from_json":
+            fn = ZdbFunction.from_json(fn.to_json())
+        before = fn.table.tolist()
+        assert isinstance(fn.table, np.ndarray) and fn.table.dtype == np.int32
+        with pytest.raises(ValueError, match="read-only"):
+            fn.table[1], fn.table[3] = fn.table[3], fn.table[1]
+        with pytest.raises(ValueError, match="read-only"):
+            fn.table[:] = 0
+        with pytest.raises(AttributeError):
+            fn.table = list(reversed(before))
+        assert fn.table.tolist() == before
+
+
+def test_zdb_function_copies_its_table():
+    source = np.array(Z7_GENERIC_TABLE, dtype=np.int32)  # the stored dtype: still copied
+    fn = ZdbFunction(RingAdditiveDomain(ResidueRing(7)), 3, source, 2)
+    source[0] = 2
+    listed = list(Z7_GENERIC_TABLE)
+    again = ZdbFunction(RingAdditiveDomain(ResidueRing(7)), 3, listed, 2)
+    listed[0] = 2
+    assert fn.table.tolist() == again.table.tolist() == Z7_GENERIC_TABLE
