@@ -8,7 +8,8 @@ collection is emitted in a fixed order.
 
 Exit codes: 0 success or certified, 1 a verification or certification
 check failed (a witness is reported), 2 usage errors, malformed input,
-or refused oversized work.
+refused oversized work, or memory that cannot be allocated.  ``main``
+maps each exception type to its code in one table, ``_EXIT_CODES``.
 """
 
 from __future__ import annotations
@@ -50,17 +51,7 @@ from .construct import (
     construct_product,
 )
 from .cosets import coset_partition, cyclic_subgroup, subgroup_from_elements
-from .errors import (
-    CertificationError,
-    ConditionNotSatisfiedError,
-    DegenerateDoublingError,
-    NotAUnitError,
-    NotCwcEligibleError,
-    NotFoundError,
-    OversizedError,
-    RecipeHypothesisError,
-    VerificationError,
-)
+from .errors import CertificationError, OversizedError, VerificationError, ZdbError
 from .rings import Ring, ring_from_json
 from .verify import VerificationResult, verify_zdb
 
@@ -73,7 +64,7 @@ from .verify import VerificationResult, verify_zdb
 ORDER_LIMIT = 10_000
 
 
-class _UsageError(Exception):
+class _UsageError(ZdbError):
     pass
 
 
@@ -230,11 +221,6 @@ def _cmd_zdb_verify(args) -> int:
     return 0
 
 
-def _dss_csv(system: DssSystem) -> str:
-    lines = [",".join(str(x) for x in block) for block in system.blocks]
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_codes(args) -> int:
     fn = _load_fn(args.input)
     _guard(fn, matrix=args.kind != "dss" and args.format != "text", force=args.force)
@@ -250,7 +236,7 @@ def _cmd_codes(args) -> int:
         if args.format == "json":
             _write(args, _dumps(system.to_json()) + "\n")
         elif args.format == "csv":
-            _write(args, _dss_csv(system))
+            _write(args, system.to_csv())
         else:
             _write(
                 args,
@@ -322,7 +308,7 @@ def _recheck_dss(system: DssSystem) -> list[str]:
     except RuntimeError as exc:  # overlapping blocks
         return [str(exc)]
     problems = []
-    q, tau = len(system.blocks), sum(len(block) for block in system.blocks)
+    q, tau, partitioned = system.recount()
     if (system.q, system.tau) != (q, tau):
         problems.append(f"stored q={system.q} tau={system.tau} but recounted q={q} tau={tau}")
     # lambda is the minimum coverage, as dss_from_zdb writes it, perfect or not
@@ -331,8 +317,7 @@ def _recheck_dss(system: DssSystem) -> list[str]:
             f"stored lambda={system.lam} perfect={system.perfect} but recomputed "
             f"lambda={chk.lam_min} perfect={chk.perfect}"
         )
-    covered = sorted(x for block in system.blocks for x in block)
-    if system.partitioned and covered != list(range(system.domain.order)):
+    if system.partitioned and not partitioned:
         problems.append("blocks marked partitioned do not cover the group")
     return problems
 
@@ -501,41 +486,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each exception reported as an "error:" line; the first match counts
+_EXIT_CODES = {
+    (VerificationError, CertificationError): 1,
+    (ZdbError, ValueError, KeyError, OSError, RecursionError, MemoryError): 2,
+}
+_REPORTED = tuple(kind for kinds in _EXIT_CODES for kind in kinds)
+
+
+def _error_message(exc: Exception) -> str:
+    if isinstance(exc, json.JSONDecodeError):
+        return f"malformed JSON at line {exc.lineno} column {exc.colno} (char {exc.pos}): {exc.msg}"
+    if isinstance(exc, RecursionError):
+        return "the JSON input nests too deeply to read"
+    return str(exc)  # an OSError names its path
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: malformed JSON at line {exc.lineno} column {exc.colno} "
-            f"(char {exc.pos}): {exc.msg}",
-            file=sys.stderr,
-        )
-        return 2
-    except OSError as exc:  # a missing file, a directory, no permission
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: the JSON input nests too deeply to read", file=sys.stderr)
-        return 2
-    except (
-        NotAUnitError,
-        ConditionNotSatisfiedError,
-        DegenerateDoublingError,
-        NotCwcEligibleError,
-        RecipeHypothesisError,
-        NotFoundError,
-        ValueError,
-        KeyError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (VerificationError, CertificationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except _REPORTED as exc:
+        print(f"error: {_error_message(exc)}", file=sys.stderr)
+        return next(code for kinds, code in _EXIT_CODES.items() if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -20,6 +20,13 @@ for an explicit export: the domain's ``translates`` of the table, one
 strided copy of cyclic windows over the additive digits, with the
 subgroup coordinate gathered through its product table (see domains).
 
+A difference system is two read-only arrays: the points of every block in
+block order and the block ends, the cumulative block sizes.  A derived
+system's points are one stable argsort of the table, so each block is a
+symbol's preimage in ascending order, and its ends are the cumulative
+symbol counts.  JSON and CSV list the blocks; a stored system is read
+back into the same two arrays.
+
 Derivations refuse unverified input: each builder takes the function and
 an optional verification result, runs ``verify_zdb`` when none is given,
 and refuses a failed result or the result of another function.  Every
@@ -358,9 +365,17 @@ class CodewordDecoder(json.JSONDecoder):
         return data
 
 
-@dataclass
+@dataclass(frozen=True)
 class DssSystem:
     """Disjoint difference sets D_0..D_{q-1} inside an abelian group.
+
+    The blocks are two read-only int64 arrays: points holds every block's
+    members in block order and ends the cumulative block sizes, so block
+    b is points[ends[b-1] : ends[b]] (from 0 for b = 0); ``blocks`` gives
+    those slices as views.  Every point is checked to be a group element
+    index when the system is made, and a ValueError names the first that
+    is not; ``from_json`` checks the exact JSON integers before numpy
+    sees them.
 
     lam is the certified minimum coverage of nonzero elements by
     cross-block differences; perfect means the coverage is exactly lam
@@ -370,18 +385,46 @@ class DssSystem:
     """
 
     domain: AbelianDomain
-    blocks: tuple[tuple[int, ...], ...]
+    points: np.ndarray
+    ends: np.ndarray
     q: int
     tau: int
     lam: int | None
     perfect: bool
     partitioned: bool
 
+    def __post_init__(self):
+        order = self.domain.order
+        points, ends = np.asarray(self.points), np.asarray(self.ends)
+        if not (points.ndim == ends.ndim == 1 and {points.dtype.kind, ends.dtype.kind} <= set("iu")):
+            raise ValueError("block points and ends must be 1-D integer arrays")
+        outside = np.flatnonzero((points < 0) | (points >= order))
+        if outside.size:
+            raise _not_an_element(int(points[outside[0]]), order)
+        if (np.diff(ends, prepend=0) < 0).any() or (ends[-1] if len(ends) else 0) != len(points):
+            raise ValueError("block ends must ascend from 0 to the number of points")
+        for name, values in (("points", points), ("ends", ends)):
+            values = np.array(values, dtype=np.int64)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+    @property
+    def blocks(self) -> list[np.ndarray]:
+        """Each block as a read-only view of points."""
+        return np.split(self.points, self.ends)[:-1]
+
+    def recount(self) -> tuple[int, int, bool]:
+        """(q, tau, partitioned) from the arrays alone: the block count, the
+        point count, and whether the points are every group element once."""
+        partitioned = np.array_equal(np.sort(self.points), np.arange(self.domain.order))
+        return len(self.ends), len(self.points), partitioned
+
     def to_json(self) -> dict:
+        points, ends = self.points.tolist(), self.ends.tolist()
         return {
             "kind": "DSS",
             "group": self.domain.to_json(),
-            "blocks": [list(b) for b in self.blocks],
+            "blocks": [points[a:b] for a, b in zip([0, *ends], ends)],
             "q": self.q,
             "tau": self.tau,
             "lambda": self.lam,
@@ -393,15 +436,30 @@ class DssSystem:
     def from_json(data: dict) -> "DssSystem":
         lam = data.get("lambda")
         blocks = _field(data, "blocks", list)
-        return DssSystem(
-            domain=domain_from_json(_field(data, "group", None)),
-            blocks=tuple(tuple(_typed("blocks", b, list)) for b in blocks),
+        domain = domain_from_json(_field(data, "group", None))
+        ends = np.cumsum([len(_typed("blocks", b, list)) for b in blocks], dtype=np.int64)
+        claims = dict(
             q=_field(data, "q"),
             tau=_field(data, "tau"),
             lam=None if lam is None else _typed("lambda", lam),
             perfect=_field(data, "perfect", bool),
             partitioned=_field(data, "partitioned", bool),
         )
+        # exact ints only: numpy would read True as 1, 1.5 as a float and 2**70 as an object
+        points, order = list(itertools.chain.from_iterable(blocks)), domain.order
+        exact = set(map(type, points)) <= {int}
+        if not exact or (points and not 0 <= min(points) <= max(points) < order):
+            bad = next(x for x in points if type(x) is not int or not 0 <= x < order)
+            raise _not_an_element(bad, order)
+        return DssSystem(domain, np.array(points, dtype=np.int64), ends, **claims)
+
+    def to_csv(self) -> str:
+        """One line per block, its points joined by commas."""
+        return "\n".join(",".join(map(str, block)) for block in self.to_json()["blocks"]) + "\n"
+
+
+def _not_an_element(x, order: int) -> ValueError:
+    return ValueError(f"block element {x!r} is not an element of the group of order {order}")
 
 
 class PerfectCheck(NamedTuple):
@@ -596,16 +654,16 @@ def dss_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> D
     minus its largest count, and the system is perfect when it is
     constant.  With fewer than two blocks there are no cross pairs, so
     lam is 0 and the system is not perfect, as in ``dss_perfect_check``.
-    Block b lists the preimage of symbol b in ascending order: one stable
-    argsort of the table, cut at the symbol counts.
+    The points are one stable argsort of the table and the ends its
+    cumulative symbol counts, so block b lists the preimage of symbol b
+    in ascending order.
     """
     spec = _require_verified(fn, result).spectrum
-    members = np.argsort(fn.table, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(fn.table, minlength=fn.q)).tolist()
     crossed = fn.q >= 2
     return DssSystem(
         domain=fn.domain,
-        blocks=tuple(tuple(members[a:b]) for a, b in zip([0, *ends], ends)),
+        points=np.argsort(fn.table, kind="stable"),
+        ends=np.cumsum(np.bincount(fn.table, minlength=fn.q)),
         q=fn.q,
         tau=fn.n,
         lam=fn.n - spec.max_count if crossed else 0,
@@ -620,27 +678,19 @@ def dss_perfect_check(system: DssSystem) -> PerfectCheck:
     Counts x - y over all ordered pairs taken from distinct blocks and
     reports the minimum coverage of nonzero group elements, whether the
     coverage is uniform, and its level when it is.  A system with fewer
-    than two blocks has no cross pairs at all.  Block elements that are
-    not group element indices raise ValueError; overlapping blocks raise
-    RuntimeError.
+    than two blocks has no cross pairs at all.  Overlapping blocks raise
+    RuntimeError.  Block b's points carry label b, read off the block
+    ends; the points themselves were checked when the system was made.
     """
-    domain = system.domain
-    order = domain.order
-    for block in system.blocks:
-        for x in block:
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < order:
-                raise ValueError(
-                    f"block element {x!r} is not an element of the group of order {order}"
-                )
-    if len(system.blocks) < 2:
+    domain, points, ends = system.domain, system.points, system.ends
+    if len(ends) < 2:
         return PerfectCheck(0, False, None)
-    sizes = [len(b) for b in system.blocks]
-    elements = np.fromiter((x for b in system.blocks for x in b), np.int64, sum(sizes))
-    if np.array_equal(np.sort(elements), np.arange(order)):
-        union = order  # a partition: every difference arises from exactly n pairs
+    if system.recount()[2]:  # a partition: every difference arises from exactly n pairs
+        union = domain.order
     else:
-        union = domain.difference_counts(elements, np.zeros_like(elements))
-    counts = union - domain.difference_counts(elements, np.repeat(np.arange(len(sizes)), sizes))
+        union = domain.difference_counts(points, np.zeros_like(points))
+    labels = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    counts = union - domain.difference_counts(points, labels)
     if counts[domain.identity] != 0:
         raise RuntimeError("blocks are not disjoint")
     nonzero = np.delete(counts, domain.identity)

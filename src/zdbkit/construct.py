@@ -77,6 +77,8 @@ class ZdbFunction:
 
     The table may be given as any 1-D sequence or array of integers in
     range(q); floats, strings and out-of-range symbols raise ValueError.
+    A sequence's entries are checked as Python values before numpy reads
+    them, so a bool is refused and 2**63 is out of range, not a float.
     It is copied once into a read-only array, int32 unless q exceeds
     2**31 - 1 (then int64), so a verification result stays the result of
     the table it counted: ``table`` can be neither written nor rebound.
@@ -90,12 +92,19 @@ class ZdbFunction:
         claimed_lambda: int,
         provenance: dict | None = None,
     ):
+        # a sequence's entries are typed before numpy reads them, as it would read True as 1
+        listed = not isinstance(table, np.ndarray)
+        kinds = set(map(type, table)) if listed else ()
+        if any(k is bool or not issubclass(k, (int, np.integer)) for k in kinds):
+            bad = next(s for s in table if type(s) is bool or not isinstance(s, (int, np.integer)))
+            raise ValueError(f"table symbols must be integers, got {type(bad).__name__} entries")
         symbols = np.asarray(table)
         if symbols.shape != (domain.order,):
             raise ValueError(f"table length {len(table)} does not match domain order {domain.order}")
-        if symbols.dtype.kind not in "iu":
+        if symbols.dtype.kind not in "iu" and not listed:
             raise ValueError(f"table symbols must be integers, got {symbols.dtype} entries")
-        # an int64 table holds symbols below 2**63 whatever q claims
+        # an int64 table holds symbols below 2**63 whatever q claims; integers that
+        # numpy reads as floats or objects (2**63 next to -1, or 2**64) fail here too
         if int(symbols.min()) < 0 or int(symbols.max()) >= min(q, 2**63):
             raise ValueError(f"table contains symbols outside range(0, {min(q, 2**63)})")
         self._table = symbols.astype(np.int32 if q <= 2**31 - 1 else np.int64)

@@ -3,6 +3,9 @@ code contract."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -535,11 +538,68 @@ def test_check_bounds_overlapping_dss_blocks(run_cli, tmp_path):
 
 
 def test_check_bounds_rejects_dss_elements_outside_the_group(run_cli, tmp_path):
-    for element in (4, -1):
+    # a bool, a float and an int past int64 are refused as JSON values, before numpy reads them
+    for element in (4, -1, True, 1.5, 2**70):
         path = _dss_file(tmp_path, [[0, element], [1]])
-        code, _, err = run_cli(["codes", "check-bounds", "--in", str(path)])
-        assert code == 2
-        assert f"block element {element} " in err
+        code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: block element {element!r} is not an element of the group of order 4\n"
+
+
+NOT_PERFECT = "check failed: the system is not perfect, so no bound applies\n"
+
+
+@pytest.mark.parametrize(
+    "blocks, claims, code, out, err",
+    [
+        (  # an empty block in an imperfect system
+            [[0, 1], [], [2, 3]], {"partitioned": True}, 1, "",
+            "check failed: stored lambda=None perfect=False but recomputed lambda=2 "
+            "perfect=False\n" + NOT_PERFECT,
+        ),
+        (  # an empty block among four singletons: perfect, and optimal
+            [[0], [], [1], [2], [3]], {"lambda": 4, "perfect": True, "partitioned": True}, 0,
+            '{"kind":"dss","bound":{"num":4,"den":1},"achieved":4,"applicable":true,'
+            '"optimal":true,"checked":true}\n',
+            "",
+        ),
+        (  # no blocks at all
+            [], {}, 1, "",
+            "check failed: stored lambda=None perfect=False but recomputed lambda=0 "
+            "perfect=False\n" + NOT_PERFECT,
+        ),
+        (  # marked partitioned, but 1 and 3 are in no block
+            [[0], [2]], {"partitioned": True}, 1, "",
+            "check failed: stored lambda=None perfect=False but recomputed lambda=0 "
+            "perfect=False\ncheck failed: blocks marked partitioned do not cover the group\n"
+            + NOT_PERFECT,
+        ),
+        (  # overlapping blocks
+            [[0, 1], [1, 2]], {"lambda": 1, "perfect": True}, 1,
+            '{"kind":"dss","bound":{"num":3,"den":1},"achieved":4,"applicable":true,'
+            '"optimal":false,"checked":false}\n',
+            "check failed: blocks are not disjoint\ncheck failed: DSS bound not met with equality\n",
+        ),
+    ],
+    ids=["empty-block", "empty-block-perfect", "no-blocks", "not-partitioned", "overlapping"],
+)
+def test_check_bounds_on_stored_dss_shapes(run_cli, tmp_path, blocks, claims, code, out, err):
+    path = _dss_file(tmp_path, blocks, **claims)
+    assert run_cli(["codes", "check-bounds", "--in", str(path)]) == (code, out, err)
+
+
+def test_an_allocation_that_fails_is_exit_2_without_a_traceback():
+    # this recipe's ring has about 1.1e18 elements; numpy refuses its first array at once
+    params = '{"b":10,"s":19}'
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    argv = ["catalog", "recipe", "--id", "zha_cor1", "--params", params]
+    run = subprocess.run(
+        [sys.executable, "-m", "zdbkit.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("error: Unable to allocate 7.71 EiB")
+    assert "Traceback" not in run.stderr
 
 
 def test_order_guard_follows_the_in_class_pair_count(run_cli, tmp_path):

@@ -5,8 +5,12 @@ translates a table, and certifying the (2500, 834, 2) instance allocates
 less than one byte per matrix cell at its peak.  The derived designs
 read the spectrum of the verification result they are given: the
 builders refuse a result of another function, and building and
-certifying the catalog counts one spectrum per instance."""
+certifying the catalog counts one spectrum per instance.  A difference
+system is two read-only arrays whose points are checked once, when it
+is made, and as exact JSON integers when it is read."""
 
+import dataclasses
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -124,7 +128,7 @@ def test_dss_from_z7_product(z7_product):
     assert system.tau == 21
     assert system.perfect and system.partitioned
     assert system.lam == 20
-    assert system.blocks[0] == (0,)
+    assert system.blocks[0].tolist() == [0]
     assert sorted(x for b in system.blocks for x in b) == list(range(21))
     chk = dss_perfect_check(system)
     assert chk == (20, True, 20)
@@ -134,7 +138,8 @@ def test_dss_two_singletons_on_z2():
     """Both ordered cross pairs hit the difference 1, so lambda is 2."""
     system = DssSystem(
         domain=RingAdditiveDomain(ResidueRing(2)),
-        blocks=((0,), (1,)),
+        points=np.array([0, 1]),  # blocks (0,), (1,)
+        ends=np.array([1, 2]),
         q=2,
         tau=2,
         lam=None,
@@ -149,7 +154,8 @@ def test_dss_imperfect_control_on_z4():
     # symbol preimages of the broken table [0, 1, 2, 0]
     system = DssSystem(
         domain=RingAdditiveDomain(ResidueRing(4)),
-        blocks=((0, 3), (1,), (2,)),
+        points=np.array([0, 3, 1, 2]),  # blocks (0, 3), (1,), (2,)
+        ends=np.array([2, 3, 4]),
         q=3,
         tau=4,
         lam=None,
@@ -299,13 +305,15 @@ def test_dss_json_round_trip(z7_product):
     assert data["kind"] == "DSS"
     again = DssSystem.from_json(data)
     assert again.to_json() == data
-    assert again.blocks == system.blocks
+    assert np.array_equal(again.points, system.points)
+    assert np.array_equal(again.ends, system.ends)
 
 
 def test_dss_check_rejects_overlapping_blocks():
     system = DssSystem(
         domain=RingAdditiveDomain(ResidueRing(4)),
-        blocks=((0, 1), (1, 2)),
+        points=np.array([0, 1, 1, 2]),  # blocks (0, 1), (1, 2)
+        ends=np.array([2, 4]),
         q=2,
         tau=4,
         lam=None,
@@ -318,14 +326,67 @@ def test_dss_check_rejects_overlapping_blocks():
 
 @pytest.mark.parametrize("element", [4, 9, -1])
 def test_dss_check_rejects_elements_outside_the_group(element):
-    system = DssSystem(
-        domain=RingAdditiveDomain(ResidueRing(4)),
-        blocks=((0, element), (1,)),
-        q=2,
-        tau=3,
-        lam=None,
-        perfect=False,
-        partitioned=False,
-    )
+    # the points are checked once, when the system is made
     with pytest.raises(ValueError, match=f"block element {element} "):
-        dss_perfect_check(system)
+        DssSystem(
+            domain=RingAdditiveDomain(ResidueRing(4)),
+            points=np.array([0, element, 1]),  # blocks (0, element), (1,)
+            ends=np.array([2, 3]),
+            q=2,
+            tau=3,
+            lam=None,
+            perfect=False,
+            partitioned=False,
+        )
+
+
+def _z4_system(points, ends):
+    return DssSystem(RingAdditiveDomain(ResidueRing(4)), points, ends, 2, 4, None, False, False)
+
+
+def test_dss_blocks_are_two_read_only_arrays(z7_product):
+    built = dss_from_zdb(z7_product)
+    for system in (built, DssSystem.from_json(built.to_json())):
+        assert system.points.dtype == system.ends.dtype == np.int64
+        assert len(system.ends) == 11 and system.ends[-1] == len(system.points) == 21
+        with pytest.raises(ValueError, match="read-only"):
+            system.points[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            system.blocks[1][0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            system.points = np.arange(21)
+    assert built.recount() == (11, 21, True)
+    source = np.array([0, 3, 1, 2])
+    system = _z4_system(source, np.array([2, 4]))
+    source[0] = 5  # the system holds its own copy
+    assert system.to_json()["blocks"] == [[0, 3], [1, 2]]
+    assert _z4_system(np.array([0, 1]), np.array([1, 2])).recount() == (2, 2, False)
+
+
+@pytest.mark.parametrize(
+    "points, ends, match",
+    [
+        (np.array([0.0, 1.0]), np.array([1, 2]), "must be 1-D integer arrays"),
+        (np.array([True, False]), np.array([1, 2]), "must be 1-D integer arrays"),
+        (np.array([0, 1]), np.array([[1, 2]]), "must be 1-D integer arrays"),
+        (np.array([0, 1]), np.array([2, 1]), "must ascend from 0 to the number of points"),
+        (np.array([0, 1]), np.array([1]), "must ascend from 0 to the number of points"),
+        (np.array([0, 1]), np.array([], dtype=np.int64), "must ascend"),
+        (np.array([0, 2**63 + 5], dtype=np.uint64), np.array([2]), f"block element {2**63 + 5} "),
+    ],
+)
+def test_dss_system_refuses_malformed_arrays(points, ends, match):
+    with pytest.raises(ValueError, match=match):
+        _z4_system(points, ends)
+
+
+@pytest.mark.parametrize("element", [True, 1.5, -1, 7, 2**70, None, "1"])
+def test_dss_from_json_refuses_what_is_not_a_group_element(element):
+    # checked as JSON values: numpy would read True as 1, 1.5 as a float, 2**70 as an object;
+    # the first element that is not a group element is named, the 8 after it is not
+    z7 = ResidueRing(7)
+    data = dss_from_zdb(construct_generic(z7, cyclic_subgroup(z7, 2))).to_json()
+    data["blocks"][1][1:1] = [element, 8]
+    note = f"block element {element!r} is not an element of the group of order 7"
+    with pytest.raises(ValueError, match=f"^{re.escape(note)}$"):
+        DssSystem.from_json(data)

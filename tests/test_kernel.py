@@ -11,7 +11,10 @@ integer matrices and on the (2500, 834, 2) instance.  The distances and
 the coverage the builders read from the spectrum of a verification
 result are checked against the all-pairs comparison and against the
 kernel recount ``dss_perfect_check``, on random tables and on every
-catalog instance.
+catalog instance.  The two arrays of a derived difference system, its
+JSON, CSV and JSON round trip are checked against the symbol preimages
+listed by a plain loop over the table, and its recount against the
+scalar cross-pair loop.
 
 The ring layer's one mixed-radix additive law is checked against the
 per-kind scalar sums it replaced, each kind's one multiplication rule
@@ -231,7 +234,8 @@ def test_kernel_coverage_matches_cross_pairs(fn, partitioned, block):
     blocks = tuple(tuple(y for y, s in enumerate(fn.table) if s == b) for b in labels)
     system = DssSystem(
         domain=fn.domain,
-        blocks=blocks,
+        points=np.array([y for b in blocks for y in b], dtype=np.int64),
+        ends=np.cumsum([len(b) for b in blocks], dtype=np.int64),
         q=len(blocks),
         tau=sum(len(b) for b in blocks),
         lam=None,
@@ -245,6 +249,37 @@ def test_kernel_coverage_matches_cross_pairs(fn, partitioned, block):
         return
     coverage = brute_cross_coverage(fn.domain, blocks)
     assert coverage[fn.domain.identity] == 0
+    nonzero = [c for a, c in enumerate(coverage) if a != fn.domain.identity]
+    perfect = len(set(nonzero)) == 1
+    assert chk == (min(nonzero), perfect, min(nonzero) if perfect else None)
+
+
+def preimage_lists(fn):
+    """Each symbol's preimage, ascending, by a plain loop over the table."""
+    blocks = [[] for _ in range(fn.q)]
+    for y in range(fn.n):
+        blocks[fn.evaluate(y)].append(y)
+    return blocks
+
+
+@SETTINGS
+@given(functions())
+def test_dss_arrays_match_the_preimage_lists(fn):
+    # unused symbols leave empty blocks; q = 1 leaves no cross pairs
+    blocks = preimage_lists(fn)
+    system = dss_from_zdb(fn, passing_result(fn))
+    data = system.to_json()
+    assert data["blocks"] == blocks
+    assert system.to_csv() == "\n".join(",".join(str(y) for y in b) for b in blocks) + "\n"
+    assert [b.tolist() for b in system.blocks] == blocks
+    again = DssSystem.from_json(json.loads(json.dumps(data)))
+    assert again.to_json() == data
+    assert np.array_equal(again.points, system.points) and np.array_equal(again.ends, system.ends)
+    chk = dss_perfect_check(again)
+    if fn.q < 2:
+        assert chk == (0, False, None)
+        return
+    coverage = brute_cross_coverage(fn.domain, blocks)
     nonzero = [c for a, c in enumerate(coverage) if a != fn.domain.identity]
     perfect = len(set(nonzero)) == 1
     assert chk == (min(nonzero), perfect, min(nonzero) if perfect else None)
