@@ -179,7 +179,7 @@ def _cmd_cosets_partition(args) -> int:
     if args.format == "text":
         _write(
             args,
-            f"order {ring.order}: zero class plus {len(part.nonzero_reps)} "
+            f"order {ring.order}: zero class plus {len(part.rep_array) - 1} "
             f"cosets of size {group.order}\n",
         )
     elif args.format == "json":

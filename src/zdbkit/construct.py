@@ -21,14 +21,17 @@ unit for every g in G, and -1 outside G) and delegates to the generic
 construction, giving (n, (n-1)/(2e) + 1, 2e-1).
 
 Symbols are dense integers starting at 0; the label behind each symbol
-is retained in the provenance block for diagnostics.  A fixed symbol
-order makes every construction byte-deterministic.
+is retained in the provenance block for diagnostics, as a
+``SymbolLabels`` sequence over the partition's arrays that writes the
+label dicts only in ``to_json``.  A fixed symbol order makes every
+construction byte-deterministic.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +50,13 @@ from .domains import (
 from .errors import ConditionNotSatisfiedError, _field, _int_list
 from .rings import Ring
 
-__all__ = ["ZdbFunction", "construct_generic", "construct_product", "construct_doubled"]
+__all__ = [
+    "ZdbFunction",
+    "SymbolLabels",
+    "construct_generic",
+    "construct_product",
+    "construct_doubled",
+]
 
 
 @dataclass(frozen=True)
@@ -64,6 +73,53 @@ class Label:
             out["rep"] = self.rep
         if self.g is not None:
             out["g"] = self.g
+        return out
+
+
+class SymbolLabels(Sequence):
+    """The provenance labels of a construction's symbols, held as arrays.
+
+    Symbols are numbered segment by segment.  A segment (kind, reps, gs)
+    labels one symbol per rep, or one per (rep, g) pair, rep-major, when gs
+    is given; reps None labels a single symbol by its kind alone.  Item s
+    is the dict ``Label.to_json`` gives for symbol s; the dicts are made
+    only when read, and ``to_json`` makes the whole list.
+    """
+
+    def __init__(self, *segments: tuple[str, np.ndarray | None, np.ndarray | None]):
+        self._segments = segments
+        sizes = [1 if reps is None else len(reps) * (1 if gs is None else len(gs))
+                 for _, reps, gs in segments]
+        self._ends = np.cumsum(sizes)
+
+    def __len__(self) -> int:
+        return int(self._ends[-1])
+
+    def __getitem__(self, s) -> dict:
+        s = operator.index(s)
+        if not -len(self) <= s < len(self):
+            raise IndexError(f"symbol {s} out of range for {len(self)} symbols")
+        s %= len(self)
+        i = int(np.searchsorted(self._ends, s, side="right"))
+        kind, reps, gs = self._segments[i]
+        offset = s - (int(self._ends[i - 1]) if i else 0)
+        if reps is None:
+            return Label(kind).to_json()
+        if gs is None:
+            return Label(kind, rep=int(reps[offset])).to_json()
+        r, j = divmod(offset, len(gs))
+        return Label(kind, rep=int(reps[r]), g=int(gs[j])).to_json()
+
+    def to_json(self) -> list[dict]:
+        out: list[dict] = []
+        for kind, reps, gs in self._segments:
+            if reps is None:
+                out.append({"kind": kind})
+            elif gs is None:
+                out += [{"kind": kind, "rep": rep} for rep in reps.tolist()]
+            else:
+                gs = gs.tolist()
+                out += [{"kind": kind, "rep": rep, "g": g} for rep in reps.tolist() for g in gs]
         return out
 
 
@@ -146,7 +202,10 @@ class ZdbFunction:
             "q": self.q,
             "lambda": self.claimed_lambda,
             "table": self.table.tolist(),
-            "provenance": self.provenance,
+            "provenance": {
+                key: value.to_json() if isinstance(value, SymbolLabels) else value
+                for key, value in self.provenance.items()
+            },
         }
 
     @staticmethod
@@ -169,17 +228,16 @@ def construct_generic(ring: Ring, group: Subgroup) -> ZdbFunction:
     partition = coset_partition(ring, group)  # enforces the unit-difference condition
     n = ring.order
     e = group.order
-    # symbol s is the coset of the s-th representative; row_indicators[0] = 0
-    table = np.searchsorted(np.asarray(partition.reps), partition.row_indicators)
+    # symbol s is the coset of the s-th representative
     return ZdbFunction(
         RingAdditiveDomain(ring),
         q=(n - 1) // e + 1,
-        table=table,
+        table=partition.coset_index,
         claimed_lambda=e - 1,
         provenance={
             "construction": "generic",
             "group": group.to_json(),
-            "symbols": [{"kind": "coset", "rep": rep} for rep in partition.reps],
+            "symbols": SymbolLabels(("coset", partition.rep_array, None)),
         },
     )
 
@@ -199,31 +257,27 @@ def construct_product(ring: Ring, g_group: Subgroup, h_group: Subgroup) -> ZdbFu
 
     # symbols: 0 zero, 1 zero_pair, then one per nonzero H coset, then
     # e per nonzero G coset, in the order of g_group.elements
-    symbols = [{"kind": "zero"}, {"kind": "zero_pair"}]
-    symbols += [{"kind": "h_coset", "rep": rep} for rep in ph.nonzero_reps]
-    pair_base = len(symbols)
-    symbols += [
-        {"kind": "g_coset_pair", "rep": rep, "g": g}
-        for rep in pg.nonzero_reps
-        for g in g_group.elements
-    ]
+    symbols = SymbolLabels(
+        ("zero", None, None),
+        ("zero_pair", None, None),
+        ("h_coset", ph.rep_array[1:], None),
+        ("g_coset_pair", pg.rep_array[1:], np.asarray(g_group.elements)),
+    )
     q = len(symbols)
+    pair_base = 2 + len(ph.rep_array) - 1  # after zero, zero_pair and the H cosets
     expected_q = (e * n - 1) // (e - 1) + 1
     if q != expected_q:
         raise RuntimeError(f"alphabet size {q} != {expected_q}")  # unreachable
 
     # row r, column pos holds (r, x) with x = g_group.elements[pos]; for r != 0
-    # and x != 1 the symbol is the pair (G rep of r, x * column indicator of r)
-    elems = np.asarray(g_group.elements, dtype=np.int64)
+    # and x != 1 the symbol is the pair (G coset of r, x * column indicator of r),
+    # whose subgroup position is mul_pos[pos, column position of r]
     one_pos = g_group.identity_pos
-    x_times_col = ring.mul_vec(elems[None, :], pg.column_indicators[1:, None])
+    mul_pos = np.asarray(g_group.mul_pos, dtype=np.int64)
     table = np.empty((n, e), dtype=np.int64)
-    table[1:] = (
-        pair_base
-        + np.searchsorted(np.asarray(pg.nonzero_reps), pg.row_indicators[1:])[:, None] * e
-        + np.searchsorted(elems, x_times_col)
-    )
-    table[1:, one_pos] = 2 + np.searchsorted(np.asarray(ph.nonzero_reps), ph.row_indicators[1:])
+    np.take(mul_pos.T, pg.column_positions[1:], axis=0, out=table[1:])
+    table[1:] += (pair_base + (pg.coset_index[1:] - 1) * e)[:, None]
+    table[1:, one_pos] = 1 + ph.coset_index[1:]
     table[0] = 1
     table[0, one_pos] = 0
 

@@ -1,9 +1,11 @@
 """Multiplicative subgroups and the coset partitions they induce.
 
 A subgroup G of the units of a ring R satisfies the unit-difference
-condition when g - 1 is a unit for every g in G other than 1.  Under
-that condition the left cosets aG partition the nonzero elements of R
-into classes of size |G|, and together with {0} they partition R.  Each
+condition when g - 1 is a unit for every g in G other than 1.  Exactly
+under that condition the left cosets aG partition the nonzero elements
+of R into classes of size |G|, and together with {0} they partition R;
+so ``CosetPartition`` checks the partition itself and needs no separate
+pass over g - 1 (see its docstring for why).  Each
 nonzero element r then factors uniquely as r = a * g with a the
 smallest-index member of its coset; we call a the row indicator and g
 the column indicator of r.  Everything downstream (the balanced
@@ -12,6 +14,7 @@ functions and the codes derived from them) is built on this partition.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,6 +36,10 @@ __all__ = [
     "check_plus_one",
     "coset_partition",
 ]
+
+
+# powers of a generator walked before cyclic_subgroup checks that it is a unit
+_LONG_WALK = 1 << 12
 
 
 class Subgroup:
@@ -105,17 +112,25 @@ class Subgroup:
 
 
 def cyclic_subgroup(ring: Ring, b: int) -> Subgroup:
-    """The subgroup generated by the powers of a unit b."""
-    if ring.try_invert(b) is None:
-        raise NotAUnitError(f"generator {b} is not a unit in {ring!r}")
+    """The subgroup generated by the powers of a unit b.
+
+    The powers of b return to 1 exactly when b is a unit (b^k = 1 gives
+    b * b^(k-1) = 1).  They repeat in any finite ring, so a power seen
+    before 1 comes back marks a non-unit.  A non-unit's powers can take
+    about as many steps as the ring has elements to repeat, so a walk
+    that reaches _LONG_WALK powers asks ``try_invert`` once.
+    """
+    b = ring._check(b)
     one = ring.one()
     elems = [one]
+    seen = {one}
     x = b
     while x != one:
+        if x in seen or (len(elems) == _LONG_WALK and ring.try_invert(b) is None):
+            raise NotAUnitError(f"generator {b} is not a unit in {ring!r}")
         elems.append(x)
+        seen.add(x)
         x = ring.mul(x, b)
-        if len(elems) > ring.order:
-            raise RuntimeError("generator powers failed to cycle")  # unreachable
     return Subgroup(ring, elems, generator=b)
 
 
@@ -158,43 +173,79 @@ def doubled_subgroup(ring: Ring, group: Subgroup) -> Subgroup:
 class CosetPartition:
     """The partition of a ring into {0} and left cosets of a subgroup.
 
-    Built from the n x e product table P[r, j] = r * g_j (``mul_vec``):
-    row r holds the coset rG, which contains r, so the representatives,
-    the smallest-index member of each coset, are the rows whose minimum
-    is their own index, and they come out ascending.  The partition is
-    checked exactly: the members of the representatives' rows, sorted,
-    must be 1 .. n-1.  The int arrays ``row_indicators`` and
-    ``column_indicators`` give back rep and g for nonzero r = rep * g
-    (entry 0 is 0 and -1).
+    Built from the product table P[j, r] = r * g_j (``mul_vec``): column
+    r holds the coset rG, which contains r, so the representatives, the
+    smallest-index member of each coset, are the columns whose minimum is
+    their own index, and they come out ascending.
+
+    The partition is checked exactly: the representatives' columns must
+    hold every nonzero element once.  That check is the unit-difference
+    condition, so no separate test of g - 1 runs first.  If every g - 1
+    with g != 1 is a unit, then r * g = r * h with g != h gives
+    r * (g h^-1 - 1) * h = 0, so r = 0: a nonzero column holds e distinct
+    nonzero elements, and the representatives' columns are the cosets.  If
+    some g - 1 is not a unit, then r * (g - 1) = 0 for some r != 0, since
+    in a finite ring an element x with r * x != 0 for every r != 0 is a
+    unit: r -> r * x is then injective, hence onto, so r * x = 1 for some
+    r, and a one-sided inverse is two-sided.  Then r * g = r, the
+    coset of r has fewer than e members, and its representative's column
+    repeats one; the check fails and raises the unit-difference message.
+
+    Arrays: ``rep_array`` holds the representatives, ascending;
+    ``coset_index[r]`` is the number of the coset holding r (0 for r = 0),
+    and ``column_positions[r]`` the subgroup position of g in r = rep * g
+    (-1 for r = 0).  The indicator arrays ``row_indicators`` and
+    ``column_indicators`` (entry 0 is 0 and -1) and the tuples ``reps``
+    and ``cosets`` are built from them when first read.
     """
 
     def __init__(self, ring: Ring, group: Subgroup):
-        if not check_unit_difference(ring, group):
-            raise ConditionNotSatisfiedError(
-                "subgroup fails the unit-difference condition: some g - 1 is not a unit"
-            )
         self.ring = ring
         self.subgroup = group
         n = ring.order
         e = group.order
         elems = np.asarray(group.elements, dtype=np.int64)
         index = np.arange(n, dtype=np.int64)
-        products = ring.mul_vec(index[:, None], elems[None, :])
-        reps = np.flatnonzero(products.min(axis=1) == index)  # 0 comes first
-        rows = products[reps[1:]]
-        members = rows.ravel()
-        if not np.array_equal(np.sort(members), index[1:]):
+        products = ring.mul_vec(index[None, :], elems[:, None])  # [j, r] = r * g_j
+        reps = np.flatnonzero(products.min(axis=0) == index)  # 0 comes first
+        members = products[:, reps[1:]]  # column c: the coset of reps[c + 1]
+        del products
+        covered = np.zeros(n, dtype=bool)
+        covered[members] = True
+        if members.size != n - 1 or not covered[1:].all():
             raise ConditionNotSatisfiedError(
-                f"the cosets of a subgroup of order {e} do not partition the "
-                f"{n - 1} nonzero elements"
+                "subgroup fails the unit-difference condition: some g - 1 is not a unit"
             )
-        self.row_indicators = np.zeros(n, dtype=np.int64)
-        self.row_indicators[members] = np.repeat(reps[1:], e)
-        self.column_indicators = np.full(n, -1, dtype=np.int64)
-        self.column_indicators[members] = np.tile(elems, len(reps) - 1)
-        rows.sort(axis=1)
-        self.cosets = ((0,),) + tuple(map(tuple, rows.tolist()))
-        self.reps = tuple(reps.tolist())
+        self.rep_array = reps
+        self.coset_index = np.zeros(n, dtype=np.int64)
+        self.coset_index[members] = np.arange(1, len(reps))
+        self.column_positions = np.full(n, -1, dtype=np.int64)
+        self.column_positions[members] = np.arange(e)[:, None]
+        for arr in (self.rep_array, self.coset_index, self.column_positions):
+            arr.flags.writeable = False  # the derived indicators and tuples read them
+
+    @functools.cached_property
+    def row_indicators(self) -> np.ndarray:
+        return self.rep_array[self.coset_index]
+
+    @functools.cached_property
+    def column_indicators(self) -> np.ndarray:
+        elems = np.asarray(self.subgroup.elements + (-1,), dtype=np.int64)
+        return elems[self.column_positions]  # position -1 reads the appended -1
+
+    @functools.cached_property
+    def reps(self) -> tuple[int, ...]:
+        """Representatives of all cosets, ascending; 0 first."""
+        return tuple(self.rep_array.tolist())
+
+    def _coset_lists(self) -> list[list[int]]:
+        by_coset = np.argsort(self.coset_index, kind="stable")  # ascending inside a coset
+        return [[0]] + by_coset[1:].reshape(-1, self.subgroup.order).tolist()
+
+    @functools.cached_property
+    def cosets(self) -> tuple[tuple[int, ...], ...]:
+        """The cosets in representative order, each ascending; (0,) first."""
+        return tuple(map(tuple, self._coset_lists()))
 
     @property
     def nonzero_reps(self) -> tuple[int, ...]:
@@ -216,14 +267,14 @@ class CosetPartition:
     def __repr__(self) -> str:
         return (
             f"CosetPartition(ring={self.ring!r}, subgroup_order={self.subgroup.order}, "
-            f"cosets={len(self.cosets)})"
+            f"cosets={len(self.rep_array)})"
         )
 
     def to_json(self) -> dict:
         return {
             "subgroup": self.subgroup.to_json(),
-            "cosets": [list(c) for c in self.cosets],
-            "reps": list(self.reps),
+            "cosets": self._coset_lists(),
+            "reps": self.rep_array.tolist(),
         }
 
 

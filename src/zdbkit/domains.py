@@ -58,6 +58,52 @@ def _pair_blocks(start, width):
         lo = hi
 
 
+def _sorted_by_label(elements, labels):
+    """The elements sorted by label, and the start and size of each
+    label's run in that order.
+
+    When the label span times the length fits an int64, one value sort of
+    (label - min) << bits | position stands in for the argsort, which
+    takes several times longer; other labels take the argsort.
+    """
+    labels = np.array(labels, dtype=np.int64)  # a copy, reused as the sort key
+    m = len(labels)
+    bits = m.bit_length()
+    low = int(labels.min()) if m else 0
+    if m and (int(labels.max()) - low + 1) << bits < 1 << 63:
+        labels -= low
+        labels <<= bits
+        labels |= np.arange(m)
+        labels.sort()
+        by_label = labels & ((1 << bits) - 1)
+        labels >>= bits
+    else:
+        by_label = np.argsort(labels)
+        labels = labels[by_label]
+    first = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    if m:
+        first = np.concatenate(([0], first))
+    return np.asarray(elements, dtype=np.int64)[by_label], first, np.diff(first, append=m)
+
+
+def _class_blocks(x, starts, w):
+    """The in-class pairs of the w-member classes that start at starts in
+    x, in blocks of about _PAIR_BLOCK pairs, as (rows, members): each row
+    pairs with every member of its class.  Whole classes go as one (c, w)
+    stack, rows and members alike; a class of more than _PAIR_BLOCK pairs
+    goes a few rows at a time against all its members."""
+    if w * w <= _PAIR_BLOCK:
+        step = _PAIR_BLOCK // (w * w)
+        for lo in range(0, len(starts), step):
+            members = x[starts[lo : lo + step, None] + np.arange(w)]
+            yield members, members
+    else:
+        step = max(1, _PAIR_BLOCK // w)
+        for s in starts.tolist():
+            for lo in range(s, s + w, step):
+                yield x[lo : min(lo + step, s + w)], x[s : s + w]
+
+
 class AbelianDomain:
     """Interface shared by both domain shapes."""
 
@@ -112,18 +158,28 @@ class AbelianDomain:
         sum of squared class sizes rather than the square of their total.
         Repeated elements count once per occurrence.  Every pair (i, i)
         lands on the identity, so counts[identity] >= len(elements).
+
+        The elements are sorted by label and the classes read off the run
+        boundaries of the sorted labels.  The classes of one size w are
+        stacked into a (k, w) matrix, whose pairs are op_vec of its members
+        against their inverses, broadcast.  The differences collect in a
+        buffer of at least order entries, so each order-length bincount
+        counts at least as many pairs as it has bins.
         """
-        labels = np.asarray(labels, dtype=np.int64)
-        by_label = np.argsort(labels)
-        x = np.asarray(elements, dtype=np.int64)[by_label]
-        x_inv = self.inverse_vec(x)
-        _, first, size = np.unique(labels[by_label], return_index=True, return_counts=True)
-        # sorted position i pairs with the members of its class
-        width = np.repeat(size, size)
+        x, first, size = _sorted_by_label(elements, labels)
         counts = np.zeros(self.order, dtype=np.int64)
-        for lo, hi, partners in _pair_blocks(np.repeat(first, size), width):
-            diffs = self.op_vec(np.repeat(x[lo:hi], width[lo:hi]), x_inv[partners])
-            counts += np.bincount(diffs, minlength=self.order)
+        buffer = np.empty(max(_PAIR_BLOCK, self.order), dtype=np.int64)
+        fill = 0
+        for w in np.flatnonzero(np.bincount(size)).tolist():
+            for rows, members in _class_blocks(x, first[size == w], w):
+                inverses = self.inverse_vec(members)[..., None, :]
+                diffs = self.op_vec(rows[..., None], inverses).ravel()
+                if fill + len(diffs) > len(buffer):
+                    counts += np.bincount(buffer[:fill], minlength=self.order)
+                    fill = 0
+                buffer[fill : fill + len(diffs)] = diffs
+                fill += len(diffs)
+        counts += np.bincount(buffer[:fill], minlength=self.order)
         return counts
 
     def to_json(self) -> dict:

@@ -155,6 +155,13 @@ class CompositionProfile:
         return {"counts": list(self.counts), "sorted": list(self.sorted_counts)}
 
 
+def _distinct_count(values: np.ndarray) -> int:
+    """Number of distinct entries, from one sort: on a large integer table
+    a sort is several times faster than np.unique's hash pass."""
+    ordered = np.sort(values)
+    return int(np.count_nonzero(ordered[1:] != ordered[:-1])) + (len(ordered) > 0)
+
+
 def difference_spectrum(fn: ZdbFunction) -> DifferenceSpectrum:
     """Exhaustive coincidence counts for every non-identity shift."""
     domain = fn.domain
@@ -172,7 +179,7 @@ def verify_zdb(fn: ZdbFunction) -> VerificationResult:
     Succeeds iff the spectrum is constant at the claimed lambda and the
     table uses exactly q distinct symbols.
     """
-    distinct = len(np.unique(fn.table))
+    distinct = _distinct_count(fn.table)
     if distinct != fn.q:
         return VerificationResult(
             ok=False, n=fn.n, failure_kind="image", expected=fn.q, actual=distinct, fn=fn

@@ -7,7 +7,9 @@ product tables.  Here the scalar versions they replaced, one
 order about 300: the subgroup tables and refusal messages, the
 partitions, the full ``ZdbFunction.to_json()`` and the search results
 must be equal, and a subgroup failing the unit-difference condition
-must be refused by both.
+must be refused by both.  A function's ``provenance["symbols"]`` must
+read, item by item and through ``to_json()``, as the oracles' label
+dicts.
 """
 
 import functools
@@ -28,7 +30,9 @@ from zdbkit import (
     RingTimesGroupDomain,
     Subgroup,
     ZdbFunction,
+    check_plus_one,
     check_unit_difference,
+    construct_doubled,
     construct_generic,
     construct_product,
     coset_partition,
@@ -285,6 +289,44 @@ def test_subgroup_tables_and_refusals_match_the_scalar_loop(ring):
     for elements in subsets:
         expected = subgroup_outcome(scalar_subgroup, ring, elements)
         assert subgroup_outcome(vector_subgroup, ring, elements) == expected, elements
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [ResidueRing(31), GaloisField(5, 2), ProductRing([GaloisField(7), GaloisField(13)]),
+     MatrixRing(2, GaloisField(3))],
+    ids=repr,
+)
+def test_symbol_labels_read_as_the_label_dicts(ring):
+    """provenance["symbols"] keeps its length and per-symbol dicts, read by
+    index (an int32 table entry included), by iteration and through
+    to_json(), for generic, doubled and product functions."""
+    builds = []
+    for e in range(2, 5):
+        g, h = scalar_find(ring, e, True), scalar_find(ring, e - 1, True)
+        if g is None:
+            continue
+        group = cyclic_subgroup(ring, g)
+        builds.append((construct_generic(ring, group), scalar_generic(ring, group)))
+        if ring.neg(ring.one()) not in group and check_plus_one(ring, group):
+            doubled = doubled_subgroup(ring, group)
+            if check_unit_difference(ring, doubled):
+                builds.append((construct_doubled(ring, group), scalar_generic(ring, doubled)))
+        if h is not None:
+            args = (ring, group, cyclic_subgroup(ring, h))
+            builds.append((construct_product(*args), scalar_product(*args)))
+    kinds = {fn.provenance["construction"] for fn, _ in builds}
+    assert kinds == {"generic", "product"} | ({"doubled"} if ring.is_commutative() else set())
+    for fn, oracle in builds:
+        symbols, expected = fn.provenance["symbols"], oracle.provenance["symbols"]
+        assert len(symbols) == len(expected) == fn.q
+        assert [symbols[s] for s in range(fn.q)] == list(symbols) == expected
+        assert symbols[fn.table[-1]] == expected[fn.table[-1]]
+        assert symbols[-1] == expected[-1]
+        with pytest.raises(IndexError):
+            symbols[fn.q]
+        assert symbols.to_json() == expected
+        assert fn.to_json()["provenance"]["symbols"] == expected
 
 
 def test_product_keeps_x_on_the_left_for_a_noncommutative_group():

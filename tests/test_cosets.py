@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from zdbkit import (
@@ -6,6 +8,7 @@ from zdbkit import (
     GaloisField,
     MatrixRing,
     NotAUnitError,
+    ProductRing,
     ResidueRing,
     Subgroup,
     check_plus_one,
@@ -15,6 +18,7 @@ from zdbkit import (
     doubled_subgroup,
     subgroup_from_elements,
 )
+from zdbkit import cosets as cosets_module
 
 
 def test_cyclic_subgroup_z7():
@@ -30,6 +34,53 @@ def test_cyclic_subgroup_z7():
 def test_cyclic_subgroup_rejects_nonunit():
     with pytest.raises(NotAUnitError):
         cyclic_subgroup(ResidueRing(6), 2)
+
+
+NON_UNITS = [
+    (ResidueRing(8), 0),
+    (ResidueRing(8), 2),  # nilpotent: 2^3 = 0
+    (ResidueRing(8), 4),
+    (ResidueRing(12), 3),  # zero divisor whose powers cycle 3, 9, 3 without reaching 1
+    (ResidueRing(12), 4),  # idempotent zero divisor
+    (GaloisField(3, 2), 0),
+    (MatrixRing(2, GaloisField(3)), 0),
+    (MatrixRing(2, GaloisField(3)), MatrixRing(2, GaloisField(3))._encode([[1, 0], [0, 0]])),
+    (MatrixRing(2, GaloisField(3)), MatrixRing(2, GaloisField(3))._encode([[1, 2], [2, 1]])),
+    (ProductRing([GaloisField(3), GaloisField(5)]), 0),
+    (ProductRing([GaloisField(3), GaloisField(5)]), 2),  # (2, 0): a zero component
+    (ProductRing([GaloisField(3), GaloisField(5)]), 3),  # (0, 1)
+]
+
+
+@pytest.mark.parametrize(("ring", "b"), NON_UNITS, ids=lambda v: repr(v))
+def test_cyclic_subgroup_refuses_non_units_of_every_kind(ring, b):
+    assert not ring.is_unit(b)
+    message = f"generator {b} is not a unit in {ring!r}"
+    with pytest.raises(NotAUnitError, match=f"^{re.escape(message)}$"):
+        cyclic_subgroup(ring, b)
+
+
+def test_only_a_long_walk_asks_try_invert(monkeypatch):
+    calls = []
+
+    def counted(ring):
+        exact = ring.try_invert
+        monkeypatch.setattr(ring, "try_invert", lambda a: calls.append(a) or exact(a))
+        return ring
+
+    # 2 in Z_2000006: its powers first repeat after about 10^6 steps
+    ring = counted(ResidueRing(2 * 1000003))
+    with pytest.raises(NotAUnitError, match="^generator 2 is not a unit in ResidueRing"):
+        cyclic_subgroup(ring, 2)
+    assert calls == [2]
+    calls.clear()
+    z7 = counted(ResidueRing(7))
+    assert cyclic_subgroup(z7, 2).elements == (1, 2, 4)
+    assert cyclic_subgroup(z7, 6).elements == (1, 6)
+    assert calls == []
+    monkeypatch.setattr(cosets_module, "_LONG_WALK", 4)
+    assert cyclic_subgroup(z7, 3).elements == (1, 2, 3, 4, 5, 6)  # a unit past the walk limit
+    assert calls == [3]
 
 
 def test_subgroup_from_elements_validates():
@@ -119,6 +170,55 @@ def test_partition_indicators_decompose_every_element():
             assert ring.mul(a, g) == r
             seen.add(r)
         assert len(seen) == ring.order - 1
+
+
+PARTITION_RINGS = [
+    *(ResidueRing(n) for n in range(2, 65)),
+    GaloisField(2, 3),
+    GaloisField(3, 2),
+    GaloisField(5, 2),
+    ProductRing([ResidueRing(3), ResidueRing(5)]),
+    MatrixRing(2, GaloisField(2)),
+    MatrixRing(2, GaloisField(3)),
+]
+
+
+@pytest.mark.parametrize("ring", PARTITION_RINGS, ids=repr)
+def test_partition_refuses_exactly_the_unit_difference_failures(ring):
+    """The partition's exact check stands in for check_unit_difference: on
+    every cyclic subgroup it refuses exactly when some g - 1 is not a unit."""
+    groups = {}
+    for b in range(ring.order):
+        if ring.is_unit(b):
+            group = cyclic_subgroup(ring, b)
+            groups.setdefault(group.elements, group)
+    for group in groups.values():
+        if check_unit_difference(ring, group):
+            part = coset_partition(ring, group)
+            assert sorted(x for c in part.cosets[1:] for x in c) == list(range(1, ring.order))
+        else:
+            with pytest.raises(
+                ConditionNotSatisfiedError,
+                match=r"^subgroup fails the unit-difference condition: some g - 1 is not a unit$",
+            ):
+                coset_partition(ring, group)
+
+
+def test_partition_check_catches_overlapping_columns(monkeypatch):
+    # a faulty product 3 * 4 = 4 in Z_7 keeps the representatives 0, 1, 3 and
+    # the member count 6, but 4 lands in two cosets and 5 in none
+    ring = ResidueRing(7)
+    group = cyclic_subgroup(ring, 2)  # elements (1, 2, 4)
+    exact = ring.mul_vec
+
+    def faulty(a, b):
+        out = exact(a, b)
+        out[2, 3] = 4  # [j, r] = r * g_j
+        return out
+
+    monkeypatch.setattr(ring, "mul_vec", faulty)
+    with pytest.raises(ConditionNotSatisfiedError, match="unit-difference"):
+        coset_partition(ring, group)
 
 
 def test_partition_rejects_overlapping_cosets():

@@ -5,7 +5,11 @@ small rings of every kind, in both domain shapes, are counted three
 ways: the kernel spectrum against the shift-by-shift gather scan, the
 shift-code distance identity against an all-pairs comparison of the
 codeword matrix, and the kernel's cross-block coverage against a
-scalar loop over all cross pairs.  The same-symbol recount of stored
+scalar loop over all cross pairs.  The kernel itself is checked against
+a scalar loop over same-label pairs for labels that are negative, sparse
+(10^12 apart) or at the int64 extremes, with repeated elements, and
+``verify_zdb``'s distinct-symbol count against a set on int32 and int64
+tables.  The same-symbol recount of stored
 code distances is checked against the all-pairs comparison on random
 integer matrices and on the (2500, 834, 2) instance.  The distances and
 the coverage the builders read from the spectrum of a verification
@@ -177,6 +181,62 @@ def test_kernel_spectrum_matches_gather_scan(fn, block):
     assert spec.per_shift == naive
     assert spec.counts[fn.domain.identity] == fn.n
     assert sum(naive.values()) == sum(w * w for w in np.bincount(fn.table).tolist()) - fn.n
+
+
+LABEL_DOMAINS = [
+    RingAdditiveDomain(ResidueRing(31)),
+    RingTimesGroupDomain(GaloisField(7), cyclic_subgroup(GaloisField(7), 2)),
+]
+
+# label values: small negatives, sparse values near 10^12, and int64 extremes,
+# whose span times the element count no longer fits an int64 sort key
+LABEL_POOLS = [
+    list(range(-4, 3)),
+    [-(10**12), 3, 10**12, 10**12 + 7, 2 * 10**12],
+    [-(2**63), -1, 0, 2**62, 2**63 - 1],
+]
+
+
+def brute_difference_counts(domain, elements, labels):
+    """counts[op(x, inverse(y))] over every same-label pair, by the scalar law."""
+    counts = [0] * domain.order
+    for x, a in zip(elements, labels):
+        for y, b in zip(elements, labels):
+            if a == b:
+                counts[domain.op(x, domain.inverse(y))] += 1
+    return counts
+
+
+@SETTINGS
+@given(
+    st.sampled_from(LABEL_DOMAINS),
+    st.sampled_from(LABEL_POOLS),
+    st.data(),
+    st.integers(1, 64),
+)
+def test_difference_counts_match_the_scalar_pairs_for_any_labels(domain, pool, data, block):
+    # elements repeat and labels come unsorted; small pair blocks split even
+    # a small class over several group-law calls
+    size = data.draw(st.integers(0, 40))
+    elements = data.draw(st.lists(st.integers(0, domain.order - 1), min_size=size, max_size=size))
+    labels = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    with patch.object(domains_module, "_PAIR_BLOCK", block):
+        counts = domain.difference_counts(np.array(elements), np.array(labels, dtype=np.int64))
+    assert counts.tolist() == brute_difference_counts(domain, elements, labels)
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from([2**31 - 1, 2**40]))
+def test_distinct_symbol_count_matches_a_set(data, q):
+    # the claimed q makes the table int32 (q = 2^31 - 1) or int64 (q = 2^40)
+    pool = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=7, unique=True))
+    table = data.draw(st.lists(st.sampled_from(pool), min_size=31, max_size=31))
+    fn = ZdbFunction(RingAdditiveDomain(ResidueRing(31)), q, table, 0)
+    assert fn.table.dtype == (np.int32 if q < 2**31 else np.int64)
+    assert verify_zdb(fn).to_json() == {
+        "ok": False, "n": 31, "failure": "image", "witness_shift": None,
+        "expected": q, "actual": len(set(table)),
+    }
 
 
 @st.composite
