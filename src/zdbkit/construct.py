@@ -52,7 +52,6 @@ from .rings import Ring
 
 __all__ = [
     "ZdbFunction",
-    "SymbolLabels",
     "construct_generic",
     "construct_product",
     "construct_doubled",
@@ -82,7 +81,7 @@ class SymbolLabels(Sequence):
     Symbols are numbered segment by segment.  A segment (kind, reps, gs)
     labels one symbol per rep, or one per (rep, g) pair, rep-major, when gs
     is given; reps None labels a single symbol by its kind alone.  Item s
-    is the dict ``Label.to_json`` gives for symbol s; the dicts are made
+    is the dict ``Label.to_json`` would give for symbol s; the dicts are made
     only when read, and ``to_json`` makes the whole list.
     """
 
@@ -103,24 +102,27 @@ class SymbolLabels(Sequence):
         i = int(np.searchsorted(self._ends, s, side="right"))
         kind, reps, gs = self._segments[i]
         offset = s - (int(self._ends[i - 1]) if i else 0)
-        if reps is None:
-            return Label(kind).to_json()
-        if gs is None:
-            return Label(kind, rep=int(reps[offset])).to_json()
-        r, j = divmod(offset, len(gs))
-        return Label(kind, rep=int(reps[r]), g=int(gs[j])).to_json()
+        if reps is not None:
+            r, j = divmod(offset, 1 if gs is None else len(gs))
+            reps = reps[r : r + 1]
+            gs = None if gs is None else gs[j : j + 1]
+        return _segment_labels(kind, reps, gs)[0]
 
     def to_json(self) -> list[dict]:
         out: list[dict] = []
-        for kind, reps, gs in self._segments:
-            if reps is None:
-                out.append({"kind": kind})
-            elif gs is None:
-                out += [{"kind": kind, "rep": rep} for rep in reps.tolist()]
-            else:
-                gs = gs.tolist()
-                out += [{"kind": kind, "rep": rep, "g": g} for rep in reps.tolist() for g in gs]
+        for segment in self._segments:
+            out += _segment_labels(*segment)
         return out
+
+
+def _segment_labels(kind: str, reps: np.ndarray | None, gs: np.ndarray | None) -> list[dict]:
+    """The label dicts of one SymbolLabels segment, rep-major."""
+    if reps is None:
+        return [{"kind": kind}]
+    if gs is None:
+        return [{"kind": kind, "rep": rep} for rep in reps.tolist()]
+    gs = gs.tolist()
+    return [{"kind": kind, "rep": rep, "g": g} for rep in reps.tolist() for g in gs]
 
 
 class ZdbFunction:

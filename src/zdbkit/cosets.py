@@ -38,10 +38,6 @@ __all__ = [
 ]
 
 
-# powers of a generator walked before cyclic_subgroup checks that it is a unit
-_LONG_WALK = 1 << 12
-
-
 class Subgroup:
     """A finite subgroup of the unit group of a ring.
 
@@ -112,24 +108,14 @@ class Subgroup:
 
 
 def cyclic_subgroup(ring: Ring, b: int) -> Subgroup:
-    """The subgroup generated by the powers of a unit b.
-
-    The powers of b return to 1 exactly when b is a unit (b^k = 1 gives
-    b * b^(k-1) = 1).  They repeat in any finite ring, so a power seen
-    before 1 comes back marks a non-unit.  A non-unit's powers can take
-    about as many steps as the ring has elements to repeat, so a walk
-    that reaches _LONG_WALK powers asks ``try_invert`` once.
-    """
-    b = ring._check(b)
+    """The subgroup generated by the powers of a unit b."""
+    if ring.try_invert(b) is None:
+        raise NotAUnitError(f"generator {b} is not a unit in {ring!r}")
     one = ring.one()
     elems = [one]
-    seen = {one}
     x = b
-    while x != one:
-        if x in seen or (len(elems) == _LONG_WALK and ring.try_invert(b) is None):
-            raise NotAUnitError(f"generator {b} is not a unit in {ring!r}")
+    while x != one:  # a unit's powers return to 1 in a finite ring
         elems.append(x)
-        seen.add(x)
         x = ring.mul(x, b)
     return Subgroup(ring, elems, generator=b)
 

@@ -164,7 +164,9 @@ class AbelianDomain:
         stacked into a (k, w) matrix, whose pairs are op_vec of its members
         against their inverses, broadcast.  The differences collect in a
         buffer of at least order entries, so each order-length bincount
-        counts at least as many pairs as it has bins.
+        counts at least as many pairs as it has bins; a block that fills
+        the buffer alone, as one row of a class with more members than
+        the buffer has entries does, is counted without it.
         """
         x, first, size = _sorted_by_label(elements, labels)
         counts = np.zeros(self.order, dtype=np.int64)
@@ -174,6 +176,9 @@ class AbelianDomain:
             for rows, members in _class_blocks(x, first[size == w], w):
                 inverses = self.inverse_vec(members)[..., None, :]
                 diffs = self.op_vec(rows[..., None], inverses).ravel()
+                if len(diffs) >= len(buffer):  # a row block of a class larger than the buffer
+                    counts += np.bincount(diffs, minlength=self.order)
+                    continue
                 if fill + len(diffs) > len(buffer):
                     counts += np.bincount(buffer[:fill], minlength=self.order)
                     fill = 0

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -21,6 +22,7 @@ from zdbkit import (
     ZdbFunction,
     run_recipe,
 )
+from zdbkit import domains as domains_module
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -535,6 +537,19 @@ def test_check_bounds_overlapping_dss_blocks(run_cli, tmp_path):
     assert code == 1
     assert "check failed: blocks are not disjoint" in err
     assert json.loads(out)["checked"] is False
+
+
+def test_check_bounds_overlapping_blocks_larger_than_the_group(run_cli, tmp_path):
+    # repeated points make the union recount one class of 12 members over Z_4;
+    # one-pair blocks give each row more differences than the pair buffer holds
+    path = _dss_file(tmp_path, [[0, 1, 2, 3, 0, 1], [1, 2, 3, 0, 1, 2]])
+    with patch.object(domains_module, "_PAIR_BLOCK", 1):
+        code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+    assert (code, out) == (1, "")
+    assert err == (
+        "check failed: blocks are not disjoint\n"
+        "check failed: the system is not perfect, so no bound applies\n"
+    )
 
 
 def test_check_bounds_rejects_dss_elements_outside_the_group(run_cli, tmp_path):

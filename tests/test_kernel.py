@@ -225,6 +225,16 @@ def test_difference_counts_match_the_scalar_pairs_for_any_labels(domain, pool, d
     assert counts.tolist() == brute_difference_counts(domain, elements, labels)
 
 
+def test_difference_counts_of_a_class_larger_than_the_buffer():
+    # one label over 40 elements of Z_31, repeats included: with one-pair
+    # blocks every row's 40 differences outgrow the 31-entry buffer
+    domain = RingAdditiveDomain(ResidueRing(31))
+    elements = [(7 * i) % 31 for i in range(40)]
+    with patch.object(domains_module, "_PAIR_BLOCK", 1):
+        counts = domain.difference_counts(np.array(elements), np.zeros(40, dtype=np.int64))
+    assert counts.tolist() == brute_difference_counts(domain, elements, [0] * 40)
+
+
 @SETTINGS
 @given(st.data(), st.sampled_from([2**31 - 1, 2**40]))
 def test_distinct_symbol_count_matches_a_set(data, q):
