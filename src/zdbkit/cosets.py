@@ -10,6 +10,15 @@ nonzero element r then factors uniquely as r = a * g with a the
 smallest-index member of its coset; we call a the row indicator and g
 the column indicator of r.  Everything downstream (the balanced
 functions and the codes derived from them) is built on this partition.
+
+A cyclic subgroup is built from the exponents of the powers its
+generator walks through, with no product table; ``Subgroup(ring,
+elements)`` validates any other element list on its e x e products.
+The partition's (e, n) table of r * g_j takes one ``mul_vec`` over the
+ring per subgroup generator, and gathers fill the other rows: the row
+of g_i * s is the row of s gathered through the row of g_i.  The
+generators are read off ``mul_pos``, largest element order first, so a
+cyclic group needs one ``mul_vec``.
 """
 
 from __future__ import annotations
@@ -46,10 +55,14 @@ class Subgroup:
     products and inverses are precomputed; group orders at desk scale
     are tiny, so eager tables cost nothing and make the hot paths
     table lookups.
+
+    ``Subgroup(ring, elements)`` validates any element list (JSON,
+    explicit and doubled groups) through its e x e product table.
+    ``cyclic_subgroup`` needs no such check: it fills the tables from the
+    exponents of the powers it walked.
     """
 
     def __init__(self, ring: Ring, elements: Sequence[int], generator: int | None = None):
-        self.ring = ring
         elems = tuple(sorted(set(int(x) for x in elements)))
         if not elems:
             raise ValueError("subgroup cannot be empty")
@@ -70,19 +83,24 @@ class Subgroup:
         if not good.all():
             i = int(np.argmin(good))
             g = elems[i]
-            if ring.try_invert(g) is None:
+            if not ring.is_unit(g):
                 raise NotAUnitError(f"subgroup element {g} is not a unit")
             j = int(np.argmin(closed[i]))
             raise ValueError(
                 f"not closed under multiplication: {g}*{elems[j]} = {int(products[i, j])}"
             )
-        self.elements = elems
+        inv_pos = np.argmax(mul_pos == one_pos, axis=1)
+        self._set_tables(ring, elems, mul_pos, one_pos, inv_pos, generator)
+
+    def _set_tables(self, ring, elements, mul_pos, identity_pos, inv_pos, generator) -> None:
+        self.ring = ring
+        self.elements = elements
         self.generator = generator
-        self.order = e
-        self._pos = {g: i for i, g in enumerate(elems)}
-        self.identity_pos = one_pos
+        self.order = len(elements)
+        self._pos = {g: i for i, g in enumerate(elements)}
+        self.identity_pos = identity_pos
         self.mul_pos = tuple(map(tuple, mul_pos.tolist()))
-        self.inv_pos = tuple(np.argmax(mul_pos == one_pos, axis=1).tolist())
+        self.inv_pos = tuple(inv_pos.tolist())
 
     def __contains__(self, x: int) -> bool:
         return x in self._pos
@@ -108,16 +126,28 @@ class Subgroup:
 
 
 def cyclic_subgroup(ring: Ring, b: int) -> Subgroup:
-    """The subgroup generated by the powers of a unit b."""
-    if ring.try_invert(b) is None:
+    """The subgroup generated by the powers of a unit b.
+
+    The walk 1, b, b^2, ... back to 1 is the whole group, so it needs no
+    closure check: if the i-th smallest power is b^k_i, then
+    g_i * g_j = b^((k_i + k_j) mod e) and g_i^-1 = b^(-k_i mod e).
+    """
+    if not ring.is_unit(b):
         raise NotAUnitError(f"generator {b} is not a unit in {ring!r}")
     one = ring.one()
-    elems = [one]
-    x = b
+    powers = [one]
+    x = ring._check(b)
     while x != one:  # a unit's powers return to 1 in a finite ring
-        elems.append(x)
+        powers.append(x)
         x = ring.mul(x, b)
-    return Subgroup(ring, elems, generator=b)
+    e = len(powers)
+    exps = np.argsort(powers)  # exps[i] = k_i
+    pos = np.empty(e, dtype=np.int64)  # exponent -> position
+    pos[exps] = np.arange(e)
+    mul_pos = pos[(exps[:, None] + exps[None, :]) % e]
+    group = Subgroup.__new__(Subgroup)
+    group._set_tables(ring, tuple(sorted(powers)), mul_pos, int(pos[0]), pos[-exps % e], b)
+    return group
 
 
 def subgroup_from_elements(ring: Ring, elements: Iterable[int]) -> Subgroup:
@@ -131,7 +161,7 @@ def check_unit_difference(ring: Ring, group: Subgroup) -> bool:
     for g in group.elements:
         if g == one:
             continue
-        if ring.try_invert(ring.sub(g, one)) is None:
+        if not ring.is_unit(ring.sub(g, one)):
             return False
     return True
 
@@ -140,7 +170,7 @@ def check_plus_one(ring: Ring, group: Subgroup) -> bool:
     """True when g + 1 is a unit for every g in the group."""
     one = ring.one()
     for g in group.elements:
-        if ring.try_invert(ring.add(g, one)) is None:
+        if not ring.is_unit(ring.add(g, one)):
             return False
     return True
 
@@ -156,13 +186,63 @@ def doubled_subgroup(ring: Ring, group: Subgroup) -> Subgroup:
     return Subgroup(ring, doubled, generator=None)
 
 
+def _largest_order_first(group: Subgroup) -> list[int]:
+    """Subgroup positions to try as generators: by descending element order,
+    ties ascending, or only the first element whose order is |G|, which
+    generates the group alone.  Orders are read off mul_pos by walking
+    each element's powers."""
+    mul_pos, one, e = group.mul_pos, group.identity_pos, group.order
+    orders = []
+    for i in range(e):
+        k, j = 1, i
+        while j != one:
+            j = mul_pos[j][i]
+            k += 1
+        if k == e:
+            return [i]
+        orders.append(k)
+    return sorted(range(e), key=orders.__getitem__, reverse=True)
+
+
+def _product_rows(ring: Ring, group: Subgroup, index: np.ndarray) -> np.ndarray:
+    """The (e, n) table whose row j is r -> r * g_j over the ring's indices.
+
+    The row of g_i * s is the row of s, r -> r * s, gathered through the
+    row of g_i, since r * (g_i * s) = (r * g_i) * s.  So one ``mul_vec``
+    over the ring per generator s fills the table, and gathers do the
+    rest.  Generators are taken largest order first, and only while they
+    add rows, so a cyclic group takes one ``mul_vec``.
+    """
+    mul_pos = group.mul_pos
+    products = np.empty((group.order, len(index)), dtype=np.int64)
+    products[group.identity_pos] = index
+    filled = [False] * group.order
+    filled[group.identity_pos] = True
+    generators = []  # (position of s, the row r -> r * s)
+    for s in _largest_order_first(group):
+        if filled[s]:
+            continue
+        generators.append((s, ring.mul_vec(index, group.elements[s])))
+        todo = [i for i, done in enumerate(filled) if done]
+        while todo:  # the rows of everything the generators so far reach
+            i = todo.pop()
+            for t, perm in generators:
+                j = mul_pos[i][t]
+                if not filled[j]:
+                    perm.take(products[i], out=products[j])
+                    filled[j] = True
+                    todo.append(j)
+    return products
+
+
 class CosetPartition:
     """The partition of a ring into {0} and left cosets of a subgroup.
 
-    Built from the product table P[j, r] = r * g_j (``mul_vec``): column
-    r holds the coset rG, which contains r, so the representatives, the
-    smallest-index member of each coset, are the columns whose minimum is
-    their own index, and they come out ascending.
+    Built from the product table P[j, r] = r * g_j, filled by one
+    ``mul_vec`` per subgroup generator plus gathers (``_product_rows``):
+    column r holds the coset rG, which contains r, so the
+    representatives, the smallest-index member of each coset, are the
+    columns whose minimum is their own index, and they come out ascending.
 
     The partition is checked exactly: the representatives' columns must
     hold every nonzero element once.  That check is the unit-difference
@@ -190,9 +270,8 @@ class CosetPartition:
         self.subgroup = group
         n = ring.order
         e = group.order
-        elems = np.asarray(group.elements, dtype=np.int64)
         index = np.arange(n, dtype=np.int64)
-        products = ring.mul_vec(index[None, :], elems[:, None])  # [j, r] = r * g_j
+        products = _product_rows(ring, group, index)  # [j, r] = r * g_j
         reps = np.flatnonzero(products.min(axis=0) == index)  # 0 comes first
         members = products[:, reps[1:]]  # column c: the coset of reps[c + 1]
         del products

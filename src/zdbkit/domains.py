@@ -7,11 +7,18 @@ and its flat index is ring_index * e + group_position, where positions
 number the subgroup's elements in ascending index order.  That flat
 order is also the codeword coordinate order used throughout.
 
-``op_vec`` and ``inverse_vec`` are the bulk form of the group law.
-``difference_counts``, the one kernel behind every certificate, is
-built on them and on nothing else.  ``shift_rows`` returns full
-translation rows for any list of shifts, one permutation of the domain
-per shift; it is derived from ``op_vec`` once, for both shapes.
+``op_vec`` and ``inverse_vec`` are the bulk form of the group law.  In
+the product shape they split a flat index as r = a // e and
+position = a - r * e, the same remainder the rings use in place of
+numpy's slower %, and gather the subgroup part from mul_pos read flat
+at p_a * e + p_b.  ``difference_counts``, the one kernel behind every
+certificate, is built on them and on nothing else.  It stacks the label
+classes of one size w as a (w, c) matrix with the c classes innermost,
+so that each group-law call on the (w, w, c) pair block runs inner
+loops of length c rather than c loops of length w.  ``shift_rows``
+returns full translation rows for any list of shifts, one permutation
+of the domain per shift; it is derived from ``op_vec`` once, for both
+shapes.
 
 ``translates`` builds the matrix of every translate of a table, row a
 being y -> table[op(a, y)], without index arithmetic.  The additive
@@ -58,8 +65,8 @@ def _pair_blocks(start, width):
         lo = hi
 
 
-def _sorted_by_label(elements, labels):
-    """The elements sorted by label, and the start and size of each
+def _sorted_by_label(labels):
+    """The positions sorted by label, and the start and size of each
     label's run in that order.
 
     When the label span times the length fits an int64, one value sort of
@@ -83,25 +90,27 @@ def _sorted_by_label(elements, labels):
     first = np.flatnonzero(labels[1:] != labels[:-1]) + 1
     if m:
         first = np.concatenate(([0], first))
-    return np.asarray(elements, dtype=np.int64)[by_label], first, np.diff(first, append=m)
+    return by_label, first, np.diff(first, append=m)
 
 
 def _class_blocks(x, starts, w):
     """The in-class pairs of the w-member classes that start at starts in
-    x, in blocks of about _PAIR_BLOCK pairs, as (rows, members): each row
-    pairs with every member of its class.  Whole classes go as one (c, w)
-    stack, rows and members alike; a class of more than _PAIR_BLOCK pairs
-    goes a few rows at a time against all its members."""
+    x, in blocks of about _PAIR_BLOCK pairs, as (rows, members) shaped to
+    broadcast to one difference per pair.  Whole classes go as one (w, c)
+    stack with the c classes innermost, rows (w, 1, c) against members
+    (1, w, c), so each group-law call runs inner loops of length c, not w;
+    a class of more than _PAIR_BLOCK pairs goes a few rows at a time, (k, 1)
+    against all its members (1, w)."""
     if w * w <= _PAIR_BLOCK:
         step = _PAIR_BLOCK // (w * w)
         for lo in range(0, len(starts), step):
-            members = x[starts[lo : lo + step, None] + np.arange(w)]
-            yield members, members
+            members = x[np.arange(w)[:, None] + starts[None, lo : lo + step]]
+            yield members[:, None, :], members[None]
     else:
         step = max(1, _PAIR_BLOCK // w)
         for s in starts.tolist():
             for lo in range(s, s + w, step):
-                yield x[lo : min(lo + step, s + w)], x[s : s + w]
+                yield x[lo : min(lo + step, s + w), None], x[None, s : s + w]
 
 
 class AbelianDomain:
@@ -158,24 +167,34 @@ class AbelianDomain:
         sum of squared class sizes rather than the square of their total.
         Repeated elements count once per occurrence.  Every pair (i, i)
         lands on the identity, so counts[identity] >= len(elements).
+        elements=None stands for the positions 0 .. len(labels) - 1, the
+        elements of a table: the sort permutation is then used as it is,
+        with no gather through it.
 
         The elements are sorted by label and the classes read off the run
-        boundaries of the sorted labels.  The classes of one size w are
-        stacked into a (k, w) matrix, whose pairs are op_vec of its members
-        against their inverses, broadcast.  The differences collect in a
-        buffer of at least order entries, so each order-length bincount
-        counts at least as many pairs as it has bins; a block that fills
-        the buffer alone, as one row of a class with more members than
-        the buffer has entries does, is counted without it.
+        boundaries of the sorted labels.  One-member classes add their
+        number to the identity's count without the group law.  The classes
+        of each larger size w are stacked into a (w, c) matrix, whose pairs
+        are op_vec of its members against their inverses, broadcast to
+        (w, w, c).  The differences collect in a buffer of at least order
+        entries, so each order-length bincount counts at least as many
+        pairs as it has bins; a block that fills the buffer alone, as one
+        row of a class with more members than the buffer has entries does,
+        is counted without it.
         """
-        x, first, size = _sorted_by_label(elements, labels)
+        x, first, size = _sorted_by_label(labels)
+        if elements is not None:
+            x = np.asarray(elements, dtype=np.int64)[x]
         counts = np.zeros(self.order, dtype=np.int64)
         buffer = np.empty(max(_PAIR_BLOCK, self.order), dtype=np.int64)
         fill = 0
-        for w in np.flatnonzero(np.bincount(size)).tolist():
+        classes = np.bincount(size)  # classes[w]: the number of w-member classes
+        for w in np.flatnonzero(classes).tolist():
+            if w == 1:  # a one-member class pairs only with itself, at the identity
+                counts[self.identity] = classes[1]
+                continue
             for rows, members in _class_blocks(x, first[size == w], w):
-                inverses = self.inverse_vec(members)[..., None, :]
-                diffs = self.op_vec(rows[..., None], inverses).ravel()
+                diffs = self.op_vec(rows, self.inverse_vec(members)).ravel()
                 if len(diffs) >= len(buffer):  # a row block of a class larger than the buffer
                     counts += np.bincount(diffs, minlength=self.order)
                     continue
@@ -254,6 +273,7 @@ class RingTimesGroupDomain(AbelianDomain):
         self.order = ring.order * self.e
         self.identity = group.identity_pos
         self._mul_pos = np.asarray(group.mul_pos, dtype=np.int64)
+        self._inv_pos = np.asarray(group.inv_pos, dtype=np.int64)
 
     def encode(self, pair: tuple[int, int]) -> int:
         r, g = pair
@@ -275,18 +295,24 @@ class RingTimesGroupDomain(AbelianDomain):
     # own binding, not only inherited: perfbench/tracer.py wraps each domain class's shift_rows
     shift_rows = AbelianDomain.shift_rows
 
+    # flat index = ring part * e + position, split as in the module docstring
     def op_vec(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        return (
-            self.ring.add_vec(a // self.e, b // self.e) * self.e
-            + self._mul_pos[a % self.e, b % self.e]
-        )
+        e = self.e
+        ra, rb = a // e, b // e
+        out = self.ring.add_vec(ra, rb)
+        out *= e
+        out += self._mul_pos.take((a - ra * e) * e + (b - rb * e))
+        return out
 
     def inverse_vec(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
-        inv_pos = np.asarray(self.group.inv_pos, dtype=np.int64)
-        return self.ring.neg_vec(a // self.e) * self.e + inv_pos[a % self.e]
+        r = a // self.e
+        out = self.ring.neg_vec(r)
+        out *= self.e
+        out += self._inv_pos.take(a - r * self.e)
+        return out
 
     def to_json(self) -> dict:
         return {

@@ -22,7 +22,9 @@ components' radices concatenated for a product, and the field's radices
 repeated k^2 times for M_k(GF(q)).  Addition adds digits, each modulo
 its radix, so ``add``/``neg`` and the vectorized ``add_vec``/``neg_vec``
 (numpy arrays with broadcasting, what the exhaustive verification
-kernels run on) are written once, in ``Ring``.  Orders must stay below
+kernels run on) are written once, in ``Ring``.  They reduce a digit
+with ``_rem``, x - x // m * m, which means the same for ints, int64 and
+object arrays and costs half of numpy's int64 %.  Orders must stay below
 2^62, so that the sum of two indices fits in int64.
 
 Multiplication has one rule per kind, ``_mul_digits``, and like the
@@ -38,7 +40,9 @@ of Python ints, so results stay exact.
 All operations are pure functions of an immutable descriptor, so ring
 objects can be shared freely between threads.  ``try_invert`` returns
 ``None`` for a non-unit instead of raising: non-units are ordinary
-values here, not errors.
+values here, not errors.  ``is_unit`` answers without the inverse where
+a kind can: a != 0 in GF(q), gcd(a, n) = 1 in Z_n, componentwise in a
+product; a matrix takes Gauss-Jordan.
 """
 
 from __future__ import annotations
@@ -67,6 +71,18 @@ __all__ = [
 _ORDER_LIMIT = 1 << 62
 
 
+def _rem(x, m):
+    """x - x // m * m: x mod m in range(m) for m > 0, as Python's % gives it,
+    for ints, int64 and object arrays alike; on int64 arrays numpy's % takes
+    about twice as long.  x must be the caller's own temporary: on an array
+    the augmented assignments work in place, so no third array is made; on
+    an int they rebind."""
+    q = x // m
+    q *= m
+    x -= q
+    return x
+
+
 class Ring:
     """Common interface for all ring kinds."""
 
@@ -93,15 +109,19 @@ class Ring:
     # int64 arrays.  Digit i of a is (a // place_i) % r_i, and no carry leaves it.
 
     def _add_digits(self, a, b):
-        out = (a + b) % self.radices[0]
+        out = _rem(a + b, self.radices[0])
         for r, place in self._upper:
-            out = out + (a // place + b // place) % r * place
+            digit = _rem(a // place + b // place, r)
+            digit *= place
+            out += digit
         return out
 
     def _neg_digits(self, a):
-        out = -a % self.radices[0]
+        out = _rem(-a, self.radices[0])
         for r, place in self._upper:
-            out = out + -(a // place) % r * place
+            digit = _rem(-(a // place), r)
+            digit *= place
+            out += digit
         return out
 
     # -- scalar operations ------------------------------------------------
@@ -130,6 +150,8 @@ class Ring:
         return 0
 
     def is_unit(self, a: int) -> bool:
+        """True when a is a unit.  The kinds with a cheaper test than
+        finding the inverse override it; a matrix takes Gauss-Jordan."""
         return self.try_invert(a) is not None
 
     def unit_count(self) -> int:
@@ -211,6 +233,9 @@ class ResidueRing(Ring):
             return pow(a, -1, self.n)
         except ValueError:
             return None
+
+    def is_unit(self, a: int) -> bool:
+        return math.gcd(self._check(a), self.n) == 1
 
     def one(self) -> int:
         return 1 % self.n
@@ -375,6 +400,9 @@ class GaloisField(Ring):
             e >>= 1
         return acc
 
+    def is_unit(self, a: int) -> bool:
+        return self._check(a) != 0
+
     def one(self) -> int:
         return 1
 
@@ -440,6 +468,10 @@ class ProductRing(Ring):
                 return None
             inv.append(ix)
         return self._encode(inv)
+
+    def is_unit(self, a: int) -> bool:
+        parts = zip(self.components, self._decode(self._check(a)))
+        return all(c.is_unit(x) for c, x in parts)
 
     def one(self) -> int:
         return self._encode([c.one() for c in self.components])

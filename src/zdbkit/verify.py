@@ -28,6 +28,7 @@ zero), which catches table or group-law corruption early.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,17 +76,22 @@ class DifferenceSpectrum:
         values, freq = np.unique(self.shift_counts, return_counts=True)
         return dict(zip(values.tolist(), freq.tolist()))
 
+    @functools.cached_property
+    def _extremes(self) -> tuple[int, int]:
+        shifts = self.shift_counts
+        return int(shifts.min()), int(shifts.max())
+
     @property
     def min_count(self) -> int:
-        return int(self.shift_counts.min())
+        return self._extremes[0]
 
     @property
     def max_count(self) -> int:
-        return int(self.shift_counts.max())
+        return self._extremes[1]
 
     @property
     def is_constant(self) -> bool:
-        return self.min_count == self.max_count
+        return self._extremes[0] == self._extremes[1]
 
     @property
     def constant_value(self) -> int | None:
@@ -165,7 +171,7 @@ def _distinct_count(values: np.ndarray) -> int:
 def difference_spectrum(fn: ZdbFunction) -> DifferenceSpectrum:
     """Exhaustive coincidence counts for every non-identity shift."""
     domain = fn.domain
-    counts = domain.difference_counts(np.arange(fn.n), fn.table)
+    counts = domain.difference_counts(None, fn.table)
     if counts[domain.identity] != fn.n:
         raise RuntimeError(
             f"counting identity violated: {counts[domain.identity]} identity pairs, not {fn.n}"

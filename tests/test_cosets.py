@@ -181,15 +181,18 @@ def test_partition_refuses_exactly_the_unit_difference_failures(ring):
 
 
 def test_partition_check_catches_overlapping_columns(monkeypatch):
-    # a faulty product 3 * 4 = 4 in Z_7 keeps the representatives 0, 1, 3 and
-    # the member count 6, but 4 lands in two cosets and 5 in none
+    # a faulty product 6 * 2 = 4 in Z_7, in the one row r -> r * 2 that the
+    # partition multiplies out, also makes 3 * 4 = 4 in the row gathered from it:
+    # the representatives stay 0, 1, 3 and the member count 6, but 4 lands in
+    # two cosets and 5 in none
     ring = ResidueRing(7)
     group = cyclic_subgroup(ring, 2)  # elements (1, 2, 4)
     exact = ring.mul_vec
 
     def faulty(a, b):
         out = exact(a, b)
-        out[2, 3] = 4  # [j, r] = r * g_j
+        assert b == 2
+        out[6] = 4
         return out
 
     monkeypatch.setattr(ring, "mul_vec", faulty)

@@ -7,11 +7,12 @@ shift-code distance identity against an all-pairs comparison of the
 codeword matrix, and the kernel's cross-block coverage against a
 scalar loop over all cross pairs.  The kernel itself is checked against
 a scalar loop over same-label pairs for labels that are negative, sparse
-(10^12 apart) or at the int64 extremes, with repeated elements, and
-``verify_zdb``'s distinct-symbol count against a set on int32 and int64
-tables.  The same-symbol recount of stored
-code distances is checked against the all-pairs comparison on random
-integer matrices and on the (2500, 834, 2) instance.  The distances and
+(10^12 apart) or at the int64 extremes, with repeated elements or with
+none given (the positions themselves), and ``verify_zdb``'s
+distinct-symbol count against a set on int32 and int64 tables.  The
+same-symbol recount of stored code distances is checked against the
+all-pairs comparison on random integer matrices and on the
+(2500, 834, 2) instance.  The distances and
 the coverage the builders read from the spectrum of a verification
 result are checked against the all-pairs comparison and against the
 kernel recount ``dss_perfect_check``, on random tables and on every
@@ -222,7 +223,11 @@ def test_difference_counts_match_the_scalar_pairs_for_any_labels(domain, pool, d
     labels = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
     with patch.object(domains_module, "_PAIR_BLOCK", block):
         counts = domain.difference_counts(np.array(elements), np.array(labels, dtype=np.int64))
+        # elements=None: the positions themselves, as a table's spectrum counts them
+        table = labels[: domain.order]
+        positions = domain.difference_counts(None, np.array(table, dtype=np.int64))
     assert counts.tolist() == brute_difference_counts(domain, elements, labels)
+    assert positions.tolist() == brute_difference_counts(domain, range(len(table)), table)
 
 
 def test_difference_counts_of_a_class_larger_than_the_buffer():
