@@ -117,7 +117,7 @@ def _guard(fn: ZdbFunction, matrix: bool, force: bool) -> None:
         cost, what = fn.n * fn.n, "codeword matrix entries"
     else:
         # over the symbols that occur: the claimed q may be far larger than the table
-        multiplicity = np.unique(fn.table, return_counts=True)[1]
+        multiplicity = np.diff(fn.grouping[1], prepend=0)
         cost, what = int(multiplicity @ multiplicity), "in-class pairs"
     if cost > ORDER_LIMIT**2 and not force:
         raise _UsageError(

@@ -21,11 +21,10 @@ strided copy of cyclic windows over the additive digits, with the
 subgroup coordinate gathered through its product table (see domains).
 
 A difference system is two read-only arrays: the points of every block in
-block order and the block ends, the cumulative block sizes.  A derived
-system's points are one stable argsort of the table, so each block is a
-symbol's preimage in ascending order, and its ends are the cumulative
-symbol counts.  JSON and CSV list the blocks; a stored system is read
-back into the same two arrays.
+block order and the block ends, the cumulative block sizes: the layout
+of a function's ``grouping`` by symbol, whose points a derived system
+shares, and of the runs the counting kernel reads.  JSON and CSV list the
+blocks; a stored system is read back into the same two arrays.
 
 Derivations refuse unverified input: each builder takes the function and
 an optional verification result, runs ``verify_zdb`` when none is given,
@@ -404,8 +403,10 @@ class DssSystem:
         if (np.diff(ends, prepend=0) < 0).any() or (ends[-1] if len(ends) else 0) != len(points):
             raise ValueError("block ends must ascend from 0 to the number of points")
         for name, values in (("points", points), ("ends", ends)):
-            values = np.array(values, dtype=np.int64)
-            values.flags.writeable = False
+            # a read-only int64 array owning its data, as a grouping, is shared
+            if values.dtype != np.int64 or values.flags.writeable or not values.flags.owndata:
+                values = np.array(values, dtype=np.int64)
+                values.flags.writeable = False
             object.__setattr__(self, name, values)
 
     @property
@@ -416,8 +417,9 @@ class DssSystem:
     def recount(self) -> tuple[int, int, bool]:
         """(q, tau, partitioned) from the arrays alone: the block count, the
         point count, and whether the points are every group element once."""
-        partitioned = np.array_equal(np.sort(self.points), np.arange(self.domain.order))
-        return len(self.ends), len(self.points), partitioned
+        order = self.domain.order
+        partitioned = len(self.points) == order and np.bincount(self.points, minlength=order).all()
+        return len(self.ends), len(self.points), bool(partitioned)
 
     def to_json(self) -> dict:
         points, ends = self.points.tolist(), self.ends.tolist()
@@ -654,16 +656,19 @@ def dss_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> D
     minus its largest count, and the system is perfect when it is
     constant.  With fewer than two blocks there are no cross pairs, so
     lam is 0 and the system is not perfect, as in ``dss_perfect_check``.
-    The points are one stable argsort of the table and the ends its
-    cumulative symbol counts, so block b lists the preimage of symbol b
-    in ascending order.
+    The points are the function's grouping by symbol, shared with it, and
+    each run goes to its symbol's block: block b is symbol b's preimage in
+    ascending order, empty if a forced result let an unused symbol through.
     """
     spec = _require_verified(fn, result).spectrum
     crossed = fn.q >= 2
+    points, runs = fn.grouping
+    sizes = np.zeros(fn.q, dtype=np.int64)
+    sizes[fn.table[points[runs - 1]]] = np.diff(runs, prepend=0)
     return DssSystem(
         domain=fn.domain,
-        points=np.argsort(fn.table, kind="stable"),
-        ends=np.cumsum(np.bincount(fn.table, minlength=fn.q)),
+        points=points,
+        ends=np.cumsum(sizes),
         q=fn.q,
         tau=fn.n,
         lam=fn.n - spec.max_count if crossed else 0,
@@ -679,8 +684,8 @@ def dss_perfect_check(system: DssSystem) -> PerfectCheck:
     reports the minimum coverage of nonzero group elements, whether the
     coverage is uniform, and its level when it is.  A system with fewer
     than two blocks has no cross pairs at all.  Overlapping blocks raise
-    RuntimeError.  Block b's points carry label b, read off the block
-    ends; the points themselves were checked when the system was made.
+    RuntimeError.  The blocks are the kernel's runs as stored, and all
+    pairs are one run of every point, checked when the system was made.
     """
     domain, points, ends = system.domain, system.points, system.ends
     if len(ends) < 2:
@@ -688,9 +693,8 @@ def dss_perfect_check(system: DssSystem) -> PerfectCheck:
     if system.recount()[2]:  # a partition: every difference arises from exactly n pairs
         union = domain.order
     else:
-        union = domain.difference_counts(points, np.zeros_like(points))
-    labels = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
-    counts = union - domain.difference_counts(points, labels)
+        union = domain.difference_counts(points, [len(points)])
+    counts = union - domain.difference_counts(points, ends)
     if counts[domain.identity] != 0:
         raise RuntimeError("blocks are not disjoint")
     nonzero = np.delete(counts, domain.identity)

@@ -29,6 +29,7 @@ construction byte-deterministic.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from .domains import (
     AbelianDomain,
     RingAdditiveDomain,
     RingTimesGroupDomain,
+    _sorted_by_label,
     domain_from_json,
 )
 from .errors import ConditionNotSatisfiedError, _field, _int_list
@@ -140,6 +142,7 @@ class ZdbFunction:
     It is copied once into a read-only array, int32 unless q exceeds
     2**31 - 1 (then int64), so a verification result stays the result of
     the table it counted: ``table`` can be neither written nor rebound.
+    For the same reason its ``grouping`` by symbol is made once and kept.
     """
 
     def __init__(
@@ -175,6 +178,13 @@ class ZdbFunction:
     @property
     def table(self) -> np.ndarray:
         return self._table
+
+    @functools.cached_property
+    def grouping(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table grouped by symbol, read-only: see ``_sorted_by_label``."""
+        points, ends = _sorted_by_label(self._table)
+        points.flags.writeable = ends.flags.writeable = False
+        return points, ends
 
     @property
     def n(self) -> int:

@@ -12,13 +12,14 @@ the product shape they split a flat index as r = a // e and
 position = a - r * e, the same remainder the rings use in place of
 numpy's slower %, and gather the subgroup part from mul_pos read flat
 at p_a * e + p_b.  ``difference_counts``, the one kernel behind every
-certificate, is built on them and on nothing else.  It stacks the label
-classes of one size w as a (w, c) matrix with the c classes innermost,
-so that each group-law call on the (w, w, c) pair block runs inner
-loops of length c rather than c loops of length w.  ``shift_rows``
-returns full translation rows for any list of shifts, one permutation
-of the domain per shift; it is derived from ``op_vec`` once, for both
-shapes.
+certificate, is built on them and on nothing else.  It sorts nothing:
+it is handed runs (points, ends), a table's grouping by symbol from
+``_sorted_by_label`` or a stored system's blocks, and stacks the runs
+of one size w as a (w, c) matrix with the c runs innermost, so each
+group-law call on the (w, w, c) pair block runs inner loops of length
+c, not c loops of length w.  ``shift_rows`` returns full translation
+rows for any list of shifts, one permutation of the domain per shift,
+derived from ``op_vec`` once for both shapes.
 
 ``translates`` builds the matrix of every translate of a table, row a
 being y -> table[op(a, y)], without index arithmetic.  The additive
@@ -66,12 +67,12 @@ def _pair_blocks(start, width):
 
 
 def _sorted_by_label(labels):
-    """The positions sorted by label, and the start and size of each
-    label's run in that order.
+    """The positions sorted stably by label and the cumulative sizes of
+    their runs: the grouping (points, ends) that ``difference_counts`` reads.
 
     When the label span times the length fits an int64, one value sort of
-    (label - min) << bits | position stands in for the argsort, which
-    takes several times longer; other labels take the argsort.
+    (label - min) << bits | position stands in for the stable argsort,
+    which takes several times longer; other labels take the argsort.
     """
     labels = np.array(labels, dtype=np.int64)  # a copy, reused as the sort key
     m = len(labels)
@@ -85,12 +86,9 @@ def _sorted_by_label(labels):
         by_label = labels & ((1 << bits) - 1)
         labels >>= bits
     else:
-        by_label = np.argsort(labels)
+        by_label = np.argsort(labels, kind="stable")
         labels = labels[by_label]
-    first = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-    if m:
-        first = np.concatenate(([0], first))
-    return by_label, first, np.diff(first, append=m)
+    return by_label, np.flatnonzero(np.append(labels[1:] != labels[:-1], m > 0)) + 1
 
 
 def _class_blocks(x, starts, w):
@@ -159,41 +157,35 @@ class AbelianDomain:
         out.reshape(radices + (e,) + radices + (e,))[...] = windows.transpose(a + [0] + y + [k + 1])
         return out
 
-    def difference_counts(self, elements, labels) -> np.ndarray:
-        """counts[a] = #{(i, j) : labels[i] == labels[j] and
-        op(elements[i], inverse(elements[j])) == a}, for every group element a.
+    def difference_counts(self, points, ends) -> np.ndarray:
+        """counts[a] = #{(i, j) : i and j in one run and
+        op(points[i], inverse(points[j])) == a}, for every group element a,
+        where run b is points[ends[b-1] : ends[b]] (from 0 for b = 0).
 
-        Only pairs inside one label class are formed, so the cost is the
-        sum of squared class sizes rather than the square of their total.
-        Repeated elements count once per occurrence.  Every pair (i, i)
-        lands on the identity, so counts[identity] >= len(elements).
-        elements=None stands for the positions 0 .. len(labels) - 1, the
-        elements of a table: the sort permutation is then used as it is,
-        with no gather through it.
-
-        The elements are sorted by label and the classes read off the run
-        boundaries of the sorted labels.  One-member classes add their
-        number to the identity's count without the group law.  The classes
-        of each larger size w are stacked into a (w, c) matrix, whose pairs
-        are op_vec of its members against their inverses, broadcast to
-        (w, w, c).  The differences collect in a buffer of at least order
-        entries, so each order-length bincount counts at least as many
-        pairs as it has bins; a block that fills the buffer alone, as one
-        row of a class with more members than the buffer has entries does,
-        is counted without it.
+        Only pairs inside one run are formed, so the cost is the sum of
+        squared run sizes, not the square of their total; an empty run
+        counts nothing.  Repeated points count once per occurrence.  Every
+        pair (i, i) lands on the identity, so counts[identity] >= len(points).
+        One-member runs add their number to the identity's count without the
+        group law.  The runs of each larger size w are stacked into a (w, c)
+        matrix, whose pairs are op_vec of its members against their
+        inverses, broadcast to (w, w, c).  The differences collect in a
+        buffer of at least order entries, so each order-length bincount
+        counts at least as many pairs as it has bins; a block that fills the
+        buffer alone, as a row of a run with more members than it has
+        entries, is counted without it.
         """
-        x, first, size = _sorted_by_label(labels)
-        if elements is not None:
-            x = np.asarray(elements, dtype=np.int64)[x]
+        x, ends = np.asarray(points, dtype=np.int64), np.asarray(ends)
+        size = np.diff(ends, prepend=0)
         counts = np.zeros(self.order, dtype=np.int64)
         buffer = np.empty(max(_PAIR_BLOCK, self.order), dtype=np.int64)
         fill = 0
-        classes = np.bincount(size)  # classes[w]: the number of w-member classes
-        for w in np.flatnonzero(classes).tolist():
-            if w == 1:  # a one-member class pairs only with itself, at the identity
+        classes = np.bincount(size)  # classes[w]: the number of w-member runs
+        for w in (np.flatnonzero(classes[1:]) + 1).tolist():  # empty runs have no pairs
+            if w == 1:  # a one-member run pairs only with itself, at the identity
                 counts[self.identity] = classes[1]
                 continue
-            for rows, members in _class_blocks(x, first[size == w], w):
+            for rows, members in _class_blocks(x, ends[size == w] - w, w):
                 diffs = self.op_vec(rows, self.inverse_vec(members)).ravel()
                 if len(diffs) >= len(buffer):  # a row block of a class larger than the buffer
                     counts += np.bincount(diffs, minlength=self.order)

@@ -16,7 +16,7 @@ number of same-symbol pairs (x, y) with x - y = a.  The domain's
 ``difference_counts`` kernel forms exactly those pairs, at a cost of
 sum of squared symbol multiplicities, about n * (lambda + 1) group
 operations for a ZDB function, instead of n^2 for a shift-by-shift
-scan.
+scan.  The classes are the runs of the function's ``grouping``.
 
 Every count re-checks the identity
 
@@ -161,17 +161,10 @@ class CompositionProfile:
         return {"counts": list(self.counts), "sorted": list(self.sorted_counts)}
 
 
-def _distinct_count(values: np.ndarray) -> int:
-    """Number of distinct entries, from one sort: on a large integer table
-    a sort is several times faster than np.unique's hash pass."""
-    ordered = np.sort(values)
-    return int(np.count_nonzero(ordered[1:] != ordered[:-1])) + (len(ordered) > 0)
-
-
 def difference_spectrum(fn: ZdbFunction) -> DifferenceSpectrum:
     """Exhaustive coincidence counts for every non-identity shift."""
     domain = fn.domain
-    counts = domain.difference_counts(None, fn.table)
+    counts = domain.difference_counts(*fn.grouping)
     if counts[domain.identity] != fn.n:
         raise RuntimeError(
             f"counting identity violated: {counts[domain.identity]} identity pairs, not {fn.n}"
@@ -185,7 +178,7 @@ def verify_zdb(fn: ZdbFunction) -> VerificationResult:
     Succeeds iff the spectrum is constant at the claimed lambda and the
     table uses exactly q distinct symbols.
     """
-    distinct = _distinct_count(fn.table)
+    distinct = len(fn.grouping[1])
     if distinct != fn.q:
         return VerificationResult(
             ok=False, n=fn.n, failure_kind="image", expected=fn.q, actual=distinct, fn=fn

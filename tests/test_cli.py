@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 
 from zdbkit import (
@@ -22,6 +23,7 @@ from zdbkit import (
     ZdbFunction,
     run_recipe,
 )
+from zdbkit import construct as construct_module
 from zdbkit import domains as domains_module
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -677,6 +679,37 @@ def test_codes_count_the_spectrum_once(run_cli, tmp_path, monkeypatch, kind):
     for fmt in ("json", "csv", "text"):
         assert run_cli(["codes", kind, "--input", str(f), "--format", fmt])[0] == 0
     assert calls == [21, 21, 21]
+
+
+def test_a_table_is_grouped_once_and_a_stored_system_not_at_all(run_cli, tmp_path, monkeypatch):
+    f, dss = tmp_path / "f.json", tmp_path / "dss.json"
+    run_cli(["zdb", "construct", "product", "--ring", Z7_RING, "--g", "2", "--h", "6",
+             "--out", str(f)])
+    n = len(json.loads(f.read_text())["table"])
+    calls = []
+
+    def counted(name, real, every=False):
+        def wrapper(values, *args, **kwargs):
+            if every or np.size(values) == n:
+                calls.append(name)
+            return real(values, *args, **kwargs)
+        return wrapper
+
+    # ZdbFunction.grouping looks the grouping function up in construct's namespace
+    monkeypatch.setattr(
+        construct_module, "_sorted_by_label",
+        counted("group", construct_module._sorted_by_label, every=True),
+    )
+    for name in ("sort", "argsort", "unique"):
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+    for argv, expected in (
+        (["zdb", "verify", "--input", str(f), "--format", "text"], ["group"]),
+        (["codes", "dss", "--input", str(f), "--out", str(dss)], ["group"]),
+        (["codes", "check-bounds", "--in", str(dss)], []),
+    ):
+        calls.clear()
+        assert run_cli(argv)[0] == 0
+        assert calls == expected, argv
 
 
 def test_codes_dss_on_a_one_symbol_table(run_cli, tmp_path):

@@ -5,11 +5,13 @@ small rings of every kind, in both domain shapes, are counted three
 ways: the kernel spectrum against the shift-by-shift gather scan, the
 shift-code distance identity against an all-pairs comparison of the
 codeword matrix, and the kernel's cross-block coverage against a
-scalar loop over all cross pairs.  The kernel itself is checked against
-a scalar loop over same-label pairs for labels that are negative, sparse
-(10^12 apart) or at the int64 extremes, with repeated elements or with
-none given (the positions themselves), and ``verify_zdb``'s
-distinct-symbol count against a set on int32 and int64 tables.  The
+scalar loop over all cross pairs.  The grouping by label is checked
+against numpy's stable argsort and the run sizes, on its packed-key and
+argsort branches, and the kernel against a scalar loop over same-label
+pairs for labels that are negative, sparse (10^12 apart) or at the int64
+extremes, grouped with repeated elements, with empty runs added, or as a
+table (the positions themselves), and ``verify_zdb``'s distinct-symbol
+count against a set on int32 and int64 tables.  The
 same-symbol recount of stored code distances is checked against the
 all-pairs comparison on random integer matrices and on the
 (2500, 834, 2) instance.  The distances and
@@ -79,6 +81,7 @@ from zdbkit import (
 from zdbkit import codes as codes_module
 from zdbkit import domains as domains_module
 from zdbkit.codes import _shared_composition, _shift_codewords
+from zdbkit.domains import _sorted_by_label
 
 RINGS = [
     ResidueRing(2),
@@ -208,6 +211,27 @@ def brute_difference_counts(domain, elements, labels):
     return counts
 
 
+def stable_grouping(labels):
+    """The stable argsort of labels and the cumulative sizes of their runs."""
+    labels = np.array(labels, dtype=np.int64)
+    return np.argsort(labels, kind="stable"), np.cumsum(np.unique(labels, return_counts=True)[1])
+
+
+@pytest.mark.parametrize(
+    "labels, argsorts",
+    [
+        ([3, -1, 3, 0, -1, 3, 3], 0),  # a small span: one sort of the packed key
+        ([2**62, 0, 2**62, 5, 0], 1),  # a span past the packed key: the stable argsort
+    ],
+)
+def test_grouping_is_the_stable_argsort_and_its_run_ends(labels, argsorts):
+    expected = stable_grouping(labels)
+    with patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        by_label, ends = _sorted_by_label(labels)
+    assert argsort.call_count == argsorts
+    assert (by_label.tolist(), ends.tolist()) == tuple(a.tolist() for a in expected)
+
+
 @SETTINGS
 @given(
     st.sampled_from(LABEL_DOMAINS),
@@ -221,22 +245,28 @@ def test_difference_counts_match_the_scalar_pairs_for_any_labels(domain, pool, d
     size = data.draw(st.integers(0, 40))
     elements = data.draw(st.lists(st.integers(0, domain.order - 1), min_size=size, max_size=size))
     labels = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    by_label, ends = _sorted_by_label(labels)
+    assert [a.tolist() for a in (by_label, ends)] == [a.tolist() for a in stable_grouping(labels)]
+    # repeated ends are empty runs, as empty blocks of a difference system give
+    empty = data.draw(st.lists(st.sampled_from([0, *ends.tolist()]), max_size=3))
     with patch.object(domains_module, "_PAIR_BLOCK", block):
-        counts = domain.difference_counts(np.array(elements), np.array(labels, dtype=np.int64))
-        # elements=None: the positions themselves, as a table's spectrum counts them
+        points = np.array(elements, dtype=np.int64)[by_label]
+        with_empty = np.array(sorted(ends.tolist() + empty), dtype=np.int64)
+        counts = domain.difference_counts(points, with_empty)
+        # a table's grouping: the positions themselves, as its spectrum counts them
         table = labels[: domain.order]
-        positions = domain.difference_counts(None, np.array(table, dtype=np.int64))
+        positions = domain.difference_counts(*_sorted_by_label(table))
     assert counts.tolist() == brute_difference_counts(domain, elements, labels)
     assert positions.tolist() == brute_difference_counts(domain, range(len(table)), table)
 
 
 def test_difference_counts_of_a_class_larger_than_the_buffer():
-    # one label over 40 elements of Z_31, repeats included: with one-pair
+    # one run of 40 elements of Z_31, repeats included: with one-pair
     # blocks every row's 40 differences outgrow the 31-entry buffer
     domain = RingAdditiveDomain(ResidueRing(31))
     elements = [(7 * i) % 31 for i in range(40)]
     with patch.object(domains_module, "_PAIR_BLOCK", 1):
-        counts = domain.difference_counts(np.array(elements), np.zeros(40, dtype=np.int64))
+        counts = domain.difference_counts(np.array(elements), np.array([40]))
     assert counts.tolist() == brute_difference_counts(domain, elements, [0] * 40)
 
 
@@ -338,11 +368,13 @@ def preimage_lists(fn):
 
 
 @SETTINGS
+@example(ZdbFunction(RingAdditiveDomain(ResidueRing(4)), 3, [2, 0, 2, 0], 0))  # symbol 1 unused
 @given(functions())
 def test_dss_arrays_match_the_preimage_lists(fn):
     # unused symbols leave empty blocks; q = 1 leaves no cross pairs
     blocks = preimage_lists(fn)
     system = dss_from_zdb(fn, passing_result(fn))
+    assert system.points is fn.grouping[0]  # shared with the function, not copied
     data = system.to_json()
     assert data["blocks"] == blocks
     assert system.to_csv() == "\n".join(",".join(str(y) for y in b) for b in blocks) + "\n"
