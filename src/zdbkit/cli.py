@@ -15,8 +15,10 @@ maps each exception type to its code in one table, ``_EXIT_CODES``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from typing import Iterable
 
 import numpy as np
 
@@ -42,7 +44,6 @@ from .codes import (
     dss_from_zdb,
     dss_perfect_check,
     dss_report,
-    matrix_json,
 )
 from .construct import (
     ZdbFunction,
@@ -68,23 +69,29 @@ class _UsageError(ZdbError):
     pass
 
 
-def _dumps(obj, codewords: np.ndarray | None = None) -> str:
-    """Compact JSON; a given codeword matrix is rendered by ``matrix_json``
-    into the "codewords" slot, which obj holds as None."""
-    text = json.dumps(obj, separators=(",", ":"))
-    if codewords is None:
-        return text
-    head, _, tail = text.partition('"codewords":null')
-    parts = [head.encode(), b'"codewords":', *matrix_json(codewords), tail.encode()]
-    return b"".join(parts).decode("ascii")
+def _dumps(obj, key: str | None = None, value: Iterable[bytes] = ()) -> Iterable[bytes]:
+    """Compact JSON of obj and a newline, as byte parts.  With a key, obj
+    holds None there and the value's text is the given parts, a matrix or
+    block list that its owner renders one band at a time."""
+    text = json.dumps(obj, separators=(",", ":")) + "\n"
+    if key is None:
+        return [text.encode()]
+    head, _, tail = text.partition(f'"{key}":null')
+    return itertools.chain([f'{head}"{key}":'.encode()], value, [tail.encode()])
 
 
-def _write(args, text: str) -> None:
+def _write(args, parts: str | Iterable[bytes]) -> None:
+    """Send text, or byte parts as they come, to --out or to standard output;
+    the stream is flushed, so a later line on standard error comes after them."""
+    if isinstance(parts, str):
+        parts = [parts.encode()]
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(args.out, "wb") as fh:
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(parts)
+        sys.stdout.buffer.flush()
 
 
 def _load_text(value: str) -> str:
@@ -143,7 +150,7 @@ def _emit_zdb(args, fn: ZdbFunction) -> None:
     if args.format == "text":
         _write(args, _zdb_text(*fn.claimed_parameters()))
     elif args.format == "json":
-        _write(args, _dumps(fn.to_json()) + "\n")
+        _write(args, _dumps(fn.to_json()))
     else:
         raise _UsageError("csv output is not defined for this command")
 
@@ -166,7 +173,7 @@ def _cmd_ring_info(args) -> int:
             f"{'commutative' if info['commutative'] else 'noncommutative'}\n",
         )
     elif args.format == "json":
-        _write(args, _dumps(info) + "\n")
+        _write(args, _dumps(info))
     else:
         raise _UsageError("csv output is not defined for this command")
     return 0
@@ -183,7 +190,7 @@ def _cmd_cosets_partition(args) -> int:
             f"cosets of size {group.order}\n",
         )
     elif args.format == "json":
-        _write(args, _dumps(part.to_json()) + "\n")
+        _write(args, _dumps(part.to_json()))
     else:
         raise _UsageError("csv output is not defined for this command")
     return 0
@@ -210,12 +217,12 @@ def _cmd_zdb_verify(args) -> int:
     res = verify_zdb(fn)
     if not res.ok:
         print(f"verification failed: {_failure_note(res)}", file=sys.stderr)
-        _write(args, _dumps(res.to_json()) + "\n")
+        _write(args, _dumps(res.to_json()))
         return 1
     if args.format == "text":
         _write(args, _zdb_text(res.n, res.m, res.lam))
     elif args.format == "json":
-        _write(args, _dumps({"n": res.n, "m": res.m, "lambda": res.lam}) + "\n")
+        _write(args, _dumps({"n": res.n, "m": res.m, "lambda": res.lam}))
     else:
         raise _UsageError("csv output is not defined for this command")
     return 0
@@ -234,9 +241,9 @@ def _cmd_codes(args) -> int:
     if args.kind == "dss":
         system = dss_from_zdb(fn, res)
         if args.format == "json":
-            _write(args, _dumps(system.to_json()) + "\n")
+            _write(args, _dumps(system.to_json(blocks=False), "blocks", system.text_parts("json")))
         elif args.format == "csv":
-            _write(args, system.to_csv())
+            _write(args, system.text_parts("csv"))
         else:
             _write(
                 args,
@@ -246,9 +253,9 @@ def _cmd_codes(args) -> int:
         return 0
     book = (ccc_from_zdb if args.kind == "ccc" else cwc_from_zdb)(fn, res)
     if args.format == "json":
-        _write(args, _dumps(book.to_json(codewords=False), book.codewords) + "\n")
+        _write(args, _dumps(book.to_json(codewords=False), "codewords", book.text_parts("json")))
     elif args.format == "csv":
-        _write(args, book.to_csv())
+        _write(args, book.text_parts("csv"))
     else:
         tail = f" w={book.weight}" if book.kind == "CWC" else ""
         _write(args, f"({book.n}, {book.M}, {book.d}) {book.kind} q={book.q}{tail}\n")
@@ -279,16 +286,13 @@ def _recheck_codebook(book: CodeBook, force: bool) -> list[str]:
     # every symbol is below q, so counts past the largest one are zeros; an
     # alphabet wider than the matrix is counted over the symbols that occur
     top = int(words.max()) + 1 if words.size else 1
-    if top <= words.size:
-        symbols, index = range(top), words
-    else:
-        symbols, index = np.unique(words, return_inverse=True)
-        symbols, index = symbols.tolist(), index.reshape(words.shape)
-    shared = _shared_composition(index, len(symbols))
+    symbols = None if top <= words.size else np.unique(words)
+    shared = _shared_composition(words, top, symbols)
     if shared is None:
         problems.append("codewords do not share one composition")
     elif book.composition is not None:
-        composition = dict(zip(symbols, shared.tolist()))
+        keys = range(top) if symbols is None else symbols.tolist()
+        composition = dict(zip(keys, shared.tolist()))
         if len(book.composition) != book.q or any(
             w != composition.get(s, 0) for s, w in enumerate(book.composition)
         ):
@@ -328,8 +332,8 @@ def _print_failures(problems: list[str]) -> None:
 
 
 def _cmd_check_bounds(args) -> int:
-    with open(args.input, encoding="utf-8") as fh:
-        data = json.loads(fh.read(), cls=CodewordDecoder)
+    with open(args.input, "rb") as fh:
+        data = CodewordDecoder.decode_bytes(fh.read())
     if not isinstance(data, dict):
         raise _UsageError(f"the payload must be a JSON object, not {type(data).__name__}")
     kind = data.get("kind")
@@ -360,19 +364,19 @@ def _cmd_check_bounds(args) -> int:
             f"{report.achieved} optimal {str(report.optimal).lower()}\n",
         )
     elif args.format == "json":
-        _write(args, _dumps(out) + "\n")
+        _write(args, _dumps(out))
     else:
         raise _UsageError("csv output is not defined for this command")
     return 0 if ok else 1
 
 
-def _result_lines(args, results) -> str:
+def _result_lines(args, results) -> str | Iterable[bytes]:
     if args.format == "text":
         return "".join(
             _zdb_text(*r.certified).rstrip("\n") + f"  {r.label}\n" for r in results
         )
     if args.format == "json":
-        return "".join(_dumps(r.to_json()) + "\n" for r in results)
+        return [part for r in results for part in _dumps(r.to_json())]
     raise _UsageError("csv output is not defined for this command")
 
 
@@ -403,7 +407,7 @@ def _cmd_catalog_certify(args) -> int:
             for row in report.rows
         )
     elif args.format == "json":
-        body = "".join(_dumps(row) + "\n" for row in report.rows)
+        body = [part for row in report.rows for part in _dumps(row)]
     else:
         raise _UsageError("csv output is not defined for this command")
     _write(args, body)

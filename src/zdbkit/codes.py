@@ -24,7 +24,8 @@ A difference system is two read-only arrays: the points of every block in
 block order and the block ends, the cumulative block sizes: the layout
 of a function's ``grouping`` by symbol, whose points a derived system
 shares, and of the runs the counting kernel reads.  JSON and CSV list the
-blocks; a stored system is read back into the same two arrays.
+blocks, rendered from the two arrays; a stored system is read back into the
+same two arrays.
 
 Derivations refuse unverified input: each builder takes the function and
 an optional verification result, runs ``verify_zdb`` when none is given,
@@ -44,17 +45,22 @@ Codebooks that arrive as explicit matrices are rechecked by
 rows: two rows agree at a coordinate exactly when they share its
 symbol, so the agreements of every pair of rows are counted from the
 same-symbol row pairs of each column, at a cost of the sum of squared
-class sizes rather than M^2 n symbol comparisons.  Bound arithmetic is
-exact (integers and fractions); no floats are involved anywhere.
+class sizes rather than M^2 n symbol comparisons, in memory of 2.5 int16
+matrices for a shift code.  Bound arithmetic is exact (integers and
+fractions); no floats are involved anywhere.
 
-Codeword matrices cross the JSON boundary as arrays.  The writer renders
-an int matrix straight to the text ``json.dumps(words.tolist())`` gives
-with compact separators, and ``CodeBook.to_csv`` uses the same writer.
-The reader, ``CodewordDecoder``, has a fast path for a canonical matrix
+Codeword matrices and block lists cross the file boundary as arrays, in
+memory bounded by the array and one band.  One writer renders the rows of
+an int matrix, or the blocks of a system, to the text ``json.dumps`` of
+the lists gives with compact separators, or to their CSV lines, one part
+per band, which the command line writes as it goes.  The reader,
+``CodewordDecoder``, has a fast path for a canonical matrix
 (``[[d,...],...]``: ASCII digits only, no leading zeros, at most nine
 digits, equal nonempty rows, no whitespace), a strict subset of what
-``json.loads`` accepts, on which it gives the same value as an array.
-Any other text goes through ``json.loads`` unchanged, errors included.
+``json.loads`` accepts, on which it gives the same value as an int16 array
+(int32 when a symbol needs it), filled block by block; on a file's bytes it
+parses the matrix from the bytes themselves.  Any other text goes through
+``json.loads`` unchanged, errors included.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from json.decoder import WHITESPACE, scanstring
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,10 +108,12 @@ __all__ = [
 ]
 
 # matrix cells that distance_range sorts, or holds agreement counts for, at once;
-# the matrix writer renders 8 * _BAND cells at a time
-_BAND = 1 << 15
-# characters of matrix text the reader parses at once
-_READ_BLOCK = 1 << 20
+# its pair temporaries take over a hundred bytes a cell, about a megabyte a band.
+# The block writer renders 8 * _BAND values, a few hundred kilobytes of text, at once
+_BAND = 1 << 13
+# characters of matrix text the reader parses at once; its temporaries take
+# about fifteen bytes a character
+_READ_BLOCK = 1 << 17
 
 
 @dataclass
@@ -164,9 +172,9 @@ class CodeBook:
     def from_json(data: dict) -> "CodeBook":
         """Read a book parsed by ``json.loads``, where the codewords are
         lists of rows, or by ``CodewordDecoder``, whose fast path gives a
-        canonical matrix, a strict subset of those texts, as an int32
-        array with the same value.  The matrix is stored as int16 when
-        every symbol fits, else as int32."""
+        canonical matrix, a strict subset of those texts, as an array with
+        the same value.  The matrix is stored as int16 when every symbol
+        fits, else as int32."""
         rows = _field(data, "codewords", None)
         if isinstance(rows, np.ndarray):
             words = rows
@@ -189,7 +197,7 @@ class CodeBook:
             except OverflowError as exc:
                 raise ValueError(f"codeword symbol out of range: {exc}") from None
         if words.size and -(2**15) <= words.min() and words.max() < 2**15:
-            words = words.astype(np.int16)
+            words = words.astype(np.int16, copy=False)
         n, M, q, d = (_field(data, key) for key in ("n", "M", "q", "d"))
         composition = None
         if "composition" in data:
@@ -207,52 +215,94 @@ class CodeBook:
             weight=_field(data, "weight") if "weight" in data else None,
         )
 
-    def to_csv(self) -> str:
+    def text_parts(self, fmt: str) -> Iterator[bytes]:
+        """The codewords as a JSON list of rows (fmt "json") or as CSV lines
+        (fmt "csv"), in byte parts of about 8 * _BAND symbols each."""
         words = self.codewords
-        if not words.size:
-            return "\n" * max(len(words), 1)
-        return b"".join(_text_rows(words, b"\n", b"\n")).decode("ascii")
+        return _block_text(words.ravel(), _row_ends(words), fmt)
+
+    def to_csv(self) -> str:
+        return b"".join(self.text_parts("csv")).decode("ascii")
 
 
-def _text_rows(words: np.ndarray, row_end: bytes, last_end: bytes) -> list[bytes]:
-    """The rows of a nonempty int matrix as decimal text, one part per band
-    of rows: "," between the symbols of a row, row_end after each row but
-    the last, last_end after it.
+def _decimal(keys: np.ndarray) -> np.ndarray:
+    """Each key as the text "%d," in a fixed-width byte array: right-aligned,
+    NUL-padded, the sign in a column of its own when any key is negative."""
+    x = keys.astype(np.int64)
+    negative = x < 0
+    magnitude = np.abs(x).astype(np.uint64)  # -2**63 stays itself and reads as 2**63
+    most = len(str(int(magnitude.max()))) if len(x) else 1
+    sign = int(negative.any())
+    cells = np.zeros((len(x), sign + most + 1), dtype=np.uint8)
+    cells[negative, 0] = ord("-")
+    cells[:, -1] = ord(",")
+    cells[:, -2] = magnitude % 10 + ord("0")
+    for col in range(sign + most - 2, sign - 1, -1):
+        magnitude //= 10
+        cells[:, col] = np.where(magnitude > 0, magnitude % 10 + ord("0"), 0)
+    return cells.view(f"S{cells.shape[1]}").ravel()
 
-    Each band is gathered from per-call tables of fixed-width byte tokens,
-    "s," for a symbol inside a row and "s" for the last one, with a
-    row_end column appended; the NUL padding of shorter tokens is dropped.
+
+# the text (before the first block, after each block but the last, after the
+# last, of no blocks at all) of each format the block writer renders
+_LAYOUTS = {"json": (b"[[", b"],[", b"]]", b"[]"), "csv": (b"", b"\n", b"\n", b"\n")}
+
+
+def _block_text(values: np.ndarray, ends: np.ndarray, fmt: str) -> Iterator[bytes]:
+    """The blocks values[ends[b-1] : ends[b]] (from 0 for b = 0) of an int
+    array as decimal text with "," between the values of a block: a JSON
+    list of lists for fmt "json", one CSV line per block for "csv".
+
+    The text is yielded in parts of 8 * _BAND items, an item being a value
+    or the mark after a block; the mark of block b is item ends[b] + b.
+    Each part is gathered from a per-call table of right-aligned "%d,"
+    tokens and the mark texts into one fixed-width byte array; the comma of
+    the last value of each block and the NUL padding are dropped.
     """
-    m, n = words.shape
-    lo, hi = int(words.min()), int(words.max())
-    dense = hi - lo <= words.size
-    keys = np.arange(lo, hi + 1) if dense else np.unique(words)
-    mid = np.array([b"%d," % s for s in keys.tolist()])
-    token = np.dtype(f"S{max(mid.itemsize, len(row_end))}")
-    mid = mid.astype(token)
-    last = np.array([b"%d" % s for s in keys.tolist()], dtype=token)
-    parts = []
-    step = max(1, 8 * _BAND // (n + 1))
-    for r0 in range(0, m, step):
-        band = words[r0 : r0 + step]
+    head, between, last, empty = _LAYOUTS[fmt]
+    q = len(ends)
+    if q == 0:
+        yield empty
+        return
+    yield head
+    lo, hi = (int(values.min()), int(values.max())) if len(values) else (0, 0)
+    dense = hi - lo <= len(values)
+    keys = np.arange(lo, hi + 1) if dense else np.unique(values)
+    tokens = _decimal(keys)
+    cell = np.dtype(f"S{max(tokens.itemsize, len(between), len(last))}")
+    marks = np.asarray(ends, dtype=np.int64) + np.arange(q)
+    total = len(values) + q
+    taken = 0  # values before the band
+    for i0 in range(0, total, 8 * _BAND):
+        i1 = min(i0 + 8 * _BAND, total)
+        a, b = np.searchsorted(marks, (i0, i1 + 1))  # the item after the band included
+        mark = np.zeros(i1 - i0 + 1, dtype=bool)
+        mark[marks[a:b] - i0] = True
+        inside = mark[:-1]
+        band = values[taken : taken + i1 - i0 - np.count_nonzero(inside)]
+        taken += len(band)
         index = np.subtract(band, lo, dtype=np.intp) if dense else np.searchsorted(keys, band)
-        cells = np.empty((len(band), n + 1), dtype=token)
-        cells[:, :-1] = mid[index]
-        cells[:, -2] = last[index[:, -1]]
-        cells[:, -1] = row_end
-        parts.append(cells.tobytes().replace(b"\0", b""))
-    parts[-1] = parts[-1][: -len(row_end)] + last_end
-    return parts
+        cells = np.empty(i1 - i0, dtype=cell)
+        cells[~inside] = tokens[index]
+        cells[inside] = between
+        if i1 == total:
+            cells[-1] = last
+        ending = mark[1:] & ~inside  # the last value of a block: no comma
+        cells.view(np.uint8).reshape(len(cells), -1)[ending, tokens.itemsize - 1] = 0
+        yield cells.tobytes().replace(b"\0", b"")
 
 
-def matrix_json(words: np.ndarray) -> list[bytes]:
+def _row_ends(words: np.ndarray) -> np.ndarray:
+    m, n = words.shape
+    return np.arange(1, m + 1) * n
+
+
+def matrix_json(words: np.ndarray) -> Iterator[bytes]:
     """Parts of the text json.dumps(words.tolist(), separators=(",", ":"))."""
-    if not words.size:
-        return [json.dumps(words.tolist(), separators=(",", ":")).encode()]
-    return [b"[[", *_text_rows(words, b"],[", b"]]")]
+    return _block_text(words.ravel(), _row_ends(words), "json")
 
 
-def _parse_rows(raw: bytes) -> tuple[np.ndarray, int] | None:
+def _parse_rows(raw: bytes | memoryview) -> tuple[np.ndarray, int] | None:
     """Symbols and row width of canonical rows "[d,...],...,[d,...]", or None.
 
     raw starts with "[" and ends with "]", where _parse_matrix cuts it.  A
@@ -286,39 +336,50 @@ def _parse_rows(raw: bytes) -> tuple[np.ndarray, int] | None:
     return value, width
 
 
-def _parse_matrix(s: str, i: int) -> tuple[np.ndarray, int] | None:
-    """The canonical matrix starting at s[i] as an int32 array, and the index
-    just past it; None when the text there is anything else.
+def _parse_matrix(s: str | bytes, i: int) -> tuple[np.ndarray, int] | None:
+    """The canonical matrix starting at s[i] as an int16 array when every
+    symbol fits, else int32, and the index just past it; None when the text
+    there is anything else.
 
-    The rows are parsed in blocks of about _READ_BLOCK characters, each
-    cut after a row, so the temporaries stay the size of one block.
+    The array is sized from the count of row breaks and filled block by
+    block, each block about _READ_BLOCK characters cut after a row, so the
+    temporaries stay the size of one block; a symbol past int16 widens the
+    array once.
     """
-    if not s.startswith("[[", i):
+    start, end, row_break = (b"[[", b"]]", b"],[") if isinstance(s, bytes) else ("[[", "]]", "],[")
+    if not s.startswith(start, i):
         return None
-    stop = s.find("]]", i) + 1  # the rows are s[i + 1 : stop]
+    stop = s.find(end, i) + 1  # the rows are s[i + 1 : stop]
     if stop == 0:
         return None
-    values, width = [], None
+    rows = s.count(row_break, i, stop) + 1
+    view = memoryview(s) if isinstance(s, bytes) else None
+    words, width, filled = None, None, 0
     p = i + 1
     while p < stop:
         # end the block after the first row that ends past p + _READ_BLOCK
-        cut = s.find("],[", p + _READ_BLOCK, stop) + 1 or stop
+        cut = s.find(row_break, p + _READ_BLOCK, stop) + 1 or stop
         try:
-            rows = _parse_rows(s[p:cut].encode("ascii"))
+            parsed = _parse_rows(s[p:cut].encode("ascii") if view is None else view[p:cut])
         except UnicodeEncodeError:
             return None
-        if rows is None or width not in (None, rows[1]):
+        if parsed is None or width not in (None, parsed[1]):
             return None
-        values.append(rows[0])
-        width = rows[1]
+        values, width = parsed
+        if words is None:
+            words = np.empty(rows * width, dtype=np.int16)
+        if words.dtype == np.int16 and values.max() >= 2**15:
+            words = words.astype(np.int32)
+        words[filled : filled + len(values)] = values
+        filled += len(values)
         p = cut + 1
-    return np.concatenate(values).reshape(-1, width), stop + 1
+    return words.reshape(rows, width), stop + 1
 
 
 class CodewordDecoder(json.JSONDecoder):
     """``json.loads(text, cls=CodewordDecoder)`` reads a top-level object
     whose "codewords" value, when it is a canonical matrix, arrives as an
-    int32 array instead of lists.
+    int16 array (int32 when a symbol needs it) instead of lists.
 
     The top-level object is walked key by key; every other value goes
     through the stdlib scanner.  Any text the walk or the matrix parser
@@ -326,7 +387,8 @@ class CodewordDecoder(json.JSONDecoder):
     negatives, ragged or empty rows, a top level that is not an object)
     is read by the stdlib decoder whole, so the value and every error
     are those of ``json.loads``.  A repeated key keeps its first place
-    and its last value, as in ``json.loads``.
+    and its last value, as in ``json.loads``.  ``decode_bytes`` reads a
+    file's bytes without holding them a second time as text.
     """
 
     def decode(self, s: str, _w=WHITESPACE.match):
@@ -336,7 +398,37 @@ class CodewordDecoder(json.JSONDecoder):
             data = None
         return super().decode(s) if data is None else data
 
-    def _walk(self, s: str, _w) -> dict | None:
+    @classmethod
+    def decode_bytes(cls, raw: bytes):
+        """The value of a file's bytes read as UTF-8 text with universal
+        newlines, as ``json.loads(text, cls=CodewordDecoder)`` gives it.
+
+        When the first '"codewords":[[' of an ASCII file without carriage
+        returns starts a canonical matrix, that matrix is parsed from the
+        bytes themselves and only the text around it is decoded, with a
+        one-character stand-in, so the file is not held again as a str.
+        The walk must then meet the stand-in as the top-level "codewords"
+        value; any other file is decoded whole.
+        """
+        at = raw.find(b'"codewords":[[') + len(b'"codewords":')
+        if at >= len(b'"codewords":') and raw.isascii() and b"\r" not in raw:
+            parsed = _parse_matrix(raw, at)
+            if parsed is not None:
+                rest = (raw[:at] + b"0" + raw[parsed[1] :]).decode("ascii")
+                try:
+                    data = cls()._walk(rest, WHITESPACE.match, (at, parsed[0]))
+                except (json.JSONDecodeError, StopIteration):
+                    data = None
+                if data is not None:
+                    return data
+        text = raw.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text, cls=cls)
+
+    def _walk(self, s: str, _w, given: tuple[int, np.ndarray] | None = None) -> dict | None:
+        """The top-level object of s, or None; given, the matrix that stands
+        at its index in s as one character."""
         i = _w(s, 0).end()
         if not s.startswith("{", i):
             return None
@@ -352,6 +444,8 @@ class CodewordDecoder(json.JSONDecoder):
             i = _w(s, i + 1).end()
             if key != "codewords":
                 data[key], i = self.scan_once(s, i)
+            elif given is not None and i == given[0]:
+                data[key], i, given = given[1], i + 1, None
             elif (parsed := _parse_matrix(s, i)) is None:
                 return None
             else:
@@ -359,7 +453,7 @@ class CodewordDecoder(json.JSONDecoder):
             i = _w(s, i).end()
             if not s.startswith(",", i):
                 break
-        if not s.startswith("}", i) or _w(s, i + 1).end() != len(s):
+        if given is not None or not s.startswith("}", i) or _w(s, i + 1).end() != len(s):
             return None
         return data
 
@@ -421,12 +515,18 @@ class DssSystem:
         partitioned = len(self.points) == order and np.bincount(self.points, minlength=order).all()
         return len(self.ends), len(self.points), bool(partitioned)
 
-    def to_json(self) -> dict:
-        points, ends = self.points.tolist(), self.ends.tolist()
+    def to_json(self, *, blocks: bool = True) -> dict:
+        """The JSON object of the system.  With blocks=False the "blocks"
+        entry is None, a slot for a writer that renders them itself
+        (``text_parts``)."""
+        lists = None
+        if blocks:
+            points, ends = self.points.tolist(), self.ends.tolist()
+            lists = [points[a:b] for a, b in zip([0, *ends], ends)]
         return {
             "kind": "DSS",
             "group": self.domain.to_json(),
-            "blocks": [points[a:b] for a, b in zip([0, *ends], ends)],
+            "blocks": lists,
             "q": self.q,
             "tau": self.tau,
             "lambda": self.lam,
@@ -455,9 +555,14 @@ class DssSystem:
             raise _not_an_element(bad, order)
         return DssSystem(domain, np.array(points, dtype=np.int64), ends, **claims)
 
+    def text_parts(self, fmt: str) -> Iterator[bytes]:
+        """The blocks as a JSON list of lists (fmt "json") or as CSV lines,
+        one per block with its points joined by commas (fmt "csv"), in byte
+        parts of about 8 * _BAND points each."""
+        return _block_text(self.points, self.ends, fmt)
+
     def to_csv(self) -> str:
-        """One line per block, its points joined by commas."""
-        return "\n".join(",".join(map(str, block)) for block in self.to_json()["blocks"]) + "\n"
+        return b"".join(self.text_parts("csv")).decode("ascii")
 
 
 def _not_an_element(x, order: int) -> ValueError:
@@ -534,8 +639,12 @@ def distance_range(codewords: np.ndarray, *, max_pairs: int | None = None) -> tu
     class in every column: k(k-1)/2 pairs for a class of size k, so the
     cost follows the sum over columns and symbols of the squared class
     size, not M^2 n.  Agreements are bincounted for one band of rows at a
-    time; memory is three int32 arrays the size of the matrix plus one
-    band of _BAND cells.
+    time.  The sorted columns are kept as ranks, positions within a column:
+    the row at each rank and the rank of each row, int16 below 2^15 rows
+    and int32 from there, and the count of later ranks in each rank's
+    class, uint8 until a class passes 256 rows.  Memory is those three
+    arrays the size of the matrix, 2.5 int16 matrices on a shift code, plus
+    one band of _BAND cells.
 
     When max_pairs is given and that sum of squared class sizes exceeds
     it, OversizedError is raised before any pair is formed.
@@ -544,12 +653,10 @@ def distance_range(codewords: np.ndarray, *, max_pairs: int | None = None) -> tu
     m, n = c.shape
     if m < 2:
         raise ValueError("distance needs at least two codewords")
-    cells = m * n
-    index = np.int32 if cells < 2**31 else np.int64
-    # column y's rows sorted by symbol fill the flat positions y*m .. y*m + m - 1
-    rows = np.empty(cells, dtype=index)  # flat position -> row
-    class_end = np.empty(cells, dtype=index)  # flat position -> one past its class
-    position = np.empty((m, n), dtype=index)  # (row, column) -> flat position
+    rank = np.int16 if m < 2**15 else np.int32
+    row_at = np.empty((n, m), dtype=rank)  # (column, rank) -> row
+    rank_of = np.empty((m, n), dtype=rank)  # (row, column) -> rank
+    later = np.empty((n, m), dtype=np.uint8)  # (column, rank) -> later ranks of its class
     pairs = 0
     step = max(1, _BAND // m)
     for y0 in range(0, n, step):
@@ -558,35 +665,48 @@ def distance_range(codewords: np.ndarray, *, max_pairs: int | None = None) -> tu
         sym = np.take_along_axis(cols, by_symbol, axis=1)
         opens = np.ones(sym.shape, dtype=bool)
         opens[:, 1:] = sym[:, 1:] != sym[:, :-1]
-        span = np.arange(y0 * m, y0 * m + sym.size)
-        start = span[opens.ravel()]
-        size = np.diff(start, append=span[-1] + 1)
+        start = np.flatnonzero(opens)  # flat over the band; a class never crosses a column
+        size = np.diff(start, append=sym.size)
         pairs += int(size @ size)
-        rows[span] = by_symbol.ravel()
-        class_end[span] = np.repeat(start + size, size)
-        position[by_symbol, np.arange(y0, y0 + len(sym))[:, None]] = span.reshape(sym.shape)
+        if size.max() > 256 and later.dtype == np.uint8:
+            later = later.astype(rank)
+        y1 = y0 + len(sym)
+        row_at[y0:y1] = by_symbol
+        class_end = np.repeat(start + size, size)
+        later[y0:y1] = (class_end - np.arange(1, sym.size + 1)).reshape(sym.shape)
+        rank_of[by_symbol, np.arange(y0, y1)[:, None]] = np.arange(m)
     if max_pairs is not None and pairs > max_pairs:
         raise OversizedError(
             f"recounting the distances of {m} codewords of length {n} needs "
             f"{pairs:,} in-class row pairs, over the limit of {max_pairs:,}"
         )
 
+    rows, widths = row_at.ravel(), later.ravel()
+    column_at = np.arange(n) * m  # flat offset of each column
     lo_agree, hi_agree = n + 1, -1
     band = max(1, _BAND // max(m, n))
     for r0 in range(0, m - 1, band):
         # each row of the band meets the later rows of its class in every column
         b = min(band, m - 1 - r0)
-        first = position[r0 : r0 + b].ravel()
-        width = class_end[first] - first - 1
-        agree = np.zeros(b * m, dtype=np.int64)
+        first = (rank_of[r0 : r0 + b] + column_at).ravel()
+        width = widths[first].astype(np.intp)
+        agree = None
         for lo, hi, partners in _pair_blocks(first + 1, width):
             band_row = np.arange(lo, hi) // n
             key = np.repeat(band_row * m, width[lo:hi]) + rows[partners]
-            agree += np.bincount(key, minlength=b * m)
-        later = np.arange(m) > np.arange(r0, r0 + b)[:, None]
-        vals = agree.reshape(b, m)[later]
-        lo_agree = min(lo_agree, int(vals.min()))
-        hi_agree = max(hi_agree, int(vals.max()))
+            counts = np.bincount(key, minlength=b * m)
+            if agree is None:
+                agree = counts
+            else:
+                agree += counts
+        agree = agree.reshape(b, m)
+        # row r0 + i meets the rows past the band and the band's rows after it,
+        # the upper triangle of the next b - 1 columns
+        near = agree[:, r0 + 1 : r0 + b][np.triu(np.ones((b, b - 1), dtype=bool))]
+        for vals in (agree[:, r0 + b :], near):
+            if vals.size:
+                lo_agree = min(lo_agree, int(vals.min()))
+                hi_agree = max(hi_agree, int(vals.max()))
     return n - hi_agree, n - lo_agree
 
 
@@ -596,16 +716,26 @@ def min_distance(code: "CodeBook | np.ndarray | Sequence[Sequence[int]]") -> int
     return distance_range(words)[0]
 
 
-def _shared_composition(words: np.ndarray, q: int) -> np.ndarray | None:
+def _shared_composition(
+    words: np.ndarray, q: int, symbols: np.ndarray | None = None
+) -> np.ndarray | None:
     """The symbol counts of the first row of a matrix with symbols in
-    range(q) when every row has the same counts, else None.  The rows are
-    bincounted one band of about _BAND cells at a time and compared with
-    the first row, so no m x q count matrix is held."""
+    range(q) when every row has the same counts, else None.  Given the
+    sorted distinct symbols of the matrix, the counts are over those
+    instead, in their order.  The rows are bincounted one band of about
+    _BAND cells at a time and compared with the first row, so no m x q
+    count matrix, and no index matrix of a sparse alphabet, is held."""
     m, n = words.shape
-    first = np.bincount(words[0], minlength=q)
+    if symbols is not None:
+        q = len(symbols)
+
+    def index(rows):
+        return rows if symbols is None else np.searchsorted(symbols, rows)
+
+    first = np.bincount(index(words[0]), minlength=q)
     step = max(1, _BAND // max(n, 1))
     for r0 in range(0, m, step):
-        band = words[r0 : r0 + step]
+        band = index(words[r0 : r0 + step])
         b = len(band)
         flat = (np.arange(b, dtype=np.intp)[:, None] * q + band).ravel()
         if not (np.bincount(flat, minlength=b * q).reshape(b, q) == first).all():

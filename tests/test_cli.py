@@ -167,8 +167,9 @@ def test_construct_and_partition_bytes_are_frozen(run_cli, kind):
         assert sha == FROZEN_CONSTRUCT_SHA256[f"{kind}-{name}"], name
 
 
-# stdout sha256 of codes ccc/cwc on product-construction instances, recorded
-# from the shift-code matrix gathered through shift_rows; (ring, g, h)
+# stdout sha256 of codes ccc/cwc/dss, json (no suffix) and csv, on product-construction
+# instances: the ccc/cwc json ones recorded from the shift-code matrix gathered through
+# shift_rows, the others from the writers that joined each export whole; (ring, g, h)
 SHIFT_CODE_INSTANCES = {
     "Z7": (Z7_RING, "2", "6"),
     "GF(17^2)": ('{"kind":"field","p":17,"r":2,"modulus":[1,1,1]}', "4", "17"),
@@ -176,25 +177,43 @@ SHIFT_CODE_INSTANCES = {
 }
 FROZEN_SHIFT_CODE_SHA256 = {
     "Z7-ccc": "72e8234232298dbce326208cc155ca979d37c570309cc00c7c084867e49ba538",
+    "Z7-ccc-csv": "4d738e61106290592b4ec763eff7ef931cf116105e5ece2ea0f7fe5e3639f863",
     "Z7-cwc": "bbe952995f21bb6ebaddf16dd73bdfd1bbbcb7e71596585b3143339eeb5c8523",
+    "Z7-cwc-csv": "4d738e61106290592b4ec763eff7ef931cf116105e5ece2ea0f7fe5e3639f863",
+    "Z7-dss": "f0c4a34e325135eaa84b16e239ca1aebf44b98ec92581440953897a025d038eb",
+    "Z7-dss-csv": "384b8efe38607711370217c176f3a1194036c18d38fe8e000ad68970fbc188fa",
     "GF(17^2)-ccc": "e661daabe744031c06e00fb900c0eccd037715e9fac7e6b51254fd42d6b6702a",
+    "GF(17^2)-ccc-csv": "a46449f76977d4ab1e9bd69708b6b85bc48eb4b4451c91be888c958b00ee52d5",
     "GF(17^2)-cwc": "95d68610f44a95a7ac837d263dca0bc7ca55b237ab4ef966a31536249935ee4f",
+    "GF(17^2)-cwc-csv": "a46449f76977d4ab1e9bd69708b6b85bc48eb4b4451c91be888c958b00ee52d5",
+    "GF(17^2)-dss": "4e61af10ac94f1742a75ee80bf92af47d5d86d459b8e51744e892b790bc13dcc",
+    "GF(17^2)-dss-csv": "7b19d725ce9fe051166fbe4ec272bceb8278399ae6ba3a8545a3c45ded6d731a",
     "M2(F5)-ccc": "52a010af832b06f54cbf8ec682493aa7719de331dbf71050bef6183053550e3a",
+    "M2(F5)-ccc-csv": "583d73a8b1e0807c3fa04cb3502bdfbcea08e95beaae70710a3a2cea3849babc",
     "M2(F5)-cwc": "6af819dae3c060a50756c620d43ef23e266c88f9888f216a8b28cd7663c436da",
+    "M2(F5)-cwc-csv": "583d73a8b1e0807c3fa04cb3502bdfbcea08e95beaae70710a3a2cea3849babc",
+    "M2(F5)-dss": "92210975061e52c91ca98d942989a06de2a1025f9521943184fa058454e2c532",
+    "M2(F5)-dss-csv": "b6f2025c3aeb108873eed48c731131eb274376ecbf02c4c2febd3328f99c02ba",
 }
 
 
 @pytest.mark.parametrize("name", SHIFT_CODE_INSTANCES)
 def test_shift_code_bytes_are_frozen(run_cli, tmp_path, name):
+    # the banded writers send the same bytes to standard output and to --out
     ring, g, h = SHIFT_CODE_INSTANCES[name]
     fn = str(tmp_path / "fn.json")
     argv = ["zdb", "construct", "product", "--ring", ring, "--g", g, "--h", h, "--out", fn]
     assert run_cli(argv)[0] == 0
-    for kind in ("ccc", "cwc"):
-        code, out, err = run_cli(["codes", kind, "--in", fn])
-        assert (code, err) == (0, ""), kind
-        sha = hashlib.sha256(out.encode()).hexdigest()
-        assert sha == FROZEN_SHIFT_CODE_SHA256[f"{name}-{kind}"], kind
+    for kind in ("ccc", "cwc", "dss"):
+        for fmt, suffix in (("json", ""), ("csv", "-csv")):
+            argv = ["codes", kind, "--in", fn, "--format", fmt]
+            code, out, err = run_cli(argv)
+            assert (code, err) == (0, ""), (kind, fmt)
+            sha = hashlib.sha256(out.encode()).hexdigest()
+            assert sha == FROZEN_SHIFT_CODE_SHA256[f"{name}-{kind}{suffix}"], (kind, fmt)
+            target = tmp_path / f"{kind}.{fmt}"
+            assert run_cli([*argv, "--out", str(target)]) == (0, "", "")
+            assert target.read_bytes() == out.encode(), (kind, fmt)
 
 
 def test_construct_output_is_byte_deterministic(run_cli, tmp_path):
@@ -388,6 +407,34 @@ def test_catalog_recipe_hypothesis_violation(run_cli):
     )
     assert code == 2
     assert "prime" in err
+
+
+def test_data_keeps_its_place_among_the_lines_on_standard_error(tmp_path):
+    # both streams into one pipe, standard output buffered: each data write is
+    # flushed before a later stderr line
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+
+    def merged(*argv):
+        run = subprocess.run(
+            [sys.executable, "-m", "zdbkit.cli", *argv], stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, env=env, timeout=120,
+        )
+        return run.returncode, run.stdout.decode().splitlines()
+
+    code, lines = merged("catalog", "certify", "--all", "--max-order", "30")
+    assert code == 0 and len(lines) > 2
+    assert all(line.startswith("{") for line in lines[:-1]) and "certified" in lines[-1]
+
+    f = tmp_path / "f.json"
+    assert merged("zdb", "construct", "product", "--ring", Z7_RING, "--g", "2", "--h", "6",
+                  "--out", str(f)) == (0, [])
+    data = json.loads(f.read_text())
+    data["table"][3] = (data["table"][3] + 1) % data["q"]
+    f.write_text(json.dumps(data))
+    code, lines = merged("zdb", "verify", "--input", str(f))
+    assert code == 1 and len(lines) == 2
+    assert lines[0].startswith("verification failed: ") and json.loads(lines[1])["ok"] is False
 
 
 def test_catalog_recipe_rejects_unknown_id(run_cli):

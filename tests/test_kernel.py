@@ -13,8 +13,11 @@ extremes, grouped with repeated elements, with empty runs added, or as a
 table (the positions themselves), and ``verify_zdb``'s distinct-symbol
 count against a set on int32 and int64 tables.  The
 same-symbol recount of stored code distances is checked against the
-all-pairs comparison on random integer matrices and on the
-(2500, 834, 2) instance.  The distances and
+all-pairs comparison on random integer matrices over consecutive and
+sparse alphabets, with classes past 256 rows, and on the (2500, 834, 2)
+instance, and against a count of the row pairs agreeing on each set of
+columns on 2^15 + 5 rows, where its ranks are int32; tracemalloc bounds
+its peak, and the reader's, by a few int16 matrices.  The distances and
 the coverage the builders read from the spectrum of a verification
 result are checked against the all-pairs comparison and against the
 kernel recount ``dss_perfect_check``, on random tables and on every
@@ -37,15 +40,18 @@ and ``codewords``, built on first read, against the matrix itself.
 
 The JSON boundary of codeword matrices is checked the same way: the
 banded matrix writer against ``json.dumps`` of the nested lists and
-``CodeBook.to_csv`` against the per-element join it replaced; the
+``CodeBook.to_csv`` against the per-element join it replaced, the same
+writer on ragged block lists against both; the
 vectorized reader against ``json.loads`` plus the list reader it
 bypasses, on canonical and mutated texts; and the banded shared
 composition check against one bincount of the whole matrix.
 """
 
 import dataclasses
+import itertools
 import json
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -144,6 +150,26 @@ def all_pairs_distance_range(codewords):
             dmin = min(dmin, int(vals.min()))
             dmax = max(dmax, int(vals.max()))
     return dmin, dmax
+
+
+def counted_distance_range(codewords):
+    """Minimum and maximum Hamming distance from pair counts alone: the pairs
+    of rows agreeing on at least a set of columns are counted per set from
+    the class sizes of the rows restricted to it, and those agreeing on
+    exactly a set follow by inclusion-exclusion.  Cheap for a few columns
+    however many rows there are."""
+    m, n = codewords.shape
+    at_least = {}
+    for size in range(n + 1):
+        for cols in itertools.combinations(range(n), size):
+            k = np.unique(codewords[:, cols], axis=0, return_counts=True)[1] if cols else m
+            at_least[cols] = int(np.sum(k * (k - 1) // 2))
+    agreements = [
+        len(cols) for cols in at_least
+        if sum((-1) ** (len(t) - len(cols)) * at_least[t]
+               for t in at_least if set(cols) <= set(t)) > 0
+    ]
+    return n - max(agreements), n - min(agreements)
 
 
 def brute_cross_coverage(domain, blocks):
@@ -286,9 +312,13 @@ def test_distinct_symbol_count_matches_a_set(data, q):
 
 @st.composite
 def matrices(draw):
-    m, n = draw(st.integers(2, 12)), draw(st.integers(1, 12))
+    """Up to 40 rows and 12 columns over at most four symbols, consecutive
+    small integers or spread over the int64 range."""
+    m, n = draw(st.integers(2, 40)), draw(st.integers(1, 12))
     low, q = draw(st.integers(-3, 3)), draw(st.integers(1, 4))
-    entries = draw(st.lists(st.integers(low, low + q - 1), min_size=m * n, max_size=m * n))
+    sparse = st.lists(st.integers(-(2**62), 2**62), min_size=q, max_size=q, unique=True)
+    pool = draw(st.one_of(st.just(list(range(low, low + q))), sparse))
+    entries = draw(st.lists(st.sampled_from(pool), min_size=m * n, max_size=m * n))
     return np.array(entries, dtype=np.int64).reshape(m, n)
 
 
@@ -310,6 +340,8 @@ def test_distance_identity_matches_all_pairs(fn):
 @example(np.array([[1, 2, 3], [0, 2, 1], [1, 2, 3]]), 1, 1)  # a repeated row
 @example(np.array([[0, 1, 1, 2], [1, 1, 0, 2]]), 3, 2)  # two rows
 @example(np.array([[0], [1], [0], [2]]), 2, 3)  # one column
+@example(np.repeat([[0, 1, 5], [0, 2, 5]], 150, axis=0), 64, 64)  # classes past 256 rows
+@example(np.array([[-(2**62), 2**62]] * 3 + [[2**62, 2**62]]), 1, 1)  # a sparse alphabet
 @given(matrices(), st.integers(1, 64), st.integers(1, 64))
 def test_same_symbol_recount_matches_all_pairs(words, band, block):
     # small bands and pair blocks make the recount cross their edges
@@ -323,6 +355,40 @@ def test_same_symbol_recount_matches_all_pairs(words, band, block):
         assert distance_range(words, max_pairs=pairs) == all_pairs_distance_range(words)
         with pytest.raises(OversizedError, match=f"needs {pairs:,} in-class row pairs"):
             distance_range(words, max_pairs=pairs - 1)
+
+
+def test_same_symbol_recount_with_int32_ranks():
+    # 2^15 + 5 rows take int32 ranks; three columns keep the counting oracle cheap,
+    # and a repeated row pins the minimum; wider bands cut the per-band overhead
+    rng = np.random.default_rng(5)
+    words = rng.integers(0, [100, 200, 300], size=(2**15 + 5, 3))
+    words[7] = words[3]
+    assert counted_distance_range(words[:60]) == all_pairs_distance_range(words[:60])
+    with patch.object(codes_module, "_BAND", 1 << 18):
+        assert distance_range(words) == counted_distance_range(words) == (0, 3)
+
+
+def _peak_bytes(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_matrix_recount_and_reader_peak_within_a_few_int16_matrices():
+    # the rank arrays are 2.5 int16 matrices; the reader fills one, block by block
+    ring = GaloisField(17, 2)
+    fn = construct_product(ring, cyclic_subgroup(ring, 4), cyclic_subgroup(ring, 17))
+    words = _shift_codewords(fn)
+    assert words.dtype == np.int16
+    text = '{"kind":"CCC","codewords":' + b"".join(matrix_json(words)).decode() + "}"
+    raw = text.encode()
+    assert _peak_bytes(distance_range, words) < 3.5 * words.nbytes
+    for read, source in ((CodewordDecoder().decode, text), (CodewordDecoder.decode_bytes, raw)):
+        assert _peak_bytes(read, source) < 2 * words.nbytes
+        assert np.array_equal(read(source)["codewords"], words)
 
 
 def test_same_symbol_recount_on_the_2500_instance(catalog):
@@ -377,6 +443,8 @@ def test_dss_arrays_match_the_preimage_lists(fn):
     assert system.points is fn.grouping[0]  # shared with the function, not copied
     data = system.to_json()
     assert data["blocks"] == blocks
+    assert system.to_json(blocks=False) == {**data, "blocks": None}
+    assert b"".join(system.text_parts("json")).decode() == json.dumps(blocks, separators=(",", ":"))
     assert system.to_csv() == "\n".join(",".join(str(y) for y in b) for b in blocks) + "\n"
     assert [b.tolist() for b in system.blocks] == blocks
     again = DssSystem.from_json(json.loads(json.dumps(data)))
@@ -736,6 +804,26 @@ def test_csv_writer_matches_the_element_join(words, band):
         assert book.to_csv() == joined_csv(words)
 
 
+@SETTINGS
+@example([[]], 1)
+@example([[], [5, -3], [], [], [7]], 1)  # empty blocks at band edges
+@example([[0, 2**40], [-(2**63), 2**63 - 1]], 2)
+@given(
+    st.lists(st.lists(st.one_of(st.integers(-20, 20), st.integers(-(2**63), 2**63 - 1)),
+                      max_size=6), min_size=1, max_size=8),
+    st.integers(1, 64),
+)
+def test_block_writer_matches_json_dumps_and_the_line_join(blocks, band):
+    # ragged blocks, empty ones included, cut into parts of 8 * band items
+    points = np.array([x for b in blocks for x in b], dtype=np.int64)
+    ends = np.cumsum([len(b) for b in blocks])
+    with patch.object(codes_module, "_BAND", band):
+        text = b"".join(codes_module._block_text(points, ends, "json")).decode()
+        csv = b"".join(codes_module._block_text(points, ends, "csv")).decode()
+    assert text == json.dumps(blocks, separators=(",", ":"))
+    assert csv == "".join(",".join(map(str, b)) + "\n" for b in blocks)
+
+
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
 def test_empty_matrices_are_written_as_before(shape):
     words = np.zeros(shape, dtype=np.int16)
@@ -748,7 +836,7 @@ MUTATIONS = [
     "canonical", " 5", "5 ", "1.0", "true", "-1", "01", "00", "999999999", "1234567890",
     str(2**31 - 1), str(2**31), str(2**40), "1e2", '"7"', "null", "[3]", "ragged",
     "empty row", "[[]]", "[]", "),[", "];[", "],(", "duplicate key", "quoted key", "escaped key",
-    "newline inside",
+    "escaped quote key", "newline inside",
 ]
 
 
@@ -773,6 +861,8 @@ def codebook_texts(draw, mutation):
         after = ',"codewords":' + _matrix_text([["4", "2"]])
     elif mutation == "quoted key":
         before = '"x\\"codewords\\"":[[1,2]],'
+    elif mutation == "escaped quote key":  # its bytes hold '"codewords":[[' first
+        before = '"x\\"codewords":[[1,2]],'
     elif mutation == "escaped key":
         key = '"code\\u0077ords"'
     elif mutation == "newline inside":
@@ -785,11 +875,13 @@ def codebook_texts(draw, mutation):
 
 
 def _read(text, decoder=None):
-    """Codewords or the error of one reader: CodewordDecoder with
-    CodeBook.from_json, or json.loads with the list reader."""
+    """Codewords or the error of one reader: CodewordDecoder on the text or
+    on its bytes with CodeBook.from_json, or json.loads with the list reader."""
     try:
         if decoder is None:
             return list_codewords(json.loads(text))
+        if decoder == "bytes":
+            return CodeBook.from_json(CodewordDecoder.decode_bytes(text.encode())).codewords
         return CodeBook.from_json(json.loads(text, cls=decoder)).codewords
     except (ValueError, KeyError) as exc:
         return type(exc), str(exc)
@@ -803,15 +895,21 @@ def test_fast_reader_matches_json_loads(mutation, data, block):
     # a small read block makes the reader cut the matrix after many rows
     with patch.object(codes_module, "_READ_BLOCK", block):
         fast = _read(text, CodewordDecoder)
-        if mutation in ("canonical", "999999999", "duplicate key", "escaped key", "quoted key"):
+        from_bytes = _read(text, "bytes")
+        if mutation in ("canonical", "999999999", "duplicate key", "escaped key", "quoted key",
+                        "escaped quote key"):
             assert isinstance(json.loads(text, cls=CodewordDecoder)["codewords"], np.ndarray)
+            assert isinstance(CodewordDecoder.decode_bytes(text.encode())["codewords"], np.ndarray)
+        if mutation == "escaped quote key":  # the matrix cut from the bytes is not the codewords
+            assert CodewordDecoder.decode_bytes(text.encode())['x"codewords'] == [[1, 2]]
     slow = _read(text)
     if isinstance(slow, tuple):
-        assert fast == slow
+        assert fast == from_bytes == slow
         return
-    assert np.array_equal(fast, slow) and fast.shape == slow.shape
     fits = slow.size and -(2**15) <= slow.min() and slow.max() < 2**15
-    assert fast.dtype == (np.int16 if fits else np.int32)
+    for read in (fast, from_bytes):
+        assert np.array_equal(read, slow) and read.shape == slow.shape
+        assert read.dtype == (np.int16 if fits else np.int32)
 
 
 @pytest.mark.parametrize(
@@ -820,14 +918,16 @@ def test_fast_reader_matches_json_loads(mutation, data, block):
      '{"a":1,}', '{"codewords":[[1],[2]],"codewords":[[3]]}', "\ufeff{}"],
 )
 def test_fast_reader_keeps_json_loads_values_and_errors(text):
-    def outcome(**kw):
+    def outcome(read):
         try:
-            value = json.loads(text, **kw)
+            value = read(text)
         except json.JSONDecodeError as exc:
             return "error", exc.msg, exc.pos
         return "value", value
 
-    assert outcome(cls=CodewordDecoder) == outcome()
+    expected = outcome(json.loads)
+    assert outcome(lambda t: json.loads(t, cls=CodewordDecoder)) == expected
+    assert outcome(lambda t: CodewordDecoder.decode_bytes(t.encode())) == expected
 
 
 def test_dss_blocks_of_equal_size_stay_lists():
@@ -853,9 +953,13 @@ def test_banded_row_compositions_match_one_bincount(words, extra, band):
     for matrix in (words, shuffled):
         flat = (np.arange(m, dtype=np.int64)[:, None] * q + matrix).ravel()
         whole = np.bincount(flat, minlength=m * q).reshape(m, q)
+        # the same rows over a sparse alphabet, counted over the symbols that occur
+        sparse = matrix.astype(np.int64) * 10**12 - 5
         with patch.object(codes_module, "_BAND", band):
             shared = _shared_composition(matrix, q)
+            shared_sparse = _shared_composition(sparse, 0, np.unique(sparse))
         if (whole == whole[0]).all():
             assert np.array_equal(shared, whole[0])
+            assert np.array_equal(shared_sparse, whole[0][np.unique(matrix)])
         else:
-            assert shared is None
+            assert shared is None and shared_sparse is None
