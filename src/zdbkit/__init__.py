@@ -22,7 +22,6 @@ from .catalog import (
 from .codes import (
     BoundReport,
     CodeBook,
-    CodewordDecoder,
     DssSystem,
     ccc_bound,
     ccc_from_zdb,
@@ -165,3 +164,13 @@ __all__ = [
     "subgroup_from_elements",
     "verify_zdb",
 ]
+
+
+def __getattr__(name):
+    # the file reader is loaded on first use: commands that read no stored
+    # file never compile it
+    if name == "CodewordDecoder":
+        from .reader import CodewordDecoder
+
+        return CodewordDecoder
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

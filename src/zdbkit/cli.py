@@ -33,7 +33,6 @@ from .catalog import (
 )
 from .codes import (
     CodeBook,
-    CodewordDecoder,
     DssSystem,
     _shared_composition,
     ccc_from_zdb,
@@ -60,8 +59,9 @@ from .verify import VerificationResult, verify_zdb
 # A step is one in-class pair of the difference kernel (the sum of squared
 # symbol multiplicities) for verify, dss and the text format of ccc and
 # cwc, one entry of the n x n codeword matrix for ccc and cwc in json or
-# csv, which write it, and one same-symbol row pair of a column (the sum
-# of squared class sizes) for check-bounds on a codebook.
+# csv, which write it, one same-symbol row pair of a column (the sum of
+# squared class sizes) for check-bounds on a codebook, and one entry of a
+# subgroup's e x e product table for the subgroups of cosets and zdb.
 ORDER_LIMIT = 10_000
 
 
@@ -106,12 +106,16 @@ def _ring_arg(value: str) -> Ring:
     return ring_from_json(json.loads(_load_text(value)))
 
 
-def _subgroup_arg(ring: Ring, spec: str):
+def _table_limit(args) -> int | None:
+    return None if args.force else ORDER_LIMIT**2
+
+
+def _subgroup_arg(args, ring: Ring, spec: str):
     """A single generator index, or a comma separated element list."""
     if "," in spec:
         elems = [int(tok) for tok in spec.split(",") if tok.strip()]
-        return subgroup_from_elements(ring, elems)
-    return cyclic_subgroup(ring, int(spec))
+        return subgroup_from_elements(ring, elems, _table_limit(args))
+    return cyclic_subgroup(ring, int(spec), _table_limit(args))
 
 
 def _load_fn(path: str) -> ZdbFunction:
@@ -181,7 +185,7 @@ def _cmd_ring_info(args) -> int:
 
 def _cmd_cosets_partition(args) -> int:
     ring = _ring_arg(args.ring)
-    group = _subgroup_arg(ring, args.g)
+    group = _subgroup_arg(args, ring, args.g)
     part = coset_partition(ring, group)
     if args.format == "text":
         _write(
@@ -198,15 +202,15 @@ def _cmd_cosets_partition(args) -> int:
 
 def _cmd_zdb_construct(args) -> int:
     ring = _ring_arg(args.ring)
-    group = _subgroup_arg(ring, args.g)
+    group = _subgroup_arg(args, ring, args.g)
     if args.mode == "generic":
         fn = construct_generic(ring, group)
     elif args.mode == "doubled":
-        fn = construct_doubled(ring, group)
+        fn = construct_doubled(ring, group, _table_limit(args))
     else:
         if args.h is None:
             raise _UsageError("the product construction needs --h")
-        fn = construct_product(ring, group, _subgroup_arg(ring, args.h))
+        fn = construct_product(ring, group, _subgroup_arg(args, ring, args.h))
     _emit_zdb(args, fn)
     return 0
 
@@ -267,17 +271,14 @@ def _recheck_codebook(book: CodeBook, force: bool) -> list[str]:
     words = book.codewords
     if words.shape != (book.M, book.n):
         return [f"codeword matrix is {words.shape}, header says ({book.M}, {book.n})"]
-    outside = np.flatnonzero((words < 0) | (words >= book.q))
-    if outside.size:
-        r, y = divmod(int(outside[0]), book.n)
+    lo, hi = (int(words.min()), int(words.max())) if words.size else (0, 0)
+    if words.size and (lo < 0 or hi >= book.q):
+        r, y = divmod(int(np.flatnonzero((words < 0) | (words >= book.q))[0]), book.n)
         return [
             f"row {r} column {y} has symbol {words[r, y]} outside the alphabet "
             f"of size {book.q}"
         ]
-    try:
-        d, d_max = distance_range(words, max_pairs=None if force else ORDER_LIMIT**2)
-    except OversizedError as exc:
-        raise _UsageError(f"{exc}; pass --force to run anyway") from None
+    d, d_max = distance_range(words, max_pairs=None if force else ORDER_LIMIT**2)
     problems = []
     if (d, d_max) != (book.d, book.d_max):
         problems.append(
@@ -285,7 +286,7 @@ def _recheck_codebook(book: CodeBook, force: bool) -> list[str]:
         )
     # every symbol is below q, so counts past the largest one are zeros; an
     # alphabet wider than the matrix is counted over the symbols that occur
-    top = int(words.max()) + 1 if words.size else 1
+    top = hi + 1
     symbols = None if top <= words.size else np.unique(words)
     shared = _shared_composition(words, top, symbols)
     if shared is None:
@@ -332,8 +333,10 @@ def _print_failures(problems: list[str]) -> None:
 
 
 def _cmd_check_bounds(args) -> int:
+    from .reader import CodewordDecoder  # only this command reads stored files
+
     with open(args.input, "rb") as fh:
-        data = CodewordDecoder.decode_bytes(fh.read())
+        data = CodewordDecoder.decode_file(fh)
     if not isinstance(data, dict):
         raise _UsageError(f"the payload must be a JSON object, not {type(data).__name__}")
     kind = data.get("kind")
@@ -503,6 +506,8 @@ def _error_message(exc: Exception) -> str:
         return f"malformed JSON at line {exc.lineno} column {exc.colno} (char {exc.pos}): {exc.msg}"
     if isinstance(exc, RecursionError):
         return "the JSON input nests too deeply to read"
+    if isinstance(exc, OversizedError):
+        return f"{exc}; pass --force to run anyway"
     return str(exc)  # an OSError names its path
 
 

@@ -23,9 +23,7 @@ subgroup coordinate gathered through its product table (see domains).
 A difference system is two read-only arrays: the points of every block in
 block order and the block ends, the cumulative block sizes: the layout
 of a function's ``grouping`` by symbol, whose points a derived system
-shares, and of the runs the counting kernel reads.  JSON and CSV list the
-blocks, rendered from the two arrays; a stored system is read back into the
-same two arrays.
+shares, and of the runs the counting kernel reads.
 
 Derivations refuse unverified input: each builder takes the function and
 an optional verification result, runs ``verify_zdb`` when none is given,
@@ -45,22 +43,14 @@ Codebooks that arrive as explicit matrices are rechecked by
 rows: two rows agree at a coordinate exactly when they share its
 symbol, so the agreements of every pair of rows are counted from the
 same-symbol row pairs of each column, at a cost of the sum of squared
-class sizes rather than M^2 n symbol comparisons, in memory of 2.5 int16
-matrices for a shift code.  Bound arithmetic is exact (integers and
+class sizes rather than M^2 n symbol comparisons, in memory of one count
+matrix for a square code.  Bound arithmetic is exact (integers and
 fractions); no floats are involved anywhere.
 
 Codeword matrices and block lists cross the file boundary as arrays, in
-memory bounded by the array and one band.  One writer renders the rows of
-an int matrix, or the blocks of a system, to the text ``json.dumps`` of
-the lists gives with compact separators, or to their CSV lines, one part
-per band, which the command line writes as it goes.  The reader,
-``CodewordDecoder``, has a fast path for a canonical matrix
-(``[[d,...],...]``: ASCII digits only, no leading zeros, at most nine
-digits, equal nonempty rows, no whitespace), a strict subset of what
-``json.loads`` accepts, on which it gives the same value as an int16 array
-(int32 when a symbol needs it), filled block by block; on a file's bytes it
-parses the matrix from the bytes themselves.  Any other text goes through
-``json.loads`` unchanged, errors included.
+memory bounded by the array and one band: ``_block_text`` renders them to
+the JSON text of the lists, or to CSV, one part per band, and the reader
+module's ``CodewordDecoder`` parses them from the open file in blocks.
 """
 
 from __future__ import annotations
@@ -70,7 +60,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from json.decoder import WHITESPACE, scanstring
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -88,7 +77,6 @@ from .verify import DifferenceSpectrum, VerificationResult, composition_profile,
 
 __all__ = [
     "CodeBook",
-    "CodewordDecoder",
     "DssSystem",
     "BoundReport",
     "PerfectCheck",
@@ -107,13 +95,10 @@ __all__ = [
     "dss_report",
 ]
 
-# matrix cells that distance_range sorts, or holds agreement counts for, at once;
-# its pair temporaries take over a hundred bytes a cell, about a megabyte a band.
-# The block writer renders 8 * _BAND values, a few hundred kilobytes of text, at once
+# matrix cells that distance_range sorts, or bincounts a tall code's rows into, at
+# once; its temporaries take some forty bytes a cell.  The block writer renders
+# 8 * _BAND values, a few hundred kilobytes of text, at once
 _BAND = 1 << 13
-# characters of matrix text the reader parses at once; its temporaries take
-# about fifteen bytes a character
-_READ_BLOCK = 1 << 17
 
 
 @dataclass
@@ -170,11 +155,9 @@ class CodeBook:
 
     @staticmethod
     def from_json(data: dict) -> "CodeBook":
-        """Read a book parsed by ``json.loads``, where the codewords are
-        lists of rows, or by ``CodewordDecoder``, whose fast path gives a
-        canonical matrix, a strict subset of those texts, as an array with
-        the same value.  The matrix is stored as int16 when every symbol
-        fits, else as int32."""
+        """Read a book parsed by ``json.loads``, the codewords as lists of
+        rows, or by ``CodewordDecoder``, a canonical matrix as an array.  The
+        matrix is stored as int16 when every symbol fits, else as int32."""
         rows = _field(data, "codewords", None)
         if isinstance(rows, np.ndarray):
             words = rows
@@ -302,162 +285,6 @@ def matrix_json(words: np.ndarray) -> Iterator[bytes]:
     return _block_text(words.ravel(), _row_ends(words), "json")
 
 
-def _parse_rows(raw: bytes | memoryview) -> tuple[np.ndarray, int] | None:
-    """Symbols and row width of canonical rows "[d,...],...,[d,...]", or None.
-
-    raw starts with "[" and ends with "]", where _parse_matrix cuts it.  A
-    canonical row holds ASCII digit runs without leading zeros, at most
-    nine digits each, so every symbol fits int32.  The text between two
-    runs must be "," inside a row or "],[" between rows.
-    """
-    a = np.frombuffer(raw, dtype=np.uint8)
-    digit = (a - ord("0")) < 10  # wraps below "0"
-    edge = np.diff(digit.view(np.int8))
-    start = np.flatnonzero(edge == 1).astype(np.int32) + 1
-    stop = np.flatnonzero(edge == -1).astype(np.int32) + 1
-    if len(start) == 0 or start[0] != 1 or stop[-1] != len(a) - 1:
-        return None
-    length = stop - start
-    longest = int(length.max())
-    if longest > 9 or (a[start[length > 1]] == ord("0")).any():
-        return None
-    gap, sep = start[1:] - stop[:-1], stop[:-1]
-    row_break = (gap == 3) & (a[sep] == ord("]")) & (a[sep + 1] == ord(",")) & (a[sep + 2] == ord("["))
-    if not (row_break | ((gap == 1) & (a[sep] == ord(",")))).all():
-        return None
-    breaks = np.flatnonzero(row_break)
-    width = int(breaks[0]) + 1 if breaks.size else len(start)
-    if len(start) % width or not np.array_equal(breaks, np.arange(width - 1, len(start) - 1, width)):
-        return None
-    value = a[start].astype(np.int32) - ord("0")
-    for k in range(1, longest):
-        more = np.flatnonzero(length > k)
-        value[more] = value[more] * 10 + (a[start[more] + k] - ord("0"))
-    return value, width
-
-
-def _parse_matrix(s: str | bytes, i: int) -> tuple[np.ndarray, int] | None:
-    """The canonical matrix starting at s[i] as an int16 array when every
-    symbol fits, else int32, and the index just past it; None when the text
-    there is anything else.
-
-    The array is sized from the count of row breaks and filled block by
-    block, each block about _READ_BLOCK characters cut after a row, so the
-    temporaries stay the size of one block; a symbol past int16 widens the
-    array once.
-    """
-    start, end, row_break = (b"[[", b"]]", b"],[") if isinstance(s, bytes) else ("[[", "]]", "],[")
-    if not s.startswith(start, i):
-        return None
-    stop = s.find(end, i) + 1  # the rows are s[i + 1 : stop]
-    if stop == 0:
-        return None
-    rows = s.count(row_break, i, stop) + 1
-    view = memoryview(s) if isinstance(s, bytes) else None
-    words, width, filled = None, None, 0
-    p = i + 1
-    while p < stop:
-        # end the block after the first row that ends past p + _READ_BLOCK
-        cut = s.find(row_break, p + _READ_BLOCK, stop) + 1 or stop
-        try:
-            parsed = _parse_rows(s[p:cut].encode("ascii") if view is None else view[p:cut])
-        except UnicodeEncodeError:
-            return None
-        if parsed is None or width not in (None, parsed[1]):
-            return None
-        values, width = parsed
-        if words is None:
-            words = np.empty(rows * width, dtype=np.int16)
-        if words.dtype == np.int16 and values.max() >= 2**15:
-            words = words.astype(np.int32)
-        words[filled : filled + len(values)] = values
-        filled += len(values)
-        p = cut + 1
-    return words.reshape(rows, width), stop + 1
-
-
-class CodewordDecoder(json.JSONDecoder):
-    """``json.loads(text, cls=CodewordDecoder)`` reads a top-level object
-    whose "codewords" value, when it is a canonical matrix, arrives as an
-    int16 array (int32 when a symbol needs it) instead of lists.
-
-    The top-level object is walked key by key; every other value goes
-    through the stdlib scanner.  Any text the walk or the matrix parser
-    does not accept (whitespace inside the matrix, floats, bools,
-    negatives, ragged or empty rows, a top level that is not an object)
-    is read by the stdlib decoder whole, so the value and every error
-    are those of ``json.loads``.  A repeated key keeps its first place
-    and its last value, as in ``json.loads``.  ``decode_bytes`` reads a
-    file's bytes without holding them a second time as text.
-    """
-
-    def decode(self, s: str, _w=WHITESPACE.match):
-        try:
-            data = self._walk(s, _w)
-        except (json.JSONDecodeError, StopIteration):
-            data = None
-        return super().decode(s) if data is None else data
-
-    @classmethod
-    def decode_bytes(cls, raw: bytes):
-        """The value of a file's bytes read as UTF-8 text with universal
-        newlines, as ``json.loads(text, cls=CodewordDecoder)`` gives it.
-
-        When the first '"codewords":[[' of an ASCII file without carriage
-        returns starts a canonical matrix, that matrix is parsed from the
-        bytes themselves and only the text around it is decoded, with a
-        one-character stand-in, so the file is not held again as a str.
-        The walk must then meet the stand-in as the top-level "codewords"
-        value; any other file is decoded whole.
-        """
-        at = raw.find(b'"codewords":[[') + len(b'"codewords":')
-        if at >= len(b'"codewords":') and raw.isascii() and b"\r" not in raw:
-            parsed = _parse_matrix(raw, at)
-            if parsed is not None:
-                rest = (raw[:at] + b"0" + raw[parsed[1] :]).decode("ascii")
-                try:
-                    data = cls()._walk(rest, WHITESPACE.match, (at, parsed[0]))
-                except (json.JSONDecodeError, StopIteration):
-                    data = None
-                if data is not None:
-                    return data
-        text = raw.decode("utf-8")
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        return json.loads(text, cls=cls)
-
-    def _walk(self, s: str, _w, given: tuple[int, np.ndarray] | None = None) -> dict | None:
-        """The top-level object of s, or None; given, the matrix that stands
-        at its index in s as one character."""
-        i = _w(s, 0).end()
-        if not s.startswith("{", i):
-            return None
-        data: dict = {}
-        while True:
-            i = _w(s, i + 1).end()
-            if not s.startswith('"', i):
-                return None
-            key, i = scanstring(s, i + 1)
-            i = _w(s, i).end()
-            if not s.startswith(":", i):
-                return None
-            i = _w(s, i + 1).end()
-            if key != "codewords":
-                data[key], i = self.scan_once(s, i)
-            elif given is not None and i == given[0]:
-                data[key], i, given = given[1], i + 1, None
-            elif (parsed := _parse_matrix(s, i)) is None:
-                return None
-            else:
-                data[key], i = parsed
-            i = _w(s, i).end()
-            if not s.startswith(",", i):
-                break
-        if given is not None or not s.startswith("}", i) or _w(s, i + 1).end() != len(s):
-            return None
-        return data
-
-
 @dataclass(frozen=True)
 class DssSystem:
     """Disjoint difference sets D_0..D_{q-1} inside an abelian group.
@@ -491,8 +318,8 @@ class DssSystem:
         points, ends = np.asarray(self.points), np.asarray(self.ends)
         if not (points.ndim == ends.ndim == 1 and {points.dtype.kind, ends.dtype.kind} <= set("iu")):
             raise ValueError("block points and ends must be 1-D integer arrays")
-        outside = np.flatnonzero((points < 0) | (points >= order))
-        if outside.size:
+        if points.size and (points.min() < 0 or points.max() >= order):
+            outside = np.flatnonzero((points < 0) | (points >= order))
             raise _not_an_element(int(points[outside[0]]), order)
         if (np.diff(ends, prepend=0) < 0).any() or (ends[-1] if len(ends) else 0) != len(points):
             raise ValueError("block ends must ascend from 0 to the number of points")
@@ -536,10 +363,14 @@ class DssSystem:
 
     @staticmethod
     def from_json(data: dict) -> "DssSystem":
+        """Read a system parsed by ``json.loads``, the blocks as lists, or by
+        ``CodewordDecoder``, canonical blocks as the pair (points, ends)."""
         lam = data.get("lambda")
-        blocks = _field(data, "blocks", list)
+        pair = type(data.get("blocks")) is tuple
+        blocks = _field(data, "blocks", None if pair else list)
         domain = domain_from_json(_field(data, "group", None))
-        ends = np.cumsum([len(_typed("blocks", b, list)) for b in blocks], dtype=np.int64)
+        sizes = () if pair else [len(_typed("blocks", b, list)) for b in blocks]
+        points, ends = blocks if pair else (None, np.cumsum(sizes, dtype=np.int64))
         claims = dict(
             q=_field(data, "q"),
             tau=_field(data, "tau"),
@@ -547,13 +378,17 @@ class DssSystem:
             perfect=_field(data, "perfect", bool),
             partitioned=_field(data, "partitioned", bool),
         )
-        # exact ints only: numpy would read True as 1, 1.5 as a float and 2**70 as an object
-        points, order = list(itertools.chain.from_iterable(blocks)), domain.order
-        exact = set(map(type, points)) <= {int}
-        if not exact or (points and not 0 <= min(points) <= max(points) < order):
-            bad = next(x for x in points if type(x) is not int or not 0 <= x < order)
-            raise _not_an_element(bad, order)
-        return DssSystem(domain, np.array(points, dtype=np.int64), ends, **claims)
+        if not pair:
+            # exact ints only: numpy would read True as 1, 1.5 as a float and 2**70 as an object
+            points, order = list(itertools.chain.from_iterable(blocks)), domain.order
+            exact = set(map(type, points)) <= {int}
+            if not exact or (points and not 0 <= min(points) <= max(points) < order):
+                bad = next(x for x in points if type(x) is not int or not 0 <= x < order)
+                raise _not_an_element(bad, order)
+            points = np.array(points, dtype=np.int64)
+        for values in (points, ends):
+            values.flags.writeable = False  # read-only arrays of their own are shared
+        return DssSystem(domain, points, ends, **claims)
 
     def text_parts(self, fmt: str) -> Iterator[bytes]:
         """The blocks as a JSON list of lists (fmt "json") or as CSV lines,
@@ -633,30 +468,32 @@ def distance_range(codewords: np.ndarray, *, max_pairs: int | None = None) -> tu
     """Minimum and maximum Hamming distance between distinct rows.
 
     Two rows agree at coordinate y exactly when they sit in the same symbol
-    class of column y, so the distance of rows i and j is n minus the number
-    of columns in whose classes they meet.  The rows are sorted by symbol
-    once per column, and each row is paired with the later rows of its
-    class in every column: k(k-1)/2 pairs for a class of size k, so the
-    cost follows the sum over columns and symbols of the squared class
-    size, not M^2 n.  Agreements are bincounted for one band of rows at a
-    time.  The sorted columns are kept as ranks, positions within a column:
-    the row at each rank and the rank of each row, int16 below 2^15 rows
-    and int32 from there, and the count of later ranks in each rank's
-    class, uint8 until a class passes 256 rows.  Memory is those three
-    arrays the size of the matrix, 2.5 int16 matrices on a shift code, plus
-    one band of _BAND cells.
+    class of column y.  Each column is sorted by symbol and each row paired
+    with the later rows of its class, at a cost of the sum of squared class
+    sizes, not M^2 n; each pair adds one to its agreement count.  With
+    M <= n one M x M count matrix (uint8, uint16 or uint32 as n needs) takes
+    every pair, each band of _BAND cells sorted and counted as it comes.
+    Taller matrices keep each column's sort as ranks (the row at each rank,
+    the rank of each row and the later ranks of each rank's class) and
+    bincount bands of _BAND / M rows against all rows.
 
-    When max_pairs is given and that sum of squared class sizes exceeds
-    it, OversizedError is raised before any pair is formed.
+    When max_pairs is given and that sum of squared class sizes exceeds it,
+    OversizedError is raised, no more than max_pairs pairs counted.
     """
     c = np.asarray(codewords)
     m, n = c.shape
     if m < 2:
         raise ValueError("distance needs at least two codewords")
-    rank = np.int16 if m < 2**15 else np.int32
-    row_at = np.empty((n, m), dtype=rank)  # (column, rank) -> row
-    rank_of = np.empty((m, n), dtype=rank)  # (row, column) -> rank
-    later = np.empty((n, m), dtype=np.uint8)  # (column, rank) -> later ranks of its class
+    kept = m > n
+    if kept:
+        rank = np.int16 if m < 2**15 else np.int32
+        row_at = np.empty((n, m), dtype=rank)  # (column, rank) -> row
+        rank_of = np.empty((m, n), dtype=rank)  # (row, column) -> rank
+        later = np.empty((n, m), dtype=np.uint8)  # (column, rank) -> later ranks of its class
+    else:
+        count = np.uint8 if n < 2**8 else np.uint16 if n < 2**16 else np.uint32
+        agree = np.zeros((m, m), dtype=count)
+
     pairs = 0
     step = max(1, _BAND // m)
     for y0 in range(0, n, step):
@@ -668,45 +505,56 @@ def distance_range(codewords: np.ndarray, *, max_pairs: int | None = None) -> tu
         start = np.flatnonzero(opens)  # flat over the band; a class never crosses a column
         size = np.diff(start, append=sym.size)
         pairs += int(size @ size)
-        if size.max() > 256 and later.dtype == np.uint8:
-            later = later.astype(rank)
-        y1 = y0 + len(sym)
-        row_at[y0:y1] = by_symbol
-        class_end = np.repeat(start + size, size)
-        later[y0:y1] = (class_end - np.arange(1, sym.size + 1)).reshape(sym.shape)
-        rank_of[by_symbol, np.arange(y0, y1)[:, None]] = np.arange(m)
+        width = np.repeat(start + size, size) - np.arange(1, sym.size + 1)
+        if kept:
+            if size.max() > 256 and later.dtype == np.uint8:
+                later = later.astype(rank)
+            y1 = y0 + len(sym)
+            row_at[y0:y1] = by_symbol
+            later[y0:y1] = width.reshape(sym.shape)
+            rank_of[by_symbol, np.arange(y0, y1)[:, None]] = np.arange(m)
+        elif max_pairs is None or pairs <= max_pairs:
+            # each row meets the later rows of its class: one count per pair
+            rows = by_symbol.ravel().astype(np.int32 if m * m < 2**31 else np.int64)
+            for lo, hi, partners in _pair_blocks(np.arange(1, sym.size + 1), width):
+                key = np.repeat(rows[lo:hi] * m, width[lo:hi]) + rows[partners]
+                np.add.at(agree.ravel(), key, count(1))
     if max_pairs is not None and pairs > max_pairs:
         raise OversizedError(
             f"recounting the distances of {m} codewords of length {n} needs "
             f"{pairs:,} in-class row pairs, over the limit of {max_pairs:,}"
         )
 
-    rows, widths = row_at.ravel(), later.ravel()
-    column_at = np.arange(n) * m  # flat offset of each column
+    def blocks():  # (counts, r0): the agreements of rows r0, r0 + 1, ... with all rows
+        rows, widths = row_at.ravel(), later.ravel()
+        column_at = np.arange(n) * m  # flat offset of each column
+        band = max(1, _BAND // m)
+        for r0 in range(0, m - 1, band):
+            # each row of the band meets the later rows of its class in every column
+            b = min(band, m - 1 - r0)
+            first = (rank_of[r0 : r0 + b] + column_at).ravel()
+            width = widths[first].astype(np.intp)
+            counts = None
+            for lo, hi, partners in _pair_blocks(first + 1, width):
+                key = np.repeat(np.arange(lo, hi) // n * m, width[lo:hi]) + rows[partners]
+                part = np.bincount(key, minlength=b * m)
+                counts = part if counts is None else np.add(counts, part, out=counts)
+            yield counts.reshape(b, m), r0
+
     lo_agree, hi_agree = n + 1, -1
-    band = max(1, _BAND // max(m, n))
-    for r0 in range(0, m - 1, band):
-        # each row of the band meets the later rows of its class in every column
-        b = min(band, m - 1 - r0)
-        first = (rank_of[r0 : r0 + b] + column_at).ravel()
-        width = widths[first].astype(np.intp)
-        agree = None
-        for lo, hi, partners in _pair_blocks(first + 1, width):
-            band_row = np.arange(lo, hi) // n
-            key = np.repeat(band_row * m, width[lo:hi]) + rows[partners]
-            counts = np.bincount(key, minlength=b * m)
-            if agree is None:
-                agree = counts
-            else:
-                agree += counts
-        agree = agree.reshape(b, m)
-        # row r0 + i meets the rows past the band and the band's rows after it,
-        # the upper triangle of the next b - 1 columns
-        near = agree[:, r0 + 1 : r0 + b][np.triu(np.ones((b, b - 1), dtype=bool))]
-        for vals in (agree[:, r0 + b :], near):
-            if vals.size:
-                lo_agree = min(lo_agree, int(vals.min()))
-                hi_agree = max(hi_agree, int(vals.max()))
+    step = max(2, _BAND // m)
+    upper = np.triu(np.ones((step, step - 1), dtype=bool))  # (i, j) with j >= i
+    for counts, r0 in blocks() if kept else [(agree[:-1], 0)]:
+        for i in range(0, len(counts), step):
+            # rows top .. top + k - 1 meet the rows after them: the columns past
+            # top + k and the upper triangle of the k - 1 columns before
+            top, k = r0 + i, min(step, len(counts) - i)
+            part = counts[i : i + k]
+            near = part[:, top + 1 : top + k][upper[:k, : k - 1]]
+            for vals in (part[:, top + k :], near):
+                if vals.size:
+                    lo_agree = min(lo_agree, int(vals.min()))
+                    hi_agree = max(hi_agree, int(vals.max()))
     return n - hi_agree, n - lo_agree
 
 

@@ -307,11 +307,12 @@ def construct_product(ring: Ring, g_group: Subgroup, h_group: Subgroup) -> ZdbFu
     )
 
 
-def construct_doubled(ring: Ring, group: Subgroup) -> ZdbFunction:
-    """Generic construction over G union -G; needs g+1 invertible throughout."""
+def construct_doubled(ring: Ring, group: Subgroup, max_table: int | None = None) -> ZdbFunction:
+    """Generic construction over G union -G; needs g+1 invertible throughout.
+    Given max_table, a doubled group with a larger e x e table is refused."""
     if ring.order < 3:
         raise ConditionNotSatisfiedError("doubling needs a ring of order at least 3")
-    doubled = doubled_subgroup(ring, group)  # rejects -1 in G first
+    doubled = doubled_subgroup(ring, group, max_table)  # rejects -1 in G first
     if not check_plus_one(ring, group):
         raise ConditionNotSatisfiedError(
             "subgroup fails the plus-one condition: some g + 1 is not a unit"

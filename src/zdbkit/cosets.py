@@ -32,6 +32,7 @@ from .errors import (
     ConditionNotSatisfiedError,
     DegenerateDoublingError,
     NotAUnitError,
+    OversizedError,
 )
 from .rings import Ring
 
@@ -59,10 +60,18 @@ class Subgroup:
     ``Subgroup(ring, elements)`` validates any element list (JSON,
     explicit and doubled groups) through its e x e product table.
     ``cyclic_subgroup`` needs no such check: it fills the tables from the
-    exponents of the powers it walked.
+    exponents of the powers it walked.  Given max_table, both refuse a
+    subgroup whose e x e table has more entries with OversizedError before
+    building it.
     """
 
-    def __init__(self, ring: Ring, elements: Sequence[int], generator: int | None = None):
+    def __init__(
+        self,
+        ring: Ring,
+        elements: Sequence[int],
+        generator: int | None = None,
+        max_table: int | None = None,
+    ):
         elems = tuple(sorted(set(int(x) for x in elements)))
         if not elems:
             raise ValueError("subgroup cannot be empty")
@@ -72,6 +81,7 @@ class Subgroup:
         for g in elems:
             ring._check(g)
         e = len(elems)
+        _check_table(e, max_table)
         ordered = np.asarray(elems, dtype=np.int64)
         products = ring.mul_vec(ordered[:, None], ordered[None, :])  # [i, j] = g_i * g_j
         mul_pos = np.searchsorted(ordered, products)
@@ -125,7 +135,15 @@ class Subgroup:
         return {"elements": list(self.elements), "generator": self.generator}
 
 
-def cyclic_subgroup(ring: Ring, b: int) -> Subgroup:
+def _check_table(e: int, max_table: int | None) -> None:
+    if max_table is not None and e * e > max_table:
+        raise OversizedError(
+            f"a subgroup of order {e} needs {e * e:,} product table entries, "
+            f"over the limit of {max_table:,}"
+        )
+
+
+def cyclic_subgroup(ring: Ring, b: int, max_table: int | None = None) -> Subgroup:
     """The subgroup generated by the powers of a unit b.
 
     The walk 1, b, b^2, ... back to 1 is the whole group, so it needs no
@@ -141,6 +159,7 @@ def cyclic_subgroup(ring: Ring, b: int) -> Subgroup:
         powers.append(x)
         x = ring.mul(x, b)
     e = len(powers)
+    _check_table(e, max_table)
     exps = np.argsort(powers)  # exps[i] = k_i
     pos = np.empty(e, dtype=np.int64)  # exponent -> position
     pos[exps] = np.arange(e)
@@ -150,9 +169,11 @@ def cyclic_subgroup(ring: Ring, b: int) -> Subgroup:
     return group
 
 
-def subgroup_from_elements(ring: Ring, elements: Iterable[int]) -> Subgroup:
+def subgroup_from_elements(
+    ring: Ring, elements: Iterable[int], max_table: int | None = None
+) -> Subgroup:
     """Validate an explicit element list as a subgroup of the units."""
-    return Subgroup(ring, list(elements), generator=None)
+    return Subgroup(ring, list(elements), None, max_table)
 
 
 def check_unit_difference(ring: Ring, group: Subgroup) -> bool:
@@ -175,7 +196,7 @@ def check_plus_one(ring: Ring, group: Subgroup) -> bool:
     return True
 
 
-def doubled_subgroup(ring: Ring, group: Subgroup) -> Subgroup:
+def doubled_subgroup(ring: Ring, group: Subgroup, max_table: int | None = None) -> Subgroup:
     """The union of G and -G, which doubles the order when -1 is not in G."""
     minus_one = ring.neg(ring.one())
     if minus_one in group:
@@ -183,7 +204,7 @@ def doubled_subgroup(ring: Ring, group: Subgroup) -> Subgroup:
             f"-1 (index {minus_one}) already lies in the subgroup; doubling is degenerate"
         )
     doubled = list(group.elements) + [ring.neg(g) for g in group.elements]
-    return Subgroup(ring, doubled, generator=None)
+    return Subgroup(ring, doubled, None, max_table)
 
 
 def _largest_order_first(group: Subgroup) -> list[int]:

@@ -23,7 +23,9 @@ from zdbkit import (
     ZdbFunction,
     run_recipe,
 )
+from zdbkit import cli as cli_module
 from zdbkit import construct as construct_module
+from zdbkit import cosets as cosets_module
 from zdbkit import domains as domains_module
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -666,6 +668,68 @@ def test_an_allocation_that_fails_is_exit_2_without_a_traceback():
     assert "Traceback" not in run.stderr
 
 
+SUBGROUP_COMMANDS = [
+    ["cosets", "partition", "--ring", Z7_RING, "--g", "2"],
+    ["cosets", "partition", "--ring", Z7_RING, "--g", "1,2,4"],
+    ["zdb", "construct", "generic", "--ring", Z7_RING, "--g", "2"],
+    ["zdb", "construct", "product", "--ring", Z7_RING, "--g", "2", "--h", "6"],
+    ["zdb", "construct", "product", "--ring", Z7_RING, "--g", "1,2,4", "--h", "1,6"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBGROUP_COMMANDS, ids=lambda argv: " ".join(argv[:2] + argv[-3:]))
+def test_subgroup_tables_past_the_limit_need_force(run_cli, monkeypatch, argv):
+    # <2> in Z_7 has order 3: 9 product table entries against a limit of 2^2
+    monkeypatch.setattr(cli_module, "ORDER_LIMIT", 2)
+
+    def built(*args):
+        raise AssertionError("an e x e table was built")
+
+    with patch.object(ResidueRing, "mul_vec", built), patch.object(
+        cosets_module.Subgroup, "_set_tables", built
+    ):
+        code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a subgroup of order 3 needs 9 product table entries, over the limit of 4; "
+        "pass --force to run anyway\n"
+    )
+    code, out, err = run_cli([*argv, "--force"])
+    assert (code, err) == (0, "")
+    # the limit of 10^8 entries lets the same subgroups through
+    monkeypatch.setattr(cli_module, "ORDER_LIMIT", 10_000)
+    assert run_cli(argv) == (code, out, err)
+
+
+def test_a_doubled_subgroup_past_the_limit_needs_force(run_cli, monkeypatch):
+    # G = <2> in Z_7 has 9 entries, G union -G is every unit: 36 against 5^2
+    monkeypatch.setattr(cli_module, "ORDER_LIMIT", 5)
+    argv = ["zdb", "construct", "doubled", "--ring", Z7_RING, "--g", "2"]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a subgroup of order 6 needs 36 product table entries, over the limit of 25; "
+        "pass --force to run anyway\n"
+    )
+    assert run_cli([*argv, "--force"])[0] == 0
+
+
+@pytest.mark.parametrize("kind", ["ccc", "cwc", "dss"])
+def test_check_bounds_reads_a_pipe_as_it_reads_a_file(run_cli, tmp_path, kind):
+    # a pipe cannot seek, so it is read whole; the bytes out are the same
+    path, data = _z7_payload(run_cli, tmp_path, kind)
+    src = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    for payload in (data, {**data, "q": 12}):
+        path.write_text(json.dumps(payload, separators=(",", ":")))
+        expected = run_cli(["codes", "check-bounds", "--in", str(path)])
+        run = subprocess.run(
+            [sys.executable, "-m", "zdbkit.cli", "codes", "check-bounds", "--in", "/dev/stdin"],
+            input=path.read_text(), capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == expected
+
+
 def test_order_guard_follows_the_in_class_pair_count(run_cli, tmp_path):
     # an injective table has sum(w^2) = n, so only the matrix builders are refused
     n = 10_020
@@ -845,6 +909,14 @@ def test_check_bounds_rejects_malformed_symbols(run_cli, tmp_path):
         assert code == 2
         assert note in err
         assert out == ""
+
+
+def test_check_bounds_on_an_empty_codeword_needs_two_codewords(run_cli, tmp_path):
+    # no symbol to test against the alphabet: the recount refuses one codeword
+    path = tmp_path / "empty.json"
+    path.write_text('{"kind":"CCC","n":0,"M":1,"q":0,"d":0,"codewords":[[]]}')
+    code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+    assert (code, out, err) == (2, "", "error: distance needs at least two codewords\n")
 
 
 @pytest.mark.parametrize(

@@ -13,11 +13,12 @@ extremes, grouped with repeated elements, with empty runs added, or as a
 table (the positions themselves), and ``verify_zdb``'s distinct-symbol
 count against a set on int32 and int64 tables.  The
 same-symbol recount of stored code distances is checked against the
-all-pairs comparison on random integer matrices over consecutive and
-sparse alphabets, with classes past 256 rows, and on the (2500, 834, 2)
-instance, and against a count of the row pairs agreeing on each set of
-columns on 2^15 + 5 rows, where its ranks are int32; tracemalloc bounds
-its peak, and the reader's, by a few int16 matrices.  The distances and
+all-pairs comparison on random square, wide and tall integer matrices
+over consecutive, sparse and int32 alphabets, with classes past 256 rows
+and repeated rows, and on the (2500, 834, 2) instance, and against a
+count of the row pairs agreeing on each set of columns on 2^15 + 5 rows,
+where its ranks are int32; tracemalloc bounds its peak below 1.5 int16
+matrices on a square code, and the text and file readers' below 2.  The distances and
 the coverage the builders read from the spectrum of a verification
 result are checked against the all-pairs comparison and against the
 kernel recount ``dss_perfect_check``, on random tables and on every
@@ -42,12 +43,15 @@ The JSON boundary of codeword matrices is checked the same way: the
 banded matrix writer against ``json.dumps`` of the nested lists and
 ``CodeBook.to_csv`` against the per-element join it replaced, the same
 writer on ragged block lists against both; the
-vectorized reader against ``json.loads`` plus the list reader it
-bypasses, on canonical and mutated texts; and the banded shared
-composition check against one bincount of the whole matrix.
+text and file readers, in read blocks of a few bytes, from a str, a file
+and a pipe, against ``json.loads`` plus the list readers they bypass, on
+canonical and mutated matrices and block lists, rows longer than a read
+block included; and the banded shared composition
+check against one bincount of the whole matrix.
 """
 
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -86,6 +90,7 @@ from zdbkit import (
 )
 from zdbkit import codes as codes_module
 from zdbkit import domains as domains_module
+from zdbkit import reader as reader_module
 from zdbkit.codes import _shared_composition, _shift_codewords
 from zdbkit.domains import _sorted_by_label
 
@@ -368,6 +373,49 @@ def test_same_symbol_recount_with_int32_ranks():
         assert distance_range(words) == counted_distance_range(words) == (0, 3)
 
 
+@st.composite
+def shaped_matrices(draw):
+    """A square, wide or tall matrix over up to four symbols: consecutive
+    small ones, sparse int64 ones or int32 ones past 2^15, with one row
+    possibly repeated."""
+    m = draw(st.integers(2, 24))
+    shape = draw(st.sampled_from(["square", "wide", "tall"]))
+    n = m if shape == "square" else draw(
+        st.integers(m + 1, 32) if shape == "wide" else st.integers(1, m - 1)
+    )
+    q = draw(st.integers(1, 4))
+    pool, dtype = draw(st.sampled_from([
+        (list(range(q)), np.int16),
+        ([2**31 - 1 - 7919 * i for i in range(q)], np.int32),
+        ([(-1) ** i * 10**15 * i for i in range(q)], np.int64),
+    ]))
+    entries = draw(st.lists(st.sampled_from(pool), min_size=m * n, max_size=m * n))
+    words = np.array(entries, dtype=dtype).reshape(m, n)
+    if draw(st.booleans()):
+        words[draw(st.integers(0, m - 1))] = words[draw(st.integers(0, m - 1))]
+    return words
+
+
+@SETTINGS
+@example(np.array([[3, 1], [3, 1]], dtype=np.int16), 1)  # two equal rows
+@example(np.array([[5, 2**20, 5]] * 3, dtype=np.int32), 2)  # int32 symbols, one class each
+@given(shaped_matrices(), st.integers(1, 64))
+def test_recount_on_square_wide_and_tall_matrices_matches_all_pairs(words, band):
+    # a small band sorts a few columns at a time and counts tall matrices in many row blocks
+    pairs = sum(
+        int(np.sum(np.unique(col, return_counts=True)[1] ** 2)) for col in words.T
+    )
+    with patch.object(codes_module, "_BAND", band):
+        assert distance_range(words, max_pairs=pairs) == all_pairs_distance_range(words)
+        with pytest.raises(OversizedError) as refused:
+            distance_range(words, max_pairs=pairs - 1)
+    m, n = words.shape
+    assert str(refused.value) == (
+        f"recounting the distances of {m} codewords of length {n} needs {pairs:,} "
+        f"in-class row pairs, over the limit of {pairs - 1:,}"
+    )
+
+
 def _peak_bytes(call, *args):
     tracemalloc.start()
     try:
@@ -377,16 +425,23 @@ def _peak_bytes(call, *args):
         tracemalloc.stop()
 
 
-def test_matrix_recount_and_reader_peak_within_a_few_int16_matrices():
-    # the rank arrays are 2.5 int16 matrices; the reader fills one, block by block
+def test_matrix_recount_and_reader_peak_within_a_few_int16_matrices(tmp_path):
+    # the agreement counts of a square code are one uint16 matrix; the reader fills
+    # one int16 matrix, block by block, from the open file
     ring = GaloisField(17, 2)
     fn = construct_product(ring, cyclic_subgroup(ring, 4), cyclic_subgroup(ring, 17))
     words = _shift_codewords(fn)
     assert words.dtype == np.int16
     text = '{"kind":"CCC","codewords":' + b"".join(matrix_json(words)).decode() + "}"
-    raw = text.encode()
-    assert _peak_bytes(distance_range, words) < 3.5 * words.nbytes
-    for read, source in ((CodewordDecoder().decode, text), (CodewordDecoder.decode_bytes, raw)):
+    path = tmp_path / "ccc.json"
+    path.write_text(text)
+
+    def read_file(path):
+        with open(path, "rb") as fh:
+            return CodewordDecoder.decode_file(fh)
+
+    assert _peak_bytes(distance_range, words) < 1.5 * words.nbytes
+    for read, source in ((CodewordDecoder().decode, text), (read_file, path)):
         assert _peak_bytes(read, source) < 2 * words.nbytes
         assert np.array_equal(read(source)["codewords"], words)
 
@@ -874,15 +929,42 @@ def codebook_texts(draw, mutation):
     return f"{head}{before}{key}:{matrix}{after}}}\n"
 
 
-def _read(text, decoder=None):
-    """Codewords or the error of one reader: CodewordDecoder on the text or
-    on its bytes with CodeBook.from_json, or json.loads with the list reader."""
+class _Pipe(io.BytesIO):
+    """A file that cannot seek, as a pipe."""
+
+    def seekable(self):
+        return False
+
+
+def _decode_file(text, pipe=False):
+    return CodewordDecoder.decode_file((_Pipe if pipe else io.BytesIO)(text.encode()))
+
+
+def _plain(value):
+    """A decoded value with arrays as lists, and (points, ends) as block lists."""
+    if type(value) is tuple:
+        return [block.tolist() for block in np.split(value[0], value[1])[:-1]]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return {k: _plain(v) for k, v in value.items()} if isinstance(value, dict) else value
+
+
+def _outcome(read, text):
     try:
-        if decoder is None:
+        value = read(text)
+    except json.JSONDecodeError as exc:
+        return "error", exc.msg, exc.pos
+    return "value", _plain(value)
+
+
+def _read(text, reader=None):
+    """Codewords or the error of one reader: CodewordDecoder on the text, or
+    on its bytes as a file, with CodeBook.from_json, or json.loads with the
+    list reader."""
+    try:
+        if reader is None:
             return list_codewords(json.loads(text))
-        if decoder == "bytes":
-            return CodeBook.from_json(CodewordDecoder.decode_bytes(text.encode())).codewords
-        return CodeBook.from_json(json.loads(text, cls=decoder)).codewords
+        return CodeBook.from_json(reader(text)).codewords
     except (ValueError, KeyError) as exc:
         return type(exc), str(exc)
 
@@ -893,21 +975,22 @@ def _read(text, decoder=None):
 def test_fast_reader_matches_json_loads(mutation, data, block):
     text = data.draw(codebook_texts(mutation))
     # a small read block makes the reader cut the matrix after many rows
-    with patch.object(codes_module, "_READ_BLOCK", block):
-        fast = _read(text, CodewordDecoder)
-        from_bytes = _read(text, "bytes")
+    with patch.object(reader_module, "_READ_BLOCK", block):
+        fast = _read(text, lambda t: json.loads(t, cls=CodewordDecoder))
+        from_file = _read(text, _decode_file)
+        from_pipe = _read(text, lambda t: _decode_file(t, pipe=True))
         if mutation in ("canonical", "999999999", "duplicate key", "escaped key", "quoted key",
                         "escaped quote key"):
             assert isinstance(json.loads(text, cls=CodewordDecoder)["codewords"], np.ndarray)
-            assert isinstance(CodewordDecoder.decode_bytes(text.encode())["codewords"], np.ndarray)
+            assert isinstance(_decode_file(text)["codewords"], np.ndarray)
         if mutation == "escaped quote key":  # the matrix cut from the bytes is not the codewords
-            assert CodewordDecoder.decode_bytes(text.encode())['x"codewords'] == [[1, 2]]
+            assert _decode_file(text)['x"codewords'] == [[1, 2]]
     slow = _read(text)
     if isinstance(slow, tuple):
-        assert fast == from_bytes == slow
+        assert fast == from_file == from_pipe == slow
         return
     fits = slow.size and -(2**15) <= slow.min() and slow.max() < 2**15
-    for read in (fast, from_bytes):
+    for read in (fast, from_file, from_pipe):
         assert np.array_equal(read, slow) and read.shape == slow.shape
         assert read.dtype == (np.int16 if fits else np.int32)
 
@@ -915,19 +998,111 @@ def test_fast_reader_matches_json_loads(mutation, data, block):
 @pytest.mark.parametrize(
     "text",
     ["[1]", "1", '"x"', "", "{}", '{"codewords":[[1]]', '{"codewords":[[1]]}x',
-     '{"a":1,}', '{"codewords":[[1],[2]],"codewords":[[3]]}', "\ufeff{}"],
+     '{"a":1,}', '{"codewords":[[1],[2]],"codewords":[[3]]}', "\ufeff{}",
+     '{"codewords":[[1,2],[3', '{"blocks":[[1],[]],"q":2', '{"codewords":[[1]]}\r\n',
+     '{"blocks":[[1],[],[2]],\r"q":3}', '{"k":"\u00e9","codewords":[[1]]}',
+     '\ufeff{"blocks":[[1]]}', '{"blocks":[[1]]}]]', '{"blocks":[[1]],"blocks":[[2,3]]}',
+     '{"a":Infinity,"codewords":[[1]]}', '{"codewords":[[1]],"b":-Infinity}',
+     '{"a":{"codewords":[[1]]},"codewords":[[2]]}', '[{"blocks":[[1]]}]'],
 )
 def test_fast_reader_keeps_json_loads_values_and_errors(text):
-    def outcome(read):
-        try:
-            value = read(text)
-        except json.JSONDecodeError as exc:
-            return "error", exc.msg, exc.pos
-        return "value", value
+    expected = _outcome(json.loads, text)
+    with patch.object(reader_module, "_READ_BLOCK", 3):
+        assert _outcome(lambda t: json.loads(t, cls=CodewordDecoder), text) == expected
+        assert _outcome(_decode_file, text) == expected
+        assert _outcome(lambda t: _decode_file(t, pipe=True), text) == expected
 
-    expected = outcome(json.loads)
-    assert outcome(lambda t: json.loads(t, cls=CodewordDecoder)) == expected
-    assert outcome(lambda t: CodewordDecoder.decode_bytes(t.encode())) == expected
+
+# each mutation replaces one point token, or reshapes the block list or the file
+POINT_MUTATIONS = [" 5", "5 ", "1.0", "true", "-1", "01", "1234567890", "null", '"7"', "[3]"]
+BLOCK_MUTATIONS = [
+    "canonical", *POINT_MUTATIONS, "newline inside", "),[", "];[", "[]", "[[]]", "crlf", "bom",
+    "non-ascii", "truncated", "duplicate key", "escaped quote key",
+]
+
+
+@st.composite
+def dss_texts(draw, mutation):
+    """A DSS payload over Z_1000 whose blocks may be empty and may hold points
+    outside the group, with one mutation."""
+    points = st.one_of(st.integers(0, 999), st.integers(0, 10**9 - 1))
+    blocks = draw(st.lists(st.lists(points, max_size=5), min_size=1, max_size=8))
+    tokens = [[str(x) for x in block] for block in blocks]
+    full = [b for b in range(len(tokens)) if tokens[b]]
+    b = draw(st.sampled_from(full)) if full else None
+    y = draw(st.integers(0, len(tokens[b]) - 1)) if full else None
+    row_break, before, after = "],[", "", ""
+    if mutation in ("),[", "];["):
+        row_break = mutation
+    elif mutation == "newline inside" and full:
+        tokens[b][y] = "\n" + tokens[b][y]
+    elif mutation == "duplicate key":
+        after = ',"blocks":[[4,2],[]]'
+    elif mutation == "escaped quote key":  # its bytes hold '"blocks":[[' first
+        before = '"x\\"blocks":[[1,2]],'
+    elif mutation in POINT_MUTATIONS and full:
+        tokens[b][y] = mutation
+    lists = {"[]": "[]", "[[]]": "[[]]"}.get(mutation) or _matrix_text(tokens, row_break)
+    head = '{"kind":"DSS","group":{"kind":"ring_additive","ring":{"kind":"residue","n":1000}},'
+    tail = ',"q":1,"tau":1,"lambda":null,"perfect":false,"partitioned":false}\n'
+    text = f'{head}{before}"blocks":{lists}{after}{tail}'
+    if mutation == "crlf":
+        text = text.replace(",", ",\r\n", 1)
+    elif mutation == "bom":
+        text = "\ufeff" + text
+    elif mutation == "non-ascii":
+        text = text.replace('"DSS"', '"DSS\u00e9"')
+    elif mutation == "truncated":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def _read_system(text, read):
+    """Points and ends of the system read, or the error."""
+    try:
+        system = DssSystem.from_json(read(text))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return system.points.tolist(), system.ends.tolist()
+
+
+@pytest.mark.parametrize("mutation", BLOCK_MUTATIONS)
+@settings(SETTINGS, max_examples=15)
+@given(data=st.data(), block=st.integers(1, 16))
+def test_block_reader_matches_json_loads(mutation, data, block):
+    text = data.draw(dss_texts(mutation))
+    # a read block of a few bytes makes every point and block straddle a chunk edge
+    with patch.object(reader_module, "_READ_BLOCK", block):
+        fast = _outcome(_decode_file, text)
+        system = _read_system(text, _decode_file)
+        if mutation in ("canonical", "[[]]", "duplicate key", "escaped quote key"):
+            assert type(_decode_file(text)["blocks"]) is tuple
+        if mutation == "escaped quote key":  # the lists cut from the bytes are not the blocks
+            assert _decode_file(text)['x"blocks'] == [[1, 2]]
+    assert fast == _outcome(json.loads, text)
+    assert system == _read_system(text, json.loads)
+
+
+@pytest.mark.parametrize("block", [1, 8, 64])
+def test_rows_longer_than_a_read_block_are_cut_between_symbols(block):
+    # a row of 300 symbols spans many read blocks: it is parsed a block at a time,
+    # and a fault deep inside it still sends the file to json.loads
+    row = ",".join(str(7 * i % 1000) for i in range(300))
+    short = row[:50].rstrip(",")
+    texts = {
+        "codewords": '{"codewords":[[%s],[%s]],"n":300}' % (row, row),
+        "blocks": '{"blocks":[[%s],[],[%s]],"q":3}' % (row, short),
+    }
+    with patch.object(reader_module, "_READ_BLOCK", block):
+        for key, text in texts.items():
+            value = _decode_file(text)[key]
+            assert type(value) is (np.ndarray if key == "codewords" else tuple)
+            assert _plain(_decode_file(text)) == json.loads(text)
+            for fault in (", 7", ",07", ",1234567890"):  # valid, an error, valid
+                bad = text.replace(",7", fault, 1)
+                assert _outcome(_decode_file, bad) == _outcome(json.loads, bad)
+                if fault != ",07":
+                    assert type(_decode_file(bad)[key]) is list
 
 
 def test_dss_blocks_of_equal_size_stay_lists():
@@ -939,6 +1114,10 @@ def test_dss_blocks_of_equal_size_stay_lists():
     data = json.loads(text, cls=CodewordDecoder)
     assert data == json.loads(text)
     assert type(data["blocks"]) is list and all(type(b) is list for b in data["blocks"])
+    # a file's blocks arrive as (points, ends): equal blocks are not read as a matrix
+    points, ends = _decode_file(text)["blocks"]
+    assert (points.tolist(), ends.tolist()) == ([0, 1, 2, 3, 4, 5], [2, 4, 6])
+    assert _plain(_decode_file(text)) == json.loads(text)
 
 
 @SETTINGS
