@@ -128,7 +128,7 @@ def _guard(fn: ZdbFunction, matrix: bool, force: bool) -> None:
         cost, what = fn.n * fn.n, "codeword matrix entries"
     else:
         # over the symbols that occur: the claimed q may be far larger than the table
-        multiplicity = np.diff(fn.grouping[1], prepend=0)
+        multiplicity = np.diff(fn.grouping[1], prepend=0).astype(np.int64)
         cost, what = int(multiplicity @ multiplicity), "in-class pairs"
     if cost > ORDER_LIMIT**2 and not force:
         raise _UsageError(
@@ -305,11 +305,11 @@ def _recheck_codebook(book: CodeBook, force: bool) -> list[str]:
     return problems
 
 
-def _recheck_dss(system: DssSystem) -> list[str]:
+def _recheck_dss(system: DssSystem, force: bool) -> list[str]:
     """Recompute the counts and coverage the stored system claims; return
     mismatch notes."""
     try:
-        chk = dss_perfect_check(system)
+        chk = dss_perfect_check(system, max_pairs=None if force else ORDER_LIMIT**2)
     except RuntimeError as exc:  # overlapping blocks
         return [str(exc)]
     problems = []
@@ -347,7 +347,7 @@ def _cmd_check_bounds(args) -> int:
         report = ccc_report(book) if kind == "CCC" else cwc_report(book)
     elif kind == "DSS":
         system = DssSystem.from_json(data)
-        problems = _recheck_dss(system)
+        problems = _recheck_dss(system, args.force)
         if system.lam is None or not system.perfect:
             _print_failures(problems + ["the system is not perfect, so no bound applies"])
             return 1

@@ -65,7 +65,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .construct import ZdbFunction
-from .domains import AbelianDomain, _pair_blocks, domain_from_json
+from .domains import AbelianDomain, _pair_blocks, _position_dtype, domain_from_json
 from .errors import (
     NotCwcEligibleError,
     OversizedError,
@@ -289,13 +289,14 @@ def matrix_json(words: np.ndarray) -> Iterator[bytes]:
 class DssSystem:
     """Disjoint difference sets D_0..D_{q-1} inside an abelian group.
 
-    The blocks are two read-only int64 arrays: points holds every block's
+    The blocks are two read-only arrays: points holds every block's
     members in block order and ends the cumulative block sizes, so block
     b is points[ends[b-1] : ends[b]] (from 0 for b = 0); ``blocks`` gives
-    those slices as views.  Every point is checked to be a group element
-    index when the system is made, and a ValueError names the first that
-    is not; ``from_json`` checks the exact JSON integers before numpy
-    sees them.
+    those slices as views.  Points are int32 while the group order is
+    below 2**31, and ends while the point count is, else int64.  Every
+    point is checked to be a group element index when the system is made,
+    and a ValueError names the first that is not; ``from_json`` checks the
+    exact JSON integers before numpy sees them.
 
     lam is the certified minimum coverage of nonzero elements by
     cross-block differences; perfect means the coverage is exactly lam
@@ -323,10 +324,13 @@ class DssSystem:
             raise _not_an_element(int(points[outside[0]]), order)
         if (np.diff(ends, prepend=0) < 0).any() or (ends[-1] if len(ends) else 0) != len(points):
             raise ValueError("block ends must ascend from 0 to the number of points")
-        for name, values in (("points", points), ("ends", ends)):
-            # a read-only int64 array owning its data, as a grouping, is shared
-            if values.dtype != np.int64 or values.flags.writeable or not values.flags.owndata:
-                values = np.array(values, dtype=np.int64)
+        for name, values, dtype in (
+            ("points", points, _position_dtype(order)),
+            ("ends", ends, _position_dtype(len(points))),
+        ):
+            # a read-only array owning its data in its dtype, as a grouping, is shared
+            if values.dtype != dtype or values.flags.writeable or not values.flags.owndata:
+                values = np.array(values, dtype=dtype)
                 values.flags.writeable = False
             object.__setattr__(self, name, values)
 
@@ -339,8 +343,12 @@ class DssSystem:
         """(q, tau, partitioned) from the arrays alone: the block count, the
         point count, and whether the points are every group element once."""
         order = self.domain.order
-        partitioned = len(self.points) == order and np.bincount(self.points, minlength=order).all()
-        return len(self.ends), len(self.points), bool(partitioned)
+        partitioned = len(self.points) == order
+        if partitioned:  # order points are every element once when they hit every element
+            hit = np.zeros(order, dtype=bool)
+            hit[self.points] = True
+            partitioned = bool(hit.all())
+        return len(self.ends), len(self.points), partitioned
 
     def to_json(self, *, blocks: bool = True) -> dict:
         """The JSON object of the system.  With blocks=False the "blocks"
@@ -370,7 +378,7 @@ class DssSystem:
         blocks = _field(data, "blocks", None if pair else list)
         domain = domain_from_json(_field(data, "group", None))
         sizes = () if pair else [len(_typed("blocks", b, list)) for b in blocks]
-        points, ends = blocks if pair else (None, np.cumsum(sizes, dtype=np.int64))
+        points, ends = blocks if pair else (None, None)
         claims = dict(
             q=_field(data, "q"),
             tau=_field(data, "tau"),
@@ -385,7 +393,8 @@ class DssSystem:
             if not exact or (points and not 0 <= min(points) <= max(points) < order):
                 bad = next(x for x in points if type(x) is not int or not 0 <= x < order)
                 raise _not_an_element(bad, order)
-            points = np.array(points, dtype=np.int64)
+            points = np.array(points, dtype=_position_dtype(order))
+            ends = np.cumsum(sizes, dtype=_position_dtype(len(points)))
         for values in (points, ends):
             values.flags.writeable = False  # read-only arrays of their own are shared
         return DssSystem(domain, points, ends, **claims)
@@ -515,7 +524,7 @@ def distance_range(codewords: np.ndarray, *, max_pairs: int | None = None) -> tu
             rank_of[by_symbol, np.arange(y0, y1)[:, None]] = np.arange(m)
         elif max_pairs is None or pairs <= max_pairs:
             # each row meets the later rows of its class: one count per pair
-            rows = by_symbol.ravel().astype(np.int32 if m * m < 2**31 else np.int64)
+            rows = by_symbol.ravel().astype(_position_dtype(m * m))
             for lo, hi, partners in _pair_blocks(np.arange(1, sym.size + 1), width):
                 key = np.repeat(rows[lo:hi] * m, width[lo:hi]) + rows[partners]
                 np.add.at(agree.ravel(), key, count(1))
@@ -641,12 +650,14 @@ def dss_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> D
     spec = _require_verified(fn, result).spectrum
     crossed = fn.q >= 2
     points, runs = fn.grouping
-    sizes = np.zeros(fn.q, dtype=np.int64)
+    sizes = np.zeros(fn.q, dtype=points.dtype)
     sizes[fn.table[points[runs - 1]]] = np.diff(runs, prepend=0)
+    ends = np.cumsum(sizes, dtype=points.dtype)
+    ends.flags.writeable = False  # shared as it is, like the points
     return DssSystem(
         domain=fn.domain,
         points=points,
-        ends=np.cumsum(sizes),
+        ends=ends,
         q=fn.q,
         tau=fn.n,
         lam=fn.n - spec.max_count if crossed else 0,
@@ -655,7 +666,7 @@ def dss_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> D
     )
 
 
-def dss_perfect_check(system: DssSystem) -> PerfectCheck:
+def dss_perfect_check(system: DssSystem, *, max_pairs: int | None = None) -> PerfectCheck:
     """Count the multiset of cross-block differences.
 
     Counts x - y over all ordered pairs taken from distinct blocks and
@@ -664,11 +675,24 @@ def dss_perfect_check(system: DssSystem) -> PerfectCheck:
     than two blocks has no cross pairs at all.  Overlapping blocks raise
     RuntimeError.  The blocks are the kernel's runs as stored, and all
     pairs are one run of every point, checked when the system was made.
+
+    When max_pairs is given and the kernel would form more pairs than that
+    (the squared block sizes, and the squared point count too unless the
+    blocks partition the group), OversizedError is raised before any count.
     """
     domain, points, ends = system.domain, system.points, system.ends
     if len(ends) < 2:
         return PerfectCheck(0, False, None)
-    if system.recount()[2]:  # a partition: every difference arises from exactly n pairs
+    partitioned = system.recount()[2]
+    if max_pairs is not None:
+        sizes = np.diff(ends, prepend=0).astype(np.int64)
+        pairs = int(sizes @ sizes) + (0 if partitioned else len(points) ** 2)
+        if pairs > max_pairs:
+            raise OversizedError(
+                f"recounting the coverage of {len(ends)} blocks of {len(points)} points "
+                f"needs {pairs:,} point pairs, over the limit of {max_pairs:,}"
+            )
+    if partitioned:  # every difference arises from exactly n pairs
         union = domain.order
     else:
         union = domain.difference_counts(points, [len(points)])

@@ -50,7 +50,7 @@ from .domains import (
     domain_from_json,
 )
 from .errors import ConditionNotSatisfiedError, _field, _int_list
-from .rings import Ring
+from .rings import Ring, _position_dtype
 
 __all__ = [
     "ZdbFunction",
@@ -168,7 +168,7 @@ class ZdbFunction:
         # numpy reads as floats or objects (2**63 next to -1, or 2**64) fail here too
         if int(symbols.min()) < 0 or int(symbols.max()) >= min(q, 2**63):
             raise ValueError(f"table contains symbols outside range(0, {min(q, 2**63)})")
-        self._table = symbols.astype(np.int32 if q <= 2**31 - 1 else np.int64)
+        self._table = symbols.astype(_position_dtype(q))
         self._table.flags.writeable = False
         self.domain = domain
         self.q = q

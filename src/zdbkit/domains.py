@@ -7,11 +7,13 @@ and its flat index is ring_index * e + group_position, where positions
 number the subgroup's elements in ascending index order.  That flat
 order is also the codeword coordinate order used throughout.
 
-``op_vec`` and ``inverse_vec`` are the bulk form of the group law.  In
-the product shape they split a flat index as r = a // e and
-position = a - r * e, the same remainder the rings use in place of
-numpy's slower %, and gather the subgroup part from mul_pos read flat
-at p_a * e + p_b.  ``difference_counts``, the one kernel behind every
+``op_vec`` and ``inverse_vec`` are the bulk form of the group law.  They
+run in int32 on int32 positions while the order is below 2^31, else in
+int64 (``_as_positions`` in rings).  In the product shape they split a
+flat index as r = a // e and position = a - r * e, the same remainder
+the rings use in place of numpy's slower %, and gather the subgroup part
+from mul_pos indexed by the two positions, which broadcast without a
+combined index array.  ``difference_counts``, the one kernel behind every
 certificate, is built on them and on nothing else.  It sorts nothing:
 it is handed runs (points, ends), a table's grouping by symbol from
 ``_sorted_by_label`` or a stored system's blocks, and stacks the runs
@@ -19,7 +21,8 @@ of one size w as a (w, c) matrix with the c runs innermost, so each
 group-law call on the (w, w, c) pair block runs inner loops of length
 c, not c loops of length w.  ``shift_rows`` returns full translation
 rows for any list of shifts, one permutation of the domain per shift,
-derived from ``op_vec`` once for both shapes.
+derived from ``op_vec`` once for both shapes and filled a band of rows
+at a time.
 
 ``translates`` builds the matrix of every translate of a table, row a
 being y -> table[op(a, y)], without index arithmetic.  The additive
@@ -40,12 +43,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cosets import Subgroup, cyclic_subgroup, subgroup_from_elements
 from .errors import _field, _int_list, _typed
-from .rings import Ring, ring_from_json
+from .rings import Ring, _as_positions, _position_dtype, ring_from_json
 
 __all__ = ["AbelianDomain", "RingAdditiveDomain", "RingTimesGroupDomain", "domain_from_json"]
 
 # element pairs combined per group-law call in difference_counts
 _PAIR_BLOCK = 1 << 18
+
+# output cells filled per group-law call in shift_rows (whole rows, at least one)
+_ROW_BAND = 1 << 16
 
 
 def _pair_blocks(start, width):
@@ -68,27 +74,34 @@ def _pair_blocks(start, width):
 
 def _sorted_by_label(labels):
     """The positions sorted stably by label and the cumulative sizes of
-    their runs: the grouping (points, ends) that ``difference_counts`` reads.
+    their runs: the grouping (points, ends) that ``difference_counts`` reads,
+    both in the position dtype of the length, int32 below 2**31.
 
     When the label span times the length fits an int64, one value sort of
     (label - min) << bits | position stands in for the stable argsort,
-    which takes several times longer; other labels take the argsort.
+    which takes several times longer, and the positions are masked off the
+    sorted keys straight into their own dtype, so the int64 keys are the one
+    int64 array; other labels take the argsort.
     """
     labels = np.array(labels, dtype=np.int64)  # a copy, reused as the sort key
     m = len(labels)
+    dtype = _position_dtype(m)
     bits = m.bit_length()
     low = int(labels.min()) if m else 0
     if m and (int(labels.max()) - low + 1) << bits < 1 << 63:
         labels -= low
         labels <<= bits
-        labels |= np.arange(m)
+        labels |= np.arange(m, dtype=dtype)
         labels.sort()
-        by_label = labels & ((1 << bits) - 1)
+        by_label = np.empty(m, dtype=dtype)
+        np.bitwise_and(labels, (1 << bits) - 1, out=by_label, casting="unsafe")
         labels >>= bits
     else:
-        by_label = np.argsort(labels, kind="stable")
-        labels = labels[by_label]
-    return by_label, np.flatnonzero(np.append(labels[1:] != labels[:-1], m > 0)) + 1
+        order = np.argsort(labels, kind="stable")
+        by_label, labels = order.astype(dtype), labels[order]
+    ends = np.flatnonzero(np.append(labels[1:] != labels[:-1], m > 0)).astype(dtype)
+    ends += 1
+    return by_label, ends
 
 
 def _class_blocks(x, starts, w):
@@ -129,9 +142,18 @@ class AbelianDomain:
         return range(self.order)
 
     def shift_rows(self, deltas: Sequence[int]) -> np.ndarray:
-        """Array of shape (len(deltas), order): row i is y -> op(delta_i, y)."""
-        d = np.asarray(deltas, dtype=np.int64)
-        return self.op_vec(d[:, None], np.arange(self.order, dtype=np.int64)[None, :])
+        """Array of shape (len(deltas), order): row i is y -> op(delta_i, y),
+        int32 while the order is below 2**31, else int64.  It is allocated
+        once and filled by ``op_vec`` in bands of whole rows, about _ROW_BAND
+        cells each, so the group law's temporaries are the size of a band."""
+        dtype = _position_dtype(self.order)
+        d = np.asarray(deltas, dtype=dtype)[:, None]
+        y = np.arange(self.order, dtype=dtype)
+        out = np.empty((len(d), self.order), dtype=dtype)
+        step = max(1, _ROW_BAND // self.order)
+        for lo in range(0, len(d), step):
+            out[lo : lo + step] = self.op_vec(d[lo : lo + step], y)
+        return out
 
     def translates(self, table) -> np.ndarray:
         """The (order, order) matrix, in the table's dtype, whose row a is
@@ -169,19 +191,23 @@ class AbelianDomain:
         One-member runs add their number to the identity's count without the
         group law.  The runs of each larger size w are stacked into a (w, c)
         matrix, whose pairs are op_vec of its members against their
-        inverses, broadcast to (w, w, c).  The differences collect in a
-        buffer of at least order entries, so each order-length bincount
-        counts at least as many pairs as it has bins; a block that fills the
-        buffer alone, as a row of a run with more members than it has
-        entries, is counted without it.
+        inverses, broadcast to (w, w, c); int32 points are read as they are,
+        so the group law runs in int32 while the order is below 2**31.  The
+        differences collect in a buffer of at least order entries, so each
+        order-length bincount counts at least as many pairs as it has bins;
+        a block that fills the buffer alone, as a row of a run with more
+        members than it has entries, is counted without it.  The counts are
+        int32 while the order and the pair count are below 2**31, else int64.
         """
-        x, ends = np.asarray(points, dtype=np.int64), np.asarray(ends)
+        x, ends = np.asarray(points), np.asarray(ends)
         size = np.diff(ends, prepend=0)
-        counts = np.zeros(self.order, dtype=np.int64)
+        classes = np.bincount(size)  # classes[w]: the number of w-member runs
+        widths = (np.flatnonzero(classes[1:]) + 1).tolist()  # empty runs have no pairs
+        pairs = sum(int(classes[w]) * w * w for w in widths)  # no count can exceed it
+        counts = np.zeros(self.order, dtype=_position_dtype(max(pairs, self.order)))
         buffer = np.empty(max(_PAIR_BLOCK, self.order), dtype=np.int64)
         fill = 0
-        classes = np.bincount(size)  # classes[w]: the number of w-member runs
-        for w in (np.flatnonzero(classes[1:]) + 1).tolist():  # empty runs have no pairs
+        for w in widths:
             if w == 1:  # a one-member run pairs only with itself, at the identity
                 counts[self.identity] = classes[1]
                 continue
@@ -264,8 +290,8 @@ class RingTimesGroupDomain(AbelianDomain):
         self.e = group.order
         self.order = ring.order * self.e
         self.identity = group.identity_pos
-        self._mul_pos = np.asarray(group.mul_pos, dtype=np.int64)
-        self._inv_pos = np.asarray(group.inv_pos, dtype=np.int64)
+        self._mul_pos = np.asarray(group.mul_pos, dtype=_position_dtype(self.e))
+        self._inv_pos = np.asarray(group.inv_pos, dtype=_position_dtype(self.e))
 
     def encode(self, pair: tuple[int, int]) -> int:
         r, g = pair
@@ -289,21 +315,20 @@ class RingTimesGroupDomain(AbelianDomain):
 
     # flat index = ring part * e + position, split as in the module docstring
     def op_vec(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        a, b = _as_positions(self.order, a, b)
         e = self.e
         ra, rb = a // e, b // e
         out = self.ring.add_vec(ra, rb)
         out *= e
-        out += self._mul_pos.take((a - ra * e) * e + (b - rb * e))
+        out += self._mul_pos[a - ra * e, b - rb * e]
         return out
 
     def inverse_vec(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
+        (a,) = _as_positions(self.order, a)
         r = a // self.e
         out = self.ring.neg_vec(r)
         out *= self.e
-        out += self._inv_pos.take(a - r * self.e)
+        out += self._inv_pos[a - r * self.e]
         return out
 
     def to_json(self) -> dict:

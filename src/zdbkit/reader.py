@@ -51,9 +51,13 @@ def _parse_rows(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
 def _parse_payload(fh, at: int, matrix: bool) -> tuple[object, int] | None:
     """The canonical list of lists at byte at of a file and its length, or
     None: a matrix, of equal nonempty rows, as an int16 array (int32 when a
-    symbol needs it), other lists as the int64 pair (values, ends).  A first
-    pass finds the end, the first "]]", and sizes the arrays from the commas,
-    row breaks and empty rows before it; a second fills them a block at a time."""
+    symbol needs it), other lists as the pair (values, ends): int32 values,
+    which have nine digits at most, and ends int32 while there are fewer
+    than 2**31 values.  A first pass finds the end, the first "]]", and sizes
+    the arrays from the commas, row breaks and empty rows before it; a second
+    fills them a block at a time."""
+    from .rings import _position_dtype
+
     def chunks():
         fh.seek(at)
         while chunk := fh.read(_READ_BLOCK):
@@ -75,8 +79,8 @@ def _parse_payload(fh, at: int, matrix: bool) -> tuple[object, int] | None:
     commas, breaks, empties = counts
     if commas + 1 < empties:
         return None
-    values = np.empty(commas + 1 - empties, dtype=np.int16 if matrix else np.int64)
-    ends = np.empty(breaks + 1, dtype=np.int64)
+    values = np.empty(commas + 1 - empties, dtype=np.int16 if matrix else np.int32)
+    ends = np.empty(breaks + 1, dtype=_position_dtype(len(values)))
     rows = filled = seen = 0
     pending, inside = bytearray(), False  # the text after the last cut; it starts inside a row
     for chunk in chunks():  # the rows are the bytes 1 .. length - 2
@@ -175,8 +179,9 @@ class CodewordDecoder(json.JSONDecoder):
     digits without leading zeros, at most nine, no whitespace, equal
     nonempty rows) as an int16 array, int32 when a symbol needs it.
     ``decode_file(fh)`` reads an open binary file so, as UTF-8 with universal
-    newlines, and canonical "blocks" (empty rows allowed) as the int64 pair
-    (points, ends).  Any other text goes to ``json.loads`` whole."""
+    newlines, and canonical "blocks" (empty rows allowed) as the int32 pair
+    (points, ends), ends int64 from 2**31 points.  Any other text goes to
+    ``json.loads`` whole."""
 
     def decode(self, s: str, *args):
         fh = _Buffer(s if s.isascii() else s.encode("utf-8", "surrogatepass"))

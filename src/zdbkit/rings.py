@@ -23,9 +23,13 @@ repeated k^2 times for M_k(GF(q)).  Addition adds digits, each modulo
 its radix, so ``add``/``neg`` and the vectorized ``add_vec``/``neg_vec``
 (numpy arrays with broadcasting, what the exhaustive verification
 kernels run on) are written once, in ``Ring``.  They reduce a digit
-with ``_rem``, x - x // m * m, which means the same for ints, int64 and
-object arrays and costs half of numpy's int64 %.  Orders must stay below
-2^62, so that the sum of two indices fits in int64.
+with ``_rem``, x - x // m * m, which means the same for ints, int32,
+int64 and object arrays and costs half of numpy's int64 %.  The vector
+forms run in int32 when both index arrays are int32 and the order is
+below 2^31 (``_position_dtype``), else in int64, with no copy of an
+array already in that dtype.  The lowest digit is reduced from
+a + (b - order), which lies in (-order, order), so no sum of two indices
+leaves the dtype; orders must stay below 2^62 for int64.
 
 Multiplication has one rule per kind, ``_mul_digits``, and like the
 sum it serves Python ints (``mul``) and int64 arrays (``mul_vec``, with
@@ -71,12 +75,28 @@ __all__ = [
 _ORDER_LIMIT = 1 << 62
 
 
+def _position_dtype(n: int) -> type:
+    """The dtype of positions in range(n), and of counts up to n: int32
+    while n < 2**31, else int64."""
+    return np.int32 if n < 2**31 else np.int64
+
+
+def _as_positions(order: int, *arrays) -> list[np.ndarray]:
+    """Index arrays into range(order) in the dtype the vector group law runs
+    in: int32 arrays as they are while the order is below 2**31, else every
+    array as int64 (no copy of one already int64)."""
+    arrays = [np.asarray(x) for x in arrays]
+    if _position_dtype(order) == np.int32 and all(x.dtype == np.int32 for x in arrays):
+        return arrays
+    return [x.astype(np.int64, copy=False) for x in arrays]
+
+
 def _rem(x, m):
     """x - x // m * m: x mod m in range(m) for m > 0, as Python's % gives it,
-    for ints, int64 and object arrays alike; on int64 arrays numpy's % takes
-    about twice as long.  x must be the caller's own temporary: on an array
-    the augmented assignments work in place, so no third array is made; on
-    an int they rebind."""
+    for ints, int32, int64 and object arrays alike; on int64 arrays numpy's %
+    takes about twice as long.  x must be the caller's own temporary: on an
+    array the augmented assignments work in place, so no third array is
+    made; on an int they rebind."""
     q = x // m
     q *= m
     x -= q
@@ -106,10 +126,11 @@ class Ring:
         self._upper = tuple(digits[1:])  # (radix, place value) of each digit above the lowest
 
     # Digitwise sum and negation; the same expressions serve Python ints and
-    # int64 arrays.  Digit i of a is (a // place_i) % r_i, and no carry leaves it.
+    # int32 and int64 arrays.  Digit i of a is (a // place_i) % r_i, and no carry leaves it.
 
     def _add_digits(self, a, b):
-        out = _rem(a + b, self.radices[0])
+        # a + b - order has the lowest digit of a + b, and no int32 position sum overflows
+        out = _rem(a + (b - self.order), self.radices[0])
         for r, place in self._upper:
             digit = _rem(a // place + b // place, r)
             digit *= place
@@ -168,11 +189,12 @@ class Ring:
     # -- vectorized additive structure ------------------------------------
 
     def add_vec(self, a, b) -> np.ndarray:
-        """Elementwise add on index arrays, with numpy broadcasting."""
-        return self._add_digits(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        """Elementwise add on index arrays, with numpy broadcasting; int32
+        on int32 arrays while the order is below 2**31, else int64."""
+        return self._add_digits(*_as_positions(self.order, a, b))
 
     def neg_vec(self, a) -> np.ndarray:
-        return self._neg_digits(np.asarray(a, dtype=np.int64))
+        return self._neg_digits(*_as_positions(self.order, a))
 
     # -- vectorized multiplication ----------------------------------------
 

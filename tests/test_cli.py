@@ -823,6 +823,51 @@ def test_a_table_is_grouped_once_and_a_stored_system_not_at_all(run_cli, tmp_pat
         assert calls == expected, argv
 
 
+def test_check_bounds_refuses_a_dss_past_the_pair_limit_from_its_block_sizes(run_cli, tmp_path):
+    # blocks of 10 and 999990 points of Z_(10^6): about 10^12 in-block pairs, a recount
+    # of some 40 minutes, refused from the block ends before any pair is formed
+    n = 10**6
+    blocks = [",".join(map(str, range(10))), ",".join(map(str, range(10, n)))]
+    path = tmp_path / "dss.json"
+    path.write_text(
+        '{"kind":"DSS","group":{"kind":"ring_additive","ring":{"kind":"residue","n":%d}},'
+        '"blocks":[[%s],[%s]],"q":2,"tau":%d,"lambda":10,"perfect":true,"partitioned":true}\n'
+        % (n, *blocks, n)
+    )
+    start = time.perf_counter()
+    code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: recounting the coverage of 2 blocks of 1000000 points needs "
+        "999,980,000,200 point pairs, over the limit of 100,000,000; pass --force to run anyway\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "partition, pairs", [(True, 41), (False, 14)], ids=["partition", "not a partition"]
+)
+def test_check_bounds_on_a_dss_past_the_pair_limit_runs_with_force(
+    run_cli, tmp_path, monkeypatch, partition, pairs
+):
+    # the Z_7 product's preimages: 1 + 10 * 2^2 in-block pairs; blocks (0, 1), (2) of
+    # Z_4 do not cover the group, so the union's 3^2 pairs are counted as well
+    if partition:
+        path = _z7_payload(run_cli, tmp_path, "dss")[0]
+        head = "recounting the coverage of 11 blocks of 21 points"
+    else:
+        path = _dss_file(tmp_path, [[0, 1], [2]])
+        head = "recounting the coverage of 2 blocks of 3 points"
+    argv = ["codes", "check-bounds", "--in", str(path)]
+    expected = run_cli(argv)
+    monkeypatch.setattr(cli_module, "ORDER_LIMIT", 3)
+    assert run_cli(argv) == (
+        2, "", f"error: {head} needs {pairs} point pairs, over the limit of 9; "
+        "pass --force to run anyway\n",
+    )
+    assert run_cli([*argv, "--force"]) == expected
+
+
 def test_codes_dss_on_a_one_symbol_table(run_cli, tmp_path):
     # a verified (3, 1, 3) table: one block, so no cross pairs at all
     f = tmp_path / "f.json"

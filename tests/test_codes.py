@@ -347,7 +347,8 @@ def _z4_system(points, ends):
 def test_dss_blocks_are_two_read_only_arrays(z7_product):
     built = dss_from_zdb(z7_product)
     for system in (built, DssSystem.from_json(built.to_json())):
-        assert system.points.dtype == system.ends.dtype == np.int64
+        # positions below 2**31: points int32 by the group order, ends by the point count
+        assert system.points.dtype == system.ends.dtype == np.int32
         assert len(system.ends) == 11 and system.ends[-1] == len(system.points) == 21
         with pytest.raises(ValueError, match="read-only"):
             system.points[0] = 1
@@ -361,6 +362,11 @@ def test_dss_blocks_are_two_read_only_arrays(z7_product):
     source[0] = 5  # the system holds its own copy
     assert system.to_json()["blocks"] == [[0, 3], [1, 2]]
     assert _z4_system(np.array([0, 1]), np.array([1, 2])).recount() == (2, 2, False)
+    # a group of order 2**31 takes int64 points; two points keep int32 ends
+    wide = DssSystem(RingAdditiveDomain(ResidueRing(2**31)), np.array([0, 2**31 - 1]),
+                     np.array([1, 2]), 2, 2, None, False, False)
+    assert (wide.points.dtype, wide.ends.dtype) == (np.int64, np.int32)
+    assert wide.points.tolist() == [0, 2**31 - 1]
 
 
 @pytest.mark.parametrize(

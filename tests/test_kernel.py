@@ -31,9 +31,12 @@ The ring layer's one mixed-radix additive law is checked against the
 per-kind scalar sums it replaced, each kind's one multiplication rule
 against the per-kind scalar products it replaced, element by element
 and under broadcasting (``mul_vec`` against ``mul``, int64 and object
-arrays), the derived ``shift_rows`` against the per-shape formulas it
-replaced, and the strided-window ``translates`` against the shift-code
-matrix gathered through ``shift_rows``, values and dtype.  The books
+arrays), the int32 form of the law, and of both domain shapes' group
+law just below 2^31, against Python-int arithmetic, the derived
+``shift_rows``, filled in bands of rows, against the per-shape formulas
+it replaced and under a tracemalloc bound of its output plus 1 MB, and
+the strided-window ``translates`` against the shift-code matrix gathered
+through ``shift_rows``, values and dtype.  The books
 ``ccc_from_zdb`` and ``cwc_from_zdb`` build without a matrix are checked
 against that matrix: composition, weight and distances against the
 shared-composition check, the row weights and the same-symbol recount,
@@ -93,6 +96,7 @@ from zdbkit import domains as domains_module
 from zdbkit import reader as reader_module
 from zdbkit.codes import _shared_composition, _shift_codewords
 from zdbkit.domains import _sorted_by_label
+from zdbkit.rings import _as_positions, _position_dtype
 
 RINGS = [
     ResidueRing(2),
@@ -261,6 +265,9 @@ def test_grouping_is_the_stable_argsort_and_its_run_ends(labels, argsorts):
         by_label, ends = _sorted_by_label(labels)
     assert argsort.call_count == argsorts
     assert (by_label.tolist(), ends.tolist()) == tuple(a.tolist() for a in expected)
+    # int32 arrays of their own, not views that would keep the int64 sort keys alive
+    for values in (by_label, ends):
+        assert values.dtype == np.int32 and values.base is None
 
 
 @SETTINGS
@@ -269,8 +276,9 @@ def test_grouping_is_the_stable_argsort_and_its_run_ends(labels, argsorts):
     st.sampled_from(LABEL_POOLS),
     st.data(),
     st.integers(1, 64),
+    st.sampled_from([np.int32, np.int64]),
 )
-def test_difference_counts_match_the_scalar_pairs_for_any_labels(domain, pool, data, block):
+def test_difference_counts_match_the_scalar_pairs_for_any_labels(domain, pool, data, block, dtype):
     # elements repeat and labels come unsorted; small pair blocks split even
     # a small class over several group-law calls
     size = data.draw(st.integers(0, 40))
@@ -281,7 +289,7 @@ def test_difference_counts_match_the_scalar_pairs_for_any_labels(domain, pool, d
     # repeated ends are empty runs, as empty blocks of a difference system give
     empty = data.draw(st.lists(st.sampled_from([0, *ends.tolist()]), max_size=3))
     with patch.object(domains_module, "_PAIR_BLOCK", block):
-        points = np.array(elements, dtype=np.int64)[by_label]
+        points = np.array(elements, dtype=dtype)[by_label]
         with_empty = np.array(sorted(ends.tolist() + empty), dtype=np.int64)
         counts = domain.difference_counts(points, with_empty)
         # a table's grouping: the positions themselves, as its spectrum counts them
@@ -611,11 +619,62 @@ def test_additive_law_matches_each_kind(ring, seed):
     negs = [kind_neg(ring, int(x)) for x in a]
     assert [ring.add(int(x), int(y)) for x, y in zip(a, b)] == sums
     assert [ring.neg(int(x)) for x in a] == negs
-    assert ring.add_vec(a, b).tolist() == sums
-    assert ring.neg_vec(a).tolist() == negs
-    table = ring.add_vec(a[:, None], b[None, :])  # broadcasting
-    assert table.shape == (24, 24)
-    assert table[5].tolist() == [kind_add(ring, int(a[5]), int(y)) for y in b]
+    for dtype in (np.int64, np.int32):  # int32 positions stay int32, without an int64 copy
+        a, b = a.astype(dtype), b.astype(dtype)
+        assert ring.add_vec(a, b).tolist() == sums
+        assert ring.neg_vec(a).tolist() == negs
+        table = ring.add_vec(a[:, None], b[None, :])  # broadcasting
+        assert table.shape == (24, 24) and table.dtype == ring.neg_vec(a).dtype == dtype
+        assert table[5].tolist() == [kind_add(ring, int(a[5]), int(y)) for y in b]
+
+
+# orders just below 2^31, the int32 law's top: one digit, two digits, and the
+# product shape over a prime field with the subgroup {1, -1}
+TOP_FIELD = GaloisField(1073741789)
+TOP_DOMAINS = [
+    RingAdditiveDomain(ResidueRing(2**31 - 1)),
+    RingAdditiveDomain(ProductRing([ResidueRing(46337), ResidueRing(46337)])),
+    RingTimesGroupDomain(TOP_FIELD, cyclic_subgroup(TOP_FIELD, 1073741788)),
+]
+
+
+@pytest.mark.parametrize("domain", TOP_DOMAINS, ids=["Z_(2^31-1)", "Z_46337^2", "GF(p) x {1,-1}"])
+def test_group_law_on_int32_positions_near_2_31_matches_python_ints(domain):
+    # a + b of two such positions passes 2^31; the lowest digit is reduced from a + b - n
+    n = domain.order
+    assert 2**30 < n < 2**31
+    rng = np.random.default_rng(n)
+    a = np.concatenate([np.arange(n - 8, n), rng.integers(0, n, 8), np.arange(8)]).astype(np.int32)
+    b = rng.permutation(a)
+    if isinstance(domain, RingAdditiveDomain):
+        def op(x, y):
+            return kind_add(domain.ring, x, y)
+
+        def inverse(x):
+            return kind_neg(domain.ring, x)
+    else:
+        e, group = domain.e, domain.group
+
+        def op(x, y):
+            return kind_add(domain.ring, x // e, y // e) * e + group.mul_pos[x % e][y % e]
+
+        def inverse(x):
+            return kind_neg(domain.ring, x // e) * e + group.inv_pos[x % e]
+    sums = domain.op_vec(a[:, None], b[None, :])
+    negs = domain.inverse_vec(a)
+    assert sums.dtype == negs.dtype == np.int32
+    assert sums.tolist() == [[op(int(x), int(y)) for y in b] for x in a]
+    assert negs.tolist() == [inverse(int(x)) for x in a]
+
+
+def test_position_dtype_is_int32_below_2_31():
+    # decided from the count alone: nothing of that size is allocated
+    assert _position_dtype(2**31 - 1) == np.int32
+    assert _position_dtype(2**31) == np.int64
+    a = np.arange(3, dtype=np.int32)
+    assert _as_positions(2**31 - 1, a)[0] is a  # no copy
+    assert _as_positions(2**31, a)[0].dtype == np.int64
+    assert _as_positions(2**31 - 1, a, a.astype(np.int64))[0].dtype == np.int64
 
 
 def kind_mul(ring, a, b):
@@ -702,12 +761,32 @@ def test_mul_vec_matches_scalar_mul(ring, seed):
 
 
 @SETTINGS
-@given(domains(), st.data())
-def test_derived_shift_rows_match_each_shape(domain, data):
+@given(domains(), st.data(), st.integers(1, 64))
+def test_derived_shift_rows_match_each_shape(domain, data, band):
+    # small bands make the rows span several group-law calls
     deltas = data.draw(st.lists(st.integers(0, domain.order - 1), max_size=8))
-    rows = domain.shift_rows(deltas)
+    with patch.object(domains_module, "_ROW_BAND", band):
+        rows = domain.shift_rows(deltas)
     assert rows.shape == (len(deltas), domain.order)
+    assert rows.dtype == np.int32
     assert np.array_equal(rows, shape_shift_rows(domain, deltas))
+
+
+def test_shift_rows_of_every_shift_peak_under_their_output_plus_a_megabyte():
+    # the negative-control recount's rows over GF(11^2) x C_6: the group law's
+    # temporaries are the size of a band of rows, not of the output
+    ring = GaloisField(11, 2)
+    domain = RingTimesGroupDomain(ring, cyclic_subgroup(ring, 39))
+    shifts = [d for d in range(domain.order) if d != domain.identity]
+    tracemalloc.start()
+    try:
+        rows = domain.shift_rows(shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (725, 726) and rows.dtype == np.int32
+    assert peak < rows.nbytes + 2**20
+    assert np.array_equal(rows, shape_shift_rows(domain, shifts))
 
 
 def gathered_translates(domain, table):
