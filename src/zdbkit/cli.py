@@ -131,9 +131,9 @@ def _guard(fn: ZdbFunction, matrix: bool, force: bool) -> None:
         multiplicity = np.diff(fn.grouping[1], prepend=0).astype(np.int64)
         cost, what = int(multiplicity @ multiplicity), "in-class pairs"
     if cost > ORDER_LIMIT**2 and not force:
-        raise _UsageError(
+        raise OversizedError(
             f"instance of order {fn.n} needs {cost:,} {what}, over the limit of "
-            f"{ORDER_LIMIT**2:,}; pass --force to run anyway"
+            f"{ORDER_LIMIT**2:,}"
         )
 
 
@@ -148,15 +148,6 @@ def _failure_note(res: VerificationResult) -> str:
 
 def _zdb_text(n: int, m: int, lam: int) -> str:
     return f"({n}, {m}, {lam}) ZDB\n"
-
-
-def _emit_zdb(args, fn: ZdbFunction) -> None:
-    if args.format == "text":
-        _write(args, _zdb_text(*fn.claimed_parameters()))
-    elif args.format == "json":
-        _write(args, _dumps(fn.to_json()))
-    else:
-        raise _UsageError("csv output is not defined for this command")
 
 
 def _cmd_ring_info(args) -> int:
@@ -176,10 +167,8 @@ def _cmd_ring_info(args) -> int:
             f"{spec['kind']} ring of order {ring.order}, {units} units, "
             f"{'commutative' if info['commutative'] else 'noncommutative'}\n",
         )
-    elif args.format == "json":
-        _write(args, _dumps(info))
     else:
-        raise _UsageError("csv output is not defined for this command")
+        _write(args, _dumps(info))
     return 0
 
 
@@ -193,10 +182,8 @@ def _cmd_cosets_partition(args) -> int:
             f"order {ring.order}: zero class plus {len(part.rep_array) - 1} "
             f"cosets of size {group.order}\n",
         )
-    elif args.format == "json":
-        _write(args, _dumps(part.to_json()))
     else:
-        raise _UsageError("csv output is not defined for this command")
+        _write(args, _dumps(part.to_json()))
     return 0
 
 
@@ -211,7 +198,10 @@ def _cmd_zdb_construct(args) -> int:
         if args.h is None:
             raise _UsageError("the product construction needs --h")
         fn = construct_product(ring, group, _subgroup_arg(args, ring, args.h))
-    _emit_zdb(args, fn)
+    if args.format == "text":
+        _write(args, _zdb_text(*fn.claimed_parameters()))
+    else:
+        _write(args, _dumps(fn.to_json()))
     return 0
 
 
@@ -225,10 +215,8 @@ def _cmd_zdb_verify(args) -> int:
         return 1
     if args.format == "text":
         _write(args, _zdb_text(res.n, res.m, res.lam))
-    elif args.format == "json":
-        _write(args, _dumps({"n": res.n, "m": res.m, "lambda": res.lam}))
     else:
-        raise _UsageError("csv output is not defined for this command")
+        _write(args, _dumps({"n": res.n, "m": res.m, "lambda": res.lam}))
     return 0
 
 
@@ -333,10 +321,10 @@ def _print_failures(problems: list[str]) -> None:
 
 
 def _cmd_check_bounds(args) -> int:
-    from .reader import CodewordDecoder  # only this command reads stored files
+    from .reader import decode_file  # only this command reads stored files
 
     with open(args.input, "rb") as fh:
-        data = CodewordDecoder.decode_file(fh)
+        data = decode_file(fh)
     if not isinstance(data, dict):
         raise _UsageError(f"the payload must be a JSON object, not {type(data).__name__}")
     kind = data.get("kind")
@@ -366,10 +354,8 @@ def _cmd_check_bounds(args) -> int:
             f"{kind} bound {report.bound_num}/{report.bound_den} achieved "
             f"{report.achieved} optimal {str(report.optimal).lower()}\n",
         )
-    elif args.format == "json":
-        _write(args, _dumps(out))
     else:
-        raise _UsageError("csv output is not defined for this command")
+        _write(args, _dumps(out))
     return 0 if ok else 1
 
 
@@ -378,9 +364,7 @@ def _result_lines(args, results) -> str | Iterable[bytes]:
         return "".join(
             _zdb_text(*r.certified).rstrip("\n") + f"  {r.label}\n" for r in results
         )
-    if args.format == "json":
-        return [part for r in results for part in _dumps(r.to_json())]
-    raise _UsageError("csv output is not defined for this command")
+    return [part for r in results for part in _dumps(r.to_json())]
 
 
 def _cmd_catalog_search(args) -> int:
@@ -409,10 +393,8 @@ def _cmd_catalog_certify(args) -> int:
             _zdb_text(*row["parameters"]).rstrip("\n") + f"  {row['label']}\n"
             for row in report.rows
         )
-    elif args.format == "json":
-        body = [part for row in report.rows for part in _dumps(row)]
     else:
-        raise _UsageError("csv output is not defined for this command")
+        body = [part for row in report.rows for part in _dumps(row)]
     _write(args, body)
     print(report.summary(), file=sys.stderr)
     return 0
@@ -427,6 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--force", action="store_true", help="run even when the instance is oversized"
     )
+    common.set_defaults(csv=False)  # only the commands that define csv output set it
 
     parser = argparse.ArgumentParser(
         prog="zdbkit",
@@ -468,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for kind in ("ccc", "cwc", "dss"):
         p = codes.add_parser(kind, parents=[common], help=f"derive the {kind.upper()}")
         p.add_argument("--input", "--in", dest="input", required=True, help="function JSON file")
-        p.set_defaults(handler=_cmd_codes, kind=kind)
+        p.set_defaults(handler=_cmd_codes, kind=kind, csv=True)
     p = codes.add_parser("check-bounds", parents=[common], help="recheck a stored certificate")
     p.add_argument("--input", "--in", dest="input", required=True, help="code or DSS JSON file")
     p.set_defaults(handler=_cmd_check_bounds)
@@ -514,6 +497,8 @@ def _error_message(exc: Exception) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.format == "csv" and not args.csv:
+            raise _UsageError("csv output is not defined for this command")
         return args.handler(args)
     except _REPORTED as exc:
         print(f"error: {_error_message(exc)}", file=sys.stderr)

@@ -49,8 +49,8 @@ fractions); no floats are involved anywhere.
 
 Codeword matrices and block lists cross the file boundary as arrays, in
 memory bounded by the array and one band: ``_block_text`` renders them to
-the JSON text of the lists, or to CSV, one part per band, and the reader
-module's ``CodewordDecoder`` parses them from the open file in blocks.
+the JSON text of the lists, or to CSV, one part per band, and
+``reader.decode_file`` parses them from the open file in blocks.
 """
 
 from __future__ import annotations
@@ -156,8 +156,8 @@ class CodeBook:
     @staticmethod
     def from_json(data: dict) -> "CodeBook":
         """Read a book parsed by ``json.loads``, the codewords as lists of
-        rows, or by ``CodewordDecoder``, a canonical matrix as an array.  The
-        matrix is stored as int16 when every symbol fits, else as int32."""
+        rows, or by ``reader.decode_file``, a canonical matrix as an array.
+        The matrix is stored as int16 when every symbol fits, else as int32."""
         rows = _field(data, "codewords", None)
         if isinstance(rows, np.ndarray):
             words = rows
@@ -372,7 +372,7 @@ class DssSystem:
     @staticmethod
     def from_json(data: dict) -> "DssSystem":
         """Read a system parsed by ``json.loads``, the blocks as lists, or by
-        ``CodewordDecoder``, canonical blocks as the pair (points, ends)."""
+        ``reader.decode_file``, canonical blocks as the pair (points, ends)."""
         lam = data.get("lambda")
         pair = type(data.get("blocks")) is tuple
         blocks = _field(data, "blocks", None if pair else list)

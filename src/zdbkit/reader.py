@@ -1,14 +1,15 @@
 """Stored codeword matrices and block lists, read from files in blocks.
 
-``CodewordDecoder`` gives what ``json.loads`` gives for a stored book or
+``decode_file`` gives what ``json.loads`` gives for a stored book or
 difference system, but with the codeword matrix or the block lists parsed
 from the file straight into arrays, in memory of the arrays and one read
-block.  Only ``check-bounds`` reads stored files, so the package loads
-this module on first use of ``CodewordDecoder``.
+block.  Only ``check-bounds`` reads stored files, and it imports this
+module when it runs, so no other command loads it.
 """
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -120,11 +121,16 @@ def _text(raw: bytes) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _stream(fh, decode, keys: dict) -> dict | None:
-    """The top-level object of a file whose last '"<key>":[[', key in keys,
-    starts a canonical payload, parsed in blocks (a matrix when keys[key]),
-    or None.  The text around it is decoded with a stand-in, NaN, that must
-    be the only constant there and the key's top-level value."""
+# the payload keys of stored files, each true when its value is a matrix: a
+# book's "codewords", and a difference system's "blocks" as (points, ends)
+_PAYLOADS = {"codewords": True, "blocks": False}
+
+
+def _stream(fh) -> dict | None:
+    """The top-level object of a file whose last '"<key>":[[', a key of
+    _PAYLOADS, starts a canonical payload, parsed in blocks, or None.  The
+    text around it is decoded with a stand-in, NaN, that must be the only
+    constant there and the key's top-level value."""
     found, carry, offset = None, b"", 0  # offset: of carry in the file
     fh.seek(0)
     while chunk := fh.read(_READ_BLOCK):
@@ -132,14 +138,14 @@ def _stream(fh, decode, keys: dict) -> dict | None:
         p = max(0, len(carry) - 3)
         while p := buf.find(b'":[[', p) + 1:  # the ":" after a key
             try:  # the slice is empty when no quote comes before
-                key = json.loads(decode(buf[buf.rfind(b'"', 0, p - 1) : p]))
+                key = json.loads(_text(buf[buf.rfind(b'"', 0, p - 1) : p]))
             except ValueError:
                 key = None
-            if key in keys:
+            if key in _PAYLOADS:
                 found = offset + p + 1, key
         carry = buf[-64:]  # holds a payload key with every character escaped
         offset += len(buf) - len(carry)
-    parsed = found and _parse_payload(fh, found[0], keys[found[1]])
+    parsed = found and _parse_payload(fh, found[0], _PAYLOADS[found[1]])
     if not parsed:
         return None
     (at, key), (payload, length) = found, parsed
@@ -148,7 +154,7 @@ def _stream(fh, decode, keys: dict) -> dict | None:
     fh.seek(at + length)
     stand_in, constants = object(), []
     try:
-        text = decode(head) + "NaN" + decode(fh.read())
+        text = _text(head) + "NaN" + _text(fh.read())
         data = json.loads(text, parse_constant=lambda name: constants.append(name) or stand_in)
     except ValueError:  # undecodable text, or a JSON error
         return None
@@ -158,42 +164,18 @@ def _stream(fh, decode, keys: dict) -> dict | None:
     return data
 
 
-class _Buffer:
-    """Bytes, or an ASCII str, read as a binary file."""
-
-    def __init__(self, data: bytes | str):
-        self.data, self.at = data, 0
-
-    def seek(self, at: int) -> None:
-        self.at = at
-
-    def read(self, size: int = -1) -> bytes:
-        part = self.data[self.at : self.at + size if size >= 0 else None]
-        self.at += len(part)
-        return part.encode("ascii") if isinstance(part, str) else part
-
-
-class CodewordDecoder(json.JSONDecoder):
-    """``json.loads(text, cls=CodewordDecoder)`` gives what ``json.loads``
-    gives, but a last "codewords" value that is a canonical matrix (ASCII
-    digits without leading zeros, at most nine, no whitespace, equal
-    nonempty rows) as an int16 array, int32 when a symbol needs it.
-    ``decode_file(fh)`` reads an open binary file so, as UTF-8 with universal
-    newlines, and canonical "blocks" (empty rows allowed) as the int32 pair
-    (points, ends), ends int64 from 2**31 points.  Any other text goes to
-    ``json.loads`` whole."""
-
-    def decode(self, s: str, *args):
-        fh = _Buffer(s if s.isascii() else s.encode("utf-8", "surrogatepass"))
-        data = _stream(fh, lambda raw: raw.decode("utf-8", "surrogatepass"), {"codewords": True})
-        return super().decode(s, *args) if data is None else data
-
-    @classmethod
-    def decode_file(cls, fh):
-        if not fh.seekable():  # a pipe is read whole, then parsed in blocks all the same
-            fh = _Buffer(fh.read())
-        data = _stream(fh, _text, {"codewords": True, "blocks": False})
-        if data is None:
-            fh.seek(0)
-            data = json.loads(_text(fh.read()))
-        return data
+def decode_file(fh):
+    """What ``json.loads`` gives for the UTF-8 text, with universal newlines,
+    of an open binary file, but with a last canonical "codewords" matrix
+    (ASCII digits without leading zeros, at most nine, no whitespace, equal
+    nonempty rows) as an int16 array, int32 when a symbol needs it, and
+    canonical "blocks" (empty rows allowed) as the int32 pair (points, ends),
+    ends int64 from 2**31 points.  Any other file goes to ``json.loads``
+    whole."""
+    if not fh.seekable():  # a pipe is read whole, then parsed in blocks all the same
+        fh = io.BytesIO(fh.read())
+    data = _stream(fh)
+    if data is None:
+        fh.seek(0)
+        data = json.loads(_text(fh.read()))
+    return data

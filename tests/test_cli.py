@@ -355,6 +355,18 @@ def test_csv_rejected_where_undefined(run_cli, tmp_path):
     code, _, err = run_cli(["zdb", "verify", "--input", str(f), "--format", "csv"])
     assert code == 2
     assert "csv" in err
+    # refused before any work: a failing table and a stored book alike
+    data = json.loads(f.read_text())
+    data["table"][3] = (data["table"][3] + 1) % data["q"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    book, _ = _z7_payload(run_cli, tmp_path, "ccc")
+    refusal = "error: csv output is not defined for this command\n"
+    for argv in (
+        ["zdb", "verify", "--input", str(bad)],
+        ["codes", "check-bounds", "--in", str(book)],
+    ):
+        assert run_cli([*argv, "--format", "csv"]) == (2, "", refusal)
 
 
 def test_codes_csv_output(run_cli, tmp_path):
@@ -714,6 +726,24 @@ def test_a_doubled_subgroup_past_the_limit_needs_force(run_cli, monkeypatch):
     assert run_cli([*argv, "--force"])[0] == 0
 
 
+def test_only_check_bounds_loads_the_file_reader(run_cli, tmp_path):
+    # a fresh process: the package and another command leave the reader unloaded
+    path, _ = _z7_payload(run_cli, tmp_path, "ccc")
+    script = (
+        "import sys, zdbkit, zdbkit.cli\n"
+        "for argv in (['ring', 'info', '--ring', sys.argv[1]], ['codes', 'check-bounds',"
+        " '--in', sys.argv[2]]):\n"
+        "    assert zdbkit.cli.main([*argv, '--out', sys.argv[3]]) == 0\n"
+        "    print('zdbkit.reader' in sys.modules)\n"
+    )
+    src = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run(
+        [sys.executable, "-c", script, Z7_RING, str(path), str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\nTrue\n", "")
+
+
 @pytest.mark.parametrize("kind", ["ccc", "cwc", "dss"])
 def test_check_bounds_reads_a_pipe_as_it_reads_a_file(run_cli, tmp_path, kind):
     # a pipe cannot seek, so it is read whole; the bytes out are the same
@@ -744,9 +774,12 @@ def test_order_guard_follows_the_in_class_pair_count(run_cli, tmp_path):
     code, out, _ = run_cli(["zdb", "verify", "--input", str(f)])
     assert code == 0
     assert json.loads(out) == {"n": n, "m": n, "lambda": 0}
-    code, _, err = run_cli(["codes", "ccc", "--input", str(f)])
-    assert code == 2
-    assert "--force" in err
+    code, out, err = run_cli(["codes", "ccc", "--input", str(f)])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: instance of order 10020 needs 100,400,400 codeword matrix entries, over the "
+        "limit of 100,000,000; pass --force to run anyway\n"
+    )
 
 
 def test_text_codes_guard_counts_in_class_pairs(run_cli, tmp_path):

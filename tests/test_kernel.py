@@ -18,7 +18,7 @@ over consecutive, sparse and int32 alphabets, with classes past 256 rows
 and repeated rows, and on the (2500, 834, 2) instance, and against a
 count of the row pairs agreeing on each set of columns on 2^15 + 5 rows,
 where its ranks are int32; tracemalloc bounds its peak below 1.5 int16
-matrices on a square code, and the text and file readers' below 2.  The distances and
+matrices on a square code, and the file reader's below 2.  The distances and
 the coverage the builders read from the spectrum of a verification
 result are checked against the all-pairs comparison and against the
 kernel recount ``dss_perfect_check``, on random tables and on every
@@ -46,8 +46,8 @@ The JSON boundary of codeword matrices is checked the same way: the
 banded matrix writer against ``json.dumps`` of the nested lists and
 ``CodeBook.to_csv`` against the per-element join it replaced, the same
 writer on ragged block lists against both; the
-text and file readers, in read blocks of a few bytes, from a str, a file
-and a pipe, against ``json.loads`` plus the list readers they bypass, on
+file reader ``decode_file``, in read blocks of a few bytes, from a file
+and a pipe, against ``json.loads`` plus the list readers it bypasses, on
 canonical and mutated matrices and block lists, rows longer than a read
 block included; and the banded shared composition
 check against one bincount of the whole matrix.
@@ -68,7 +68,6 @@ from hypothesis import strategies as st
 
 from zdbkit import (
     CodeBook,
-    CodewordDecoder,
     DssSystem,
     GaloisField,
     MatrixRing,
@@ -96,6 +95,7 @@ from zdbkit import domains as domains_module
 from zdbkit import reader as reader_module
 from zdbkit.codes import _shared_composition, _shift_codewords
 from zdbkit.domains import _sorted_by_label
+from zdbkit.reader import decode_file
 from zdbkit.rings import _as_positions, _position_dtype
 
 RINGS = [
@@ -446,12 +446,11 @@ def test_matrix_recount_and_reader_peak_within_a_few_int16_matrices(tmp_path):
 
     def read_file(path):
         with open(path, "rb") as fh:
-            return CodewordDecoder.decode_file(fh)
+            return decode_file(fh)
 
     assert _peak_bytes(distance_range, words) < 1.5 * words.nbytes
-    for read, source in ((CodewordDecoder().decode, text), (read_file, path)):
-        assert _peak_bytes(read, source) < 2 * words.nbytes
-        assert np.array_equal(read(source)["codewords"], words)
+    assert _peak_bytes(read_file, path) < 2 * words.nbytes
+    assert np.array_equal(read_file(path)["codewords"], words)
 
 
 def test_same_symbol_recount_on_the_2500_instance(catalog):
@@ -1016,7 +1015,7 @@ class _Pipe(io.BytesIO):
 
 
 def _decode_file(text, pipe=False):
-    return CodewordDecoder.decode_file((_Pipe if pipe else io.BytesIO)(text.encode()))
+    return decode_file((_Pipe if pipe else io.BytesIO)(text.encode()))
 
 
 def _plain(value):
@@ -1037,8 +1036,8 @@ def _outcome(read, text):
 
 
 def _read(text, reader=None):
-    """Codewords or the error of one reader: CodewordDecoder on the text, or
-    on its bytes as a file, with CodeBook.from_json, or json.loads with the
+    """Codewords or the error of one reader: decode_file on the bytes of the
+    text as a file or a pipe, with CodeBook.from_json, or json.loads with the
     list reader."""
     try:
         if reader is None:
@@ -1055,21 +1054,19 @@ def test_fast_reader_matches_json_loads(mutation, data, block):
     text = data.draw(codebook_texts(mutation))
     # a small read block makes the reader cut the matrix after many rows
     with patch.object(reader_module, "_READ_BLOCK", block):
-        fast = _read(text, lambda t: json.loads(t, cls=CodewordDecoder))
         from_file = _read(text, _decode_file)
         from_pipe = _read(text, lambda t: _decode_file(t, pipe=True))
         if mutation in ("canonical", "999999999", "duplicate key", "escaped key", "quoted key",
                         "escaped quote key"):
-            assert isinstance(json.loads(text, cls=CodewordDecoder)["codewords"], np.ndarray)
             assert isinstance(_decode_file(text)["codewords"], np.ndarray)
         if mutation == "escaped quote key":  # the matrix cut from the bytes is not the codewords
             assert _decode_file(text)['x"codewords'] == [[1, 2]]
     slow = _read(text)
     if isinstance(slow, tuple):
-        assert fast == from_file == from_pipe == slow
+        assert from_file == from_pipe == slow
         return
     fits = slow.size and -(2**15) <= slow.min() and slow.max() < 2**15
-    for read in (fast, from_file, from_pipe):
+    for read in (from_file, from_pipe):
         assert np.array_equal(read, slow) and read.shape == slow.shape
         assert read.dtype == (np.int16 if fits else np.int32)
 
@@ -1087,7 +1084,6 @@ def test_fast_reader_matches_json_loads(mutation, data, block):
 def test_fast_reader_keeps_json_loads_values_and_errors(text):
     expected = _outcome(json.loads, text)
     with patch.object(reader_module, "_READ_BLOCK", 3):
-        assert _outcome(lambda t: json.loads(t, cls=CodewordDecoder), text) == expected
         assert _outcome(_decode_file, text) == expected
         assert _outcome(lambda t: _decode_file(t, pipe=True), text) == expected
 
@@ -1190,9 +1186,6 @@ def test_dss_blocks_of_equal_size_stay_lists():
          "q": 3, "tau": 6, "lambda": 4, "perfect": True, "partitioned": True},
         separators=(",", ":"),
     )
-    data = json.loads(text, cls=CodewordDecoder)
-    assert data == json.loads(text)
-    assert type(data["blocks"]) is list and all(type(b) is list for b in data["blocks"])
     # a file's blocks arrive as (points, ends): equal blocks are not read as a matrix
     points, ends = _decode_file(text)["blocks"]
     assert (points.tolist(), ends.tolist()) == ([0, 1, 2, 3, 4, 5], [2, 4, 6])
