@@ -285,8 +285,9 @@ def construct_product(ring: Ring, g_group: Subgroup, h_group: Subgroup) -> ZdbFu
     # and x != 1 the symbol is the pair (G coset of r, x * column indicator of r),
     # whose subgroup position is mul_pos[pos, column position of r]
     one_pos = g_group.identity_pos
-    mul_pos = np.asarray(g_group.mul_pos, dtype=np.int64)
-    table = np.empty((n, e), dtype=np.int64)
+    dtype = _position_dtype(q)  # every symbol is below q
+    mul_pos = np.asarray(g_group.mul_pos, dtype=dtype)
+    table = np.empty((n, e), dtype=dtype)
     np.take(mul_pos.T, pg.column_positions[1:], axis=0, out=table[1:])
     table[1:] += (pair_base + (pg.coset_index[1:] - 1) * e)[:, None]
     table[1:, one_pos] = 1 + ph.coset_index[1:]

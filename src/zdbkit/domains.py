@@ -47,7 +47,7 @@ from .rings import Ring, _as_positions, _position_dtype, ring_from_json
 
 __all__ = ["AbelianDomain", "RingAdditiveDomain", "RingTimesGroupDomain", "domain_from_json"]
 
-# element pairs combined per group-law call in difference_counts
+# element pairs combined, and counted, per group-law call in difference_counts
 _PAIR_BLOCK = 1 << 18
 
 # output cells filled per group-law call in shift_rows (whole rows, at least one)
@@ -192,12 +192,12 @@ class AbelianDomain:
         group law.  The runs of each larger size w are stacked into a (w, c)
         matrix, whose pairs are op_vec of its members against their
         inverses, broadcast to (w, w, c); int32 points are read as they are,
-        so the group law runs in int32 while the order is below 2**31.  The
-        differences collect in a buffer of at least order entries, so each
-        order-length bincount counts at least as many pairs as it has bins;
-        a block that fills the buffer alone, as a row of a run with more
-        members than it has entries, is counted without it.  The counts are
-        int32 while the order and the pair count are below 2**31, else int64.
+        so the group law runs in int32 while the order is below 2**31.  Each
+        block is counted as soon as it is formed: by an order-length bincount
+        when it has at least as many pairs as the group has elements, else by
+        ``np.add.at`` into the counts, whose cost follows the pairs, not
+        the order.  The counts are int32 while the order and the pair count
+        are below 2**31, else int64.
         """
         x, ends = np.asarray(points), np.asarray(ends)
         size = np.diff(ends, prepend=0)
@@ -205,23 +205,17 @@ class AbelianDomain:
         widths = (np.flatnonzero(classes[1:]) + 1).tolist()  # empty runs have no pairs
         pairs = sum(int(classes[w]) * w * w for w in widths)  # no count can exceed it
         counts = np.zeros(self.order, dtype=_position_dtype(max(pairs, self.order)))
-        buffer = np.empty(max(_PAIR_BLOCK, self.order), dtype=np.int64)
-        fill = 0
+        one = counts.dtype.type(1)  # a Python 1 would take ufunc.at off its fast path
         for w in widths:
             if w == 1:  # a one-member run pairs only with itself, at the identity
                 counts[self.identity] = classes[1]
                 continue
             for rows, members in _class_blocks(x, ends[size == w] - w, w):
                 diffs = self.op_vec(rows, self.inverse_vec(members)).ravel()
-                if len(diffs) >= len(buffer):  # a row block of a class larger than the buffer
+                if len(diffs) >= self.order:
                     counts += np.bincount(diffs, minlength=self.order)
-                    continue
-                if fill + len(diffs) > len(buffer):
-                    counts += np.bincount(buffer[:fill], minlength=self.order)
-                    fill = 0
-                buffer[fill : fill + len(diffs)] = diffs
-                fill += len(diffs)
-        counts += np.bincount(buffer[:fill], minlength=self.order)
+                else:
+                    np.add.at(counts, diffs, one)
         return counts
 
     def to_json(self) -> dict:

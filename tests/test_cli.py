@@ -604,7 +604,8 @@ def test_check_bounds_overlapping_dss_blocks(run_cli, tmp_path):
 
 def test_check_bounds_overlapping_blocks_larger_than_the_group(run_cli, tmp_path):
     # repeated points make the union recount one class of 12 members over Z_4;
-    # one-pair blocks give each row more differences than the pair buffer holds
+    # one-pair blocks make each row a block of its own, with more differences
+    # than the group has elements
     path = _dss_file(tmp_path, [[0, 1, 2, 3, 0, 1], [1, 2, 3, 0, 1, 2]])
     with patch.object(domains_module, "_PAIR_BLOCK", 1):
         code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])

@@ -10,8 +10,10 @@ against numpy's stable argsort and the run sizes, on its packed-key and
 argsort branches, and the kernel against a scalar loop over same-label
 pairs for labels that are negative, sparse (10^12 apart) or at the int64
 extremes, grouped with repeated elements, with empty runs added, or as a
-table (the positions themselves), and ``verify_zdb``'s distinct-symbol
-count against a set on int32 and int64 tables.  The
+table (the positions themselves); its tracemalloc peak on the
+(400228, 133410, 2) grouping, counted in blocks far smaller than the
+group, stays under three times its counts; and ``verify_zdb``'s
+distinct-symbol count against a set on int32 and int64 tables.  The
 same-symbol recount of stored code distances is checked against the
 all-pairs comparison on random square, wide and tall integer matrices
 over consecutive, sparse and int32 alphabets, with classes past 256 rows
@@ -301,12 +303,32 @@ def test_difference_counts_match_the_scalar_pairs_for_any_labels(domain, pool, d
 
 def test_difference_counts_of_a_class_larger_than_the_buffer():
     # one run of 40 elements of Z_31, repeats included: with one-pair
-    # blocks every row's 40 differences outgrow the 31-entry buffer
+    # blocks each row's 40 differences are a block of their own, at least
+    # the group's 31 elements, so each block is bincounted
     domain = RingAdditiveDomain(ResidueRing(31))
     elements = [(7 * i) % 31 for i in range(40)]
     with patch.object(domains_module, "_PAIR_BLOCK", 1):
         counts = domain.difference_counts(np.array(elements), np.array([40]))
     assert counts.tolist() == brute_difference_counts(domain, elements, [0] * 40)
+
+
+def test_difference_counts_peak_at_a_few_counts_when_blocks_are_small():
+    # the (400228, 133410, 2) grouping in blocks of about 2^10 pairs, each far
+    # smaller than the group: adding each block into the counts holds no
+    # order-length array besides them
+    ring = GaloisField(100057)
+    fn = construct_product(ring, cyclic_subgroup(ring, 39541), cyclic_subgroup(ring, 1140))
+    points, ends = fn.grouping
+    with patch.object(domains_module, "_PAIR_BLOCK", 2**10):
+        tracemalloc.start()
+        try:
+            counts = fn.domain.difference_counts(points, ends)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert counts[fn.domain.identity] == fn.n
+    assert np.count_nonzero(counts == 2) == fn.n - 1
+    assert peak < 3 * counts.nbytes
 
 
 @SETTINGS
