@@ -18,42 +18,19 @@ import argparse
 import itertools
 import json
 import sys
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .catalog import (
-    RECIPE_IDS,
-    Recipe,
-    certify_all,
-    default_catalog,
-    run_recipe,
-    search_cor1,
-    search_cor2_scan,
-)
-from .codes import (
-    CodeBook,
-    DssSystem,
-    _shared_composition,
-    ccc_from_zdb,
-    ccc_report,
-    cwc_from_zdb,
-    cwc_report,
-    distance_range,
-    dss_from_zdb,
-    dss_perfect_check,
-    dss_report,
-)
-from .construct import (
-    ZdbFunction,
-    construct_doubled,
-    construct_generic,
-    construct_product,
-)
-from .cosets import coset_partition, cyclic_subgroup, subgroup_from_elements
 from .errors import CertificationError, OversizedError, VerificationError, ZdbError
-from .rings import Ring, ring_from_json
-from .verify import VerificationResult, verify_zdb
+
+# each command imports the library modules it runs inside its handler, so a
+# process loads (and, without a bytecode cache, compiles) only those
+if TYPE_CHECKING:
+    from .codes import CodeBook, DssSystem
+    from .construct import ZdbFunction
+    from .rings import Ring
+    from .verify import VerificationResult
 
 # refuse more than ORDER_LIMIT**2 elementary steps unless --force is passed.
 # A step is one in-class pair of the difference kernel (the sum of squared
@@ -103,6 +80,8 @@ def _load_text(value: str) -> str:
 
 
 def _ring_arg(value: str) -> Ring:
+    from .rings import ring_from_json
+
     return ring_from_json(json.loads(_load_text(value)))
 
 
@@ -112,6 +91,8 @@ def _table_limit(args) -> int | None:
 
 def _subgroup_arg(args, ring: Ring, spec: str):
     """A single generator index, or a comma separated element list."""
+    from .cosets import cyclic_subgroup, subgroup_from_elements
+
     if "," in spec:
         elems = [int(tok) for tok in spec.split(",") if tok.strip()]
         return subgroup_from_elements(ring, elems, _table_limit(args))
@@ -119,6 +100,8 @@ def _subgroup_arg(args, ring: Ring, spec: str):
 
 
 def _load_fn(path: str) -> ZdbFunction:
+    from .construct import ZdbFunction
+
     with open(path, encoding="utf-8") as fh:
         return ZdbFunction.from_json(json.load(fh))
 
@@ -173,6 +156,8 @@ def _cmd_ring_info(args) -> int:
 
 
 def _cmd_cosets_partition(args) -> int:
+    from .cosets import coset_partition
+
     ring = _ring_arg(args.ring)
     group = _subgroup_arg(args, ring, args.g)
     part = coset_partition(ring, group)
@@ -188,6 +173,8 @@ def _cmd_cosets_partition(args) -> int:
 
 
 def _cmd_zdb_construct(args) -> int:
+    from .construct import construct_doubled, construct_generic, construct_product
+
     ring = _ring_arg(args.ring)
     group = _subgroup_arg(args, ring, args.g)
     if args.mode == "generic":
@@ -206,6 +193,8 @@ def _cmd_zdb_construct(args) -> int:
 
 
 def _cmd_zdb_verify(args) -> int:
+    from .verify import verify_zdb
+
     fn = _load_fn(args.input)
     _guard(fn, matrix=False, force=args.force)
     res = verify_zdb(fn)
@@ -221,6 +210,9 @@ def _cmd_zdb_verify(args) -> int:
 
 
 def _cmd_codes(args) -> int:
+    from .codes import ccc_from_zdb, cwc_from_zdb, dss_from_zdb
+    from .verify import verify_zdb
+
     fn = _load_fn(args.input)
     _guard(fn, matrix=args.kind != "dss" and args.format != "text", force=args.force)
     res = verify_zdb(fn)
@@ -256,6 +248,8 @@ def _cmd_codes(args) -> int:
 
 def _recheck_codebook(book: CodeBook, force: bool) -> list[str]:
     """Recompute everything the stored book claims; return mismatch notes."""
+    from .codes import _shared_composition, distance_range
+
     words = book.codewords
     if words.shape != (book.M, book.n):
         return [f"codeword matrix is {words.shape}, header says ({book.M}, {book.n})"]
@@ -296,6 +290,8 @@ def _recheck_codebook(book: CodeBook, force: bool) -> list[str]:
 def _recheck_dss(system: DssSystem, force: bool) -> list[str]:
     """Recompute the counts and coverage the stored system claims; return
     mismatch notes."""
+    from .codes import dss_perfect_check
+
     try:
         chk = dss_perfect_check(system, max_pairs=None if force else ORDER_LIMIT**2)
     except RuntimeError as exc:  # overlapping blocks
@@ -321,6 +317,7 @@ def _print_failures(problems: list[str]) -> None:
 
 
 def _cmd_check_bounds(args) -> int:
+    from .codes import CodeBook, DssSystem, ccc_report, cwc_report, dss_report
     from .reader import decode_file  # only this command reads stored files
 
     with open(args.input, "rb") as fh:
@@ -368,6 +365,8 @@ def _result_lines(args, results) -> str | Iterable[bytes]:
 
 
 def _cmd_catalog_search(args) -> int:
+    from .catalog import search_cor1, search_cor2_scan
+
     if args.construction == "cor1":
         results = search_cor1(args.max, args.e)
     else:
@@ -377,6 +376,8 @@ def _cmd_catalog_search(args) -> int:
 
 
 def _cmd_catalog_recipe(args) -> int:
+    from .catalog import Recipe, run_recipe
+
     params = json.loads(_load_text(args.params))
     result = run_recipe(Recipe(args.id, params))
     _write(args, _result_lines(args, [result]))
@@ -384,6 +385,8 @@ def _cmd_catalog_recipe(args) -> int:
 
 
 def _cmd_catalog_certify(args) -> int:
+    from .catalog import certify_all, default_catalog
+
     results = default_catalog()
     if args.max_order is not None:
         results = [r for r in results if r.certified[0] <= args.max_order]
@@ -400,7 +403,7 @@ def _cmd_catalog_certify(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(recipe_ids: tuple[str, ...]) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write data to this file instead of standard output")
     common.add_argument(
@@ -465,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, required=True, help="largest ring (or field) order")
     p.set_defaults(handler=_cmd_catalog_search)
     p = catalog.add_parser("recipe", parents=[common], help="run one named recipe")
-    p.add_argument("--id", choices=RECIPE_IDS, required=True)
+    p.add_argument("--id", choices=recipe_ids, required=True)
     p.add_argument("--params", required=True, help="recipe parameters as JSON, or @file")
     p.set_defaults(handler=_cmd_catalog_recipe)
     p = catalog.add_parser("certify", parents=[common], help="certify the built-in catalog")
@@ -495,7 +498,11 @@ def _error_message(exc: Exception) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    recipe_ids = ()
+    if "catalog" in argv:  # only a catalog command reaches --id, whose choices these are
+        from .catalog import RECIPE_IDS as recipe_ids
+    args = _build_parser(recipe_ids).parse_args(argv)
     try:
         if args.format == "csv" and not args.csv:
             raise _UsageError("csv output is not defined for this command")

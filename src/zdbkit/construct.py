@@ -289,8 +289,14 @@ def construct_product(ring: Ring, g_group: Subgroup, h_group: Subgroup) -> ZdbFu
     mul_pos = np.asarray(g_group.mul_pos, dtype=dtype)
     table = np.empty((n, e), dtype=dtype)
     np.take(mul_pos.T, pg.column_positions[1:], axis=0, out=table[1:])
-    table[1:] += (pair_base + (pg.coset_index[1:] - 1) * e)[:, None]
-    table[1:, one_pos] = 1 + ph.coset_index[1:]
+    # every sum in the table's dtype: the partitions hold ring positions, int32
+    # while the ring's order is below 2**31, and a symbol can pass that
+    offsets = pg.coset_index[1:].astype(dtype)  # G coset c >= 1 starts at pair_base + (c - 1) e
+    offsets -= 1
+    offsets *= e
+    offsets += pair_base
+    table[1:] += offsets[:, None]
+    np.add(ph.coset_index[1:], 1, out=table[1:, one_pos], dtype=dtype)
     table[0] = 1
     table[0, one_pos] = 0
 

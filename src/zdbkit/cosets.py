@@ -34,7 +34,7 @@ from .errors import (
     NotAUnitError,
     OversizedError,
 )
-from .rings import Ring
+from .rings import Ring, _position_dtype
 
 __all__ = [
     "Subgroup",
@@ -226,7 +226,8 @@ def _largest_order_first(group: Subgroup) -> list[int]:
 
 
 def _product_rows(ring: Ring, group: Subgroup, index: np.ndarray) -> np.ndarray:
-    """The (e, n) table whose row j is r -> r * g_j over the ring's indices.
+    """The (e, n) table whose row j is r -> r * g_j over the ring's indices,
+    in the dtype of the index array.
 
     The row of g_i * s is the row of s, r -> r * s, gathered through the
     row of g_i, since r * (g_i * s) = (r * g_i) * s.  So one ``mul_vec``
@@ -235,7 +236,7 @@ def _product_rows(ring: Ring, group: Subgroup, index: np.ndarray) -> np.ndarray:
     add rows, so a cyclic group takes one ``mul_vec``.
     """
     mul_pos = group.mul_pos
-    products = np.empty((group.order, len(index)), dtype=np.int64)
+    products = np.empty((group.order, len(index)), dtype=index.dtype)
     products[group.identity_pos] = index
     filled = [False] * group.order
     filled[group.identity_pos] = True
@@ -243,7 +244,8 @@ def _product_rows(ring: Ring, group: Subgroup, index: np.ndarray) -> np.ndarray:
     for s in _largest_order_first(group):
         if filled[s]:
             continue
-        generators.append((s, ring.mul_vec(index, group.elements[s])))
+        perm = ring.mul_vec(index, group.elements[s]).astype(index.dtype, copy=False)
+        generators.append((s, perm))
         todo = [i for i, done in enumerate(filled) if done]
         while todo:  # the rows of everything the generators so far reach
             i = todo.pop()
@@ -283,7 +285,8 @@ class CosetPartition:
     and ``column_positions[r]`` the subgroup position of g in r = rep * g
     (-1 for r = 0).  The indicator arrays ``row_indicators`` and
     ``column_indicators`` (entry 0 is 0 and -1) and the tuples ``reps``
-    and ``cosets`` are built from them when first read.
+    and ``cosets`` are built from them when first read.  Every array holds
+    positions in the ring, int32 while its order is below 2**31.
     """
 
     def __init__(self, ring: Ring, group: Subgroup):
@@ -291,9 +294,10 @@ class CosetPartition:
         self.subgroup = group
         n = ring.order
         e = group.order
-        index = np.arange(n, dtype=np.int64)
+        dtype = _position_dtype(n)
+        index = np.arange(n, dtype=dtype)
         products = _product_rows(ring, group, index)  # [j, r] = r * g_j
-        reps = np.flatnonzero(products.min(axis=0) == index)  # 0 comes first
+        reps = np.flatnonzero(products.min(axis=0) == index).astype(dtype)  # 0 comes first
         members = products[:, reps[1:]]  # column c: the coset of reps[c + 1]
         del products
         covered = np.zeros(n, dtype=bool)
@@ -303,10 +307,10 @@ class CosetPartition:
                 "subgroup fails the unit-difference condition: some g - 1 is not a unit"
             )
         self.rep_array = reps
-        self.coset_index = np.zeros(n, dtype=np.int64)
-        self.coset_index[members] = np.arange(1, len(reps))
-        self.column_positions = np.full(n, -1, dtype=np.int64)
-        self.column_positions[members] = np.arange(e)[:, None]
+        self.coset_index = np.zeros(n, dtype=dtype)
+        self.coset_index[members] = np.arange(1, len(reps), dtype=dtype)
+        self.column_positions = np.full(n, -1, dtype=dtype)
+        self.column_positions[members] = np.arange(e, dtype=dtype)[:, None]
         for arr in (self.rep_array, self.coset_index, self.column_positions):
             arr.flags.writeable = False  # the derived indicators and tuples read them
 

@@ -727,22 +727,96 @@ def test_a_doubled_subgroup_past_the_limit_needs_force(run_cli, monkeypatch):
     assert run_cli([*argv, "--force"])[0] == 0
 
 
-def test_only_check_bounds_loads_the_file_reader(run_cli, tmp_path):
-    # a fresh process: the package and another command leave the reader unloaded
-    path, _ = _z7_payload(run_cli, tmp_path, "ccc")
+def _modules_loaded(*argvs):
+    """The zdbkit modules a fresh process holds after `import zdbkit`, then
+    after each command line in turn, each list sorted and without the prefix."""
     script = (
-        "import sys, zdbkit, zdbkit.cli\n"
-        "for argv in (['ring', 'info', '--ring', sys.argv[1]], ['codes', 'check-bounds',"
-        " '--in', sys.argv[2]]):\n"
-        "    assert zdbkit.cli.main([*argv, '--out', sys.argv[3]]) == 0\n"
-        "    print('zdbkit.reader' in sys.modules)\n"
+        "import json, sys, zdbkit\n"
+        "def loaded():\n"
+        "    return sorted(m[7:] for m in sys.modules if m.startswith('zdbkit.'))\n"
+        "out = [loaded()]\n"
+        "import zdbkit.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert zdbkit.cli.main(argv) == 0, argv\n"
+        "    out.append(loaded())\n"
+        "print(json.dumps(out))\n"
     )
     src = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     run = subprocess.run(
-        [sys.executable, "-c", script, Z7_RING, str(path), str(tmp_path / "out.json")],
+        [sys.executable, "-c", script, json.dumps(argvs)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
     )
-    assert (run.returncode, run.stdout, run.stderr) == (0, "False\nTrue\n", "")
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def test_only_check_bounds_loads_the_file_reader(run_cli, tmp_path):
+    # a fresh process: the package and another command leave the reader unloaded
+    path, _ = _z7_payload(run_cli, tmp_path, "ccc")
+    out = str(tmp_path / "out.json")
+    loaded = _modules_loaded(
+        ["ring", "info", "--ring", Z7_RING, "--out", out],
+        ["codes", "check-bounds", "--in", str(path), "--out", out],
+    )
+    assert ["reader" in modules for modules in loaded] == [False, False, True]
+
+
+_RING_MODULES = ["arith", "cli", "errors", "rings"]
+_BUILD_MODULES = sorted([*_RING_MODULES, "construct", "cosets", "domains"])
+_CODES_MODULES = sorted([*_BUILD_MODULES, "codes", "verify"])
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        pytest.param(["ring", "info", "--ring", Z7_RING], _RING_MODULES, id="ring-info"),
+        pytest.param(
+            ["cosets", "partition", "--ring", Z7_RING, "--g", "2"],
+            sorted([*_RING_MODULES, "cosets"]),
+            id="cosets-partition",
+        ),
+        pytest.param(
+            ["zdb", "construct", "product", "--ring", Z7_RING, "--g", "2", "--h", "6"],
+            _BUILD_MODULES,
+            id="zdb-construct",
+        ),
+        pytest.param(
+            ["zdb", "verify", "--in", "{fn}"], sorted([*_BUILD_MODULES, "verify"]), id="zdb-verify"
+        ),
+        pytest.param(["codes", "ccc", "--in", "{fn}"], _CODES_MODULES, id="codes-ccc"),
+        pytest.param(["codes", "dss", "--in", "{fn}"], _CODES_MODULES, id="codes-dss"),
+        pytest.param(
+            ["codes", "check-bounds", "--in", "{ccc}"],
+            sorted([*_CODES_MODULES, "reader"]),
+            id="check-bounds",
+        ),
+        pytest.param(
+            ["catalog", "certify", "--all", "--max-order", "30"],
+            sorted([*_CODES_MODULES, "catalog"]),
+            id="catalog-certify",
+        ),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(run_cli, tmp_path, argv, modules):
+    # a fresh process per command: `import zdbkit` loads no module, and the command
+    # only those it runs (ring info no construction, zdb no codes, codes no catalog)
+    ccc, _ = _z7_payload(run_cli, tmp_path, "ccc")
+    paths = {"{fn}": str(tmp_path / "f.json"), "{ccc}": str(ccc)}
+    argv = [paths.get(arg, arg) for arg in argv] + ["--out", str(tmp_path / "out")]
+    assert _modules_loaded(argv) == [[], modules]
+
+
+def test_the_package_resolves_its_names_on_first_use():
+    import zdbkit
+
+    assert all(getattr(zdbkit, name) is not None for name in zdbkit.__all__)
+    assert zdbkit.ZdbFunction is construct_module.ZdbFunction
+    assert set(zdbkit.__all__) <= set(dir(zdbkit))
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        zdbkit.nope  # noqa: B018
+    from zdbkit import reader  # a submodule name is not a package attribute: it is imported
+
+    assert reader.__name__ == "zdbkit.reader"
 
 
 @pytest.mark.parametrize("kind", ["ccc", "cwc", "dss"])

@@ -1,5 +1,7 @@
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from zdbkit import (
@@ -198,6 +200,25 @@ def test_partition_check_catches_overlapping_columns(monkeypatch):
     monkeypatch.setattr(ring, "mul_vec", faulty)
     with pytest.raises(ConditionNotSatisfiedError, match="unit-difference"):
         coset_partition(ring, group)
+
+
+def test_partition_arrays_are_int32_positions_under_48_bytes_an_element():
+    # GF(100057), e = 4: the (e, n) product table and the index in int32 (20 bytes
+    # an element) plus the int64 index, product and remainder of one mul_vec (24)
+    # peak at 44 bytes an element; with int64 tables the peak was 56
+    ring = GaloisField(100057)
+    group = cyclic_subgroup(ring, 39541)
+    assert group.order == 4
+    tracemalloc.start()
+    try:
+        part = coset_partition(ring, group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (part.rep_array, part.coset_index, part.column_positions)
+    assert [a.dtype for a in arrays] == [np.int32] * 3
+    assert len(part.rep_array) == 1 + (ring.order - 1) // 4
+    assert peak < 48 * ring.order
 
 
 def test_partition_rejects_overlapping_cosets():
