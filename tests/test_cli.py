@@ -727,9 +727,10 @@ def test_a_doubled_subgroup_past_the_limit_needs_force(run_cli, monkeypatch):
     assert run_cli([*argv, "--force"])[0] == 0
 
 
-def _modules_loaded(*argvs):
+def _modules_loaded(*argvs, stderr=""):
     """The zdbkit modules a fresh process holds after `import zdbkit`, then
-    after each command line in turn, each list sorted and without the prefix."""
+    after each command line in turn, each list sorted and without the prefix.
+    The process must write nothing to stderr but the commands' own `stderr`."""
     script = (
         "import json, sys, zdbkit\n"
         "def loaded():\n"
@@ -746,7 +747,7 @@ def _modules_loaded(*argvs):
         [sys.executable, "-c", script, json.dumps(argvs)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
     )
-    assert run.returncode == 0, run.stderr
+    assert (run.returncode, run.stderr) == (0, stderr)
     return json.loads(run.stdout)
 
 
@@ -803,7 +804,9 @@ def test_each_command_loads_only_the_modules_it_runs(run_cli, tmp_path, argv, mo
     ccc, _ = _z7_payload(run_cli, tmp_path, "ccc")
     paths = {"{fn}": str(tmp_path / "f.json"), "{ccc}": str(ccc)}
     argv = [paths.get(arg, arg) for arg in argv] + ["--out", str(tmp_path / "out")]
-    assert _modules_loaded(argv) == [[], modules]
+    code, _, stderr = run_cli(argv)
+    assert code == 0
+    assert _modules_loaded(argv, stderr=stderr) == [[], modules]
 
 
 def test_the_package_resolves_its_names_on_first_use():
