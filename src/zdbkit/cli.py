@@ -37,8 +37,9 @@ if TYPE_CHECKING:
 # symbol multiplicities) for verify, dss and the text format of ccc and
 # cwc, one entry of the n x n codeword matrix for ccc and cwc in json or
 # csv, which write it, one same-symbol row pair of a column (the sum of
-# squared class sizes) for check-bounds on a codebook, and one entry of a
-# subgroup's e x e product table for the subgroups of cosets and zdb.
+# squared class sizes) for check-bounds on a codebook, as well as one pair of
+# rows when it has more rows than columns, and one entry of a subgroup's e x e
+# product table for the subgroups of cosets and zdb.
 ORDER_LIMIT = 10_000
 
 
@@ -253,29 +254,31 @@ def _recheck_codebook(book: CodeBook, force: bool) -> list[str]:
     words = book.codewords
     if words.shape != (book.M, book.n):
         return [f"codeword matrix is {words.shape}, header says ({book.M}, {book.n})"]
-    lo, hi = (int(words.min()), int(words.max())) if words.size else (0, 0)
-    if words.size and (lo < 0 or hi >= book.q):
+    if words.size and (int(words.min()) < 0 or int(words.max()) >= book.q):
         r, y = divmod(int(np.flatnonzero((words < 0) | (words >= book.q))[0]), book.n)
         return [
             f"row {r} column {y} has symbol {words[r, y]} outside the alphabet "
             f"of size {book.q}"
         ]
-    d, d_max = distance_range(words, max_pairs=None if force else ORDER_LIMIT**2)
+    limit = None if force else ORDER_LIMIT**2
+    pairs = book.M * (book.M - 1) // 2
+    if book.M > book.n and limit is not None and pairs > limit:  # every row pair is scanned
+        raise OversizedError(
+            f"recounting the distances of {book.M} codewords of length {book.n} compares "
+            f"{pairs:,} row pairs, over the limit of {limit:,}"
+        )
+    d, d_max = distance_range(words, max_pairs=limit)
     problems = []
     if (d, d_max) != (book.d, book.d_max):
         problems.append(
             f"stored distances ({book.d}, {book.d_max}) but recomputed ({d}, {d_max})"
         )
-    # every symbol is below q, so counts past the largest one are zeros; an
-    # alphabet wider than the matrix is counted over the symbols that occur
-    top = hi + 1
-    symbols = None if top <= words.size else np.unique(words)
-    shared = _shared_composition(words, top, symbols)
+    shared = _shared_composition(words)
     if shared is None:
         problems.append("codewords do not share one composition")
     elif book.composition is not None:
-        keys = range(top) if symbols is None else symbols.tolist()
-        composition = dict(zip(keys, shared.tolist()))
+        symbols, counts = shared
+        composition = dict(zip(symbols.tolist(), counts.tolist()))
         if len(book.composition) != book.q or any(
             w != composition.get(s, 0) for s, w in enumerate(book.composition)
         ):

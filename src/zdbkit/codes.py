@@ -43,9 +43,11 @@ Codebooks that arrive as explicit matrices are rechecked by
 rows: two rows agree at a coordinate exactly when they share its
 symbol, so the agreements of every pair of rows are counted from the
 same-symbol row pairs of each column, at a cost of the sum of squared
-class sizes rather than M^2 n symbol comparisons, in memory of one count
-matrix for a square code.  Bound arithmetic is exact (integers and
-fractions); no floats are involved anywhere.
+class sizes rather than M^2 n symbol comparisons, in one loop over bands
+of rows: a square or wide code is one band, one count matrix.  Their
+shared composition is checked by comparing sorted rows with the sorted
+first row.  Bound arithmetic is exact (integers and fractions); no
+floats are involved anywhere.
 
 Codeword matrices and block lists cross the file boundary as arrays, in
 memory bounded by the array and one band: ``_block_text`` renders them to
@@ -60,11 +62,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .construct import ZdbFunction
 from .domains import AbelianDomain, _pair_blocks, _position_dtype, domain_from_json
 from .errors import (
     NotCwcEligibleError,
@@ -73,7 +74,12 @@ from .errors import (
     _field,
     _typed,
 )
-from .verify import DifferenceSpectrum, VerificationResult, composition_profile, verify_zdb
+
+# the builders import verify inside, so a stored file is rechecked without
+# loading the construction and verification modules
+if TYPE_CHECKING:
+    from .construct import ZdbFunction
+    from .verify import DifferenceSpectrum, VerificationResult
 
 __all__ = [
     "CodeBook",
@@ -95,9 +101,10 @@ __all__ = [
     "dss_report",
 ]
 
-# matrix cells that distance_range sorts, or bincounts a tall code's rows into, at
-# once; its temporaries take some forty bytes a cell.  The block writer renders
-# 8 * _BAND values, a few hundred kilobytes of text, at once
+# matrix cells that distance_range and _shared_composition sort at once, the
+# sort's temporaries taking some forty bytes a cell; a tall code's agreements are
+# counted 512 * _BAND cells at once.  The block writer renders 8 * _BAND values,
+# a few hundred kilobytes of text, at once
 _BAND = 1 << 13
 
 
@@ -456,6 +463,8 @@ class BoundReport:
 
 
 def _require_verified(fn: ZdbFunction, result: VerificationResult | None) -> VerificationResult:
+    from .verify import verify_zdb
+
     if result is None:
         result = verify_zdb(fn)
     if not result.ok:
@@ -477,14 +486,16 @@ def distance_range(codewords: np.ndarray, *, max_pairs: int | None = None) -> tu
     """Minimum and maximum Hamming distance between distinct rows.
 
     Two rows agree at coordinate y exactly when they sit in the same symbol
-    class of column y.  Each column is sorted by symbol and each row paired
-    with the later rows of its class, at a cost of the sum of squared class
-    sizes, not M^2 n; each pair adds one to its agreement count.  With
-    M <= n one M x M count matrix (uint8, uint16 or uint32 as n needs) takes
-    every pair, each band of _BAND cells sorted and counted as it comes.
-    Taller matrices keep each column's sort as ranks (the row at each rank,
-    the rank of each row and the later ranks of each rank's class) and
-    bincount bands of _BAND / M rows against all rows.
+    class of column y.  Each band of about _BAND cells of columns is sorted by
+    symbol and each row paired with the later rows of its class, at a cost of
+    the sum of squared class sizes, not M^2 n; each pair adds one to the
+    agreement count of its earlier row with the later one.  The counts
+    (uint8, uint16 or uint32 as n needs) are held for a band of rows against
+    the rows from the band on: all M rows when M <= n, one M x M matrix
+    counted as each column band is sorted.  A taller code keeps every column
+    band's sort (the rows by rank and the later ranks of each rank's class)
+    and counts bands of max(n, 512 _BAND / M) rows, each picking its rows of
+    every sort by row index.
 
     When max_pairs is given and that sum of squared class sizes exceeds it,
     OversizedError is raised, no more than max_pairs pairs counted.
@@ -493,17 +504,24 @@ def distance_range(codewords: np.ndarray, *, max_pairs: int | None = None) -> tu
     m, n = c.shape
     if m < 2:
         raise ValueError("distance needs at least two codewords")
-    kept = m > n
-    if kept:
-        rank = np.int16 if m < 2**15 else np.int32
-        row_at = np.empty((n, m), dtype=rank)  # (column, rank) -> row
-        rank_of = np.empty((m, n), dtype=rank)  # (row, column) -> rank
-        later = np.empty((n, m), dtype=np.uint8)  # (column, rank) -> later ranks of its class
-    else:
-        count = np.uint8 if n < 2**8 else np.uint16 if n < 2**16 else np.uint32
-        agree = np.zeros((m, m), dtype=count)
+    count = np.uint8 if n < 2**8 else np.uint16 if n < 2**16 else np.uint32
+    band = min(m, max(n, 1, (_BAND << 9) // m))  # rows counted at once: all when m <= n
+    key = _position_dtype(band * m)
+    counts = None if band < m else np.zeros((m, m), dtype=count)
+    sorts, pairs = [], 0
 
-    pairs = 0
+    def pair_up(counts, rows, later, picked, r0):
+        # add one to counts[r - r0, s - r0] for each row r at the picked positions of a
+        # sort (all of them when picked is None) and each later row s of its class
+        if picked is None:
+            first, width, ahead = np.arange(1, len(rows) + 1), later, rows
+        else:
+            first, width, ahead = picked + 1, later[picked], rows[picked]
+        w = counts.shape[1]
+        for lo, hi, partners in _pair_blocks(first, width):
+            at = np.repeat((ahead[lo:hi] - r0) * w - r0, width[lo:hi]) + rows[partners]
+            np.add.at(counts.ravel(), at, count(1))
+
     step = max(1, _BAND // m)
     for y0 in range(0, n, step):
         cols = c[:, y0 : y0 + step].T
@@ -514,56 +532,30 @@ def distance_range(codewords: np.ndarray, *, max_pairs: int | None = None) -> tu
         start = np.flatnonzero(opens)  # flat over the band; a class never crosses a column
         size = np.diff(start, append=sym.size)
         pairs += int(size @ size)
-        width = np.repeat(start + size, size) - np.arange(1, sym.size + 1)
-        if kept:
-            if size.max() > 256 and later.dtype == np.uint8:
-                later = later.astype(rank)
-            y1 = y0 + len(sym)
-            row_at[y0:y1] = by_symbol
-            later[y0:y1] = width.reshape(sym.shape)
-            rank_of[by_symbol, np.arange(y0, y1)[:, None]] = np.arange(m)
+        later = np.repeat(start + size, size) - np.arange(1, sym.size + 1)
+        rows = by_symbol.ravel().astype(key)
+        if band < m:
+            sorts.append((rows, later.astype(key)))
         elif max_pairs is None or pairs <= max_pairs:
-            # each row meets the later rows of its class: one count per pair
-            rows = by_symbol.ravel().astype(_position_dtype(m * m))
-            for lo, hi, partners in _pair_blocks(np.arange(1, sym.size + 1), width):
-                key = np.repeat(rows[lo:hi] * m, width[lo:hi]) + rows[partners]
-                np.add.at(agree.ravel(), key, count(1))
+            pair_up(counts, rows, later, None, 0)
     if max_pairs is not None and pairs > max_pairs:
         raise OversizedError(
             f"recounting the distances of {m} codewords of length {n} needs "
             f"{pairs:,} in-class row pairs, over the limit of {max_pairs:,}"
         )
 
-    def blocks():  # (counts, r0): the agreements of rows r0, r0 + 1, ... with all rows
-        rows, widths = row_at.ravel(), later.ravel()
-        column_at = np.arange(n) * m  # flat offset of each column
-        band = max(1, _BAND // m)
-        for r0 in range(0, m - 1, band):
-            # each row of the band meets the later rows of its class in every column
-            b = min(band, m - 1 - r0)
-            first = (rank_of[r0 : r0 + b] + column_at).ravel()
-            width = widths[first].astype(np.intp)
-            counts = None
-            for lo, hi, partners in _pair_blocks(first + 1, width):
-                key = np.repeat(np.arange(lo, hi) // n * m, width[lo:hi]) + rows[partners]
-                part = np.bincount(key, minlength=b * m)
-                counts = part if counts is None else np.add(counts, part, out=counts)
-            yield counts.reshape(b, m), r0
-
     lo_agree, hi_agree = n + 1, -1
-    step = max(2, _BAND // m)
-    upper = np.triu(np.ones((step, step - 1), dtype=bool))  # (i, j) with j >= i
-    for counts, r0 in blocks() if kept else [(agree[:-1], 0)]:
-        for i in range(0, len(counts), step):
-            # rows top .. top + k - 1 meet the rows after them: the columns past
-            # top + k and the upper triangle of the k - 1 columns before
-            top, k = r0 + i, min(step, len(counts) - i)
-            part = counts[i : i + k]
-            near = part[:, top + 1 : top + k][upper[:k, : k - 1]]
-            for vals in (part[:, top + k :], near):
-                if vals.size:
-                    lo_agree = min(lo_agree, int(vals.min()))
-                    hi_agree = max(hi_agree, int(vals.max()))
+    for r0 in range(0, m - 1, band):
+        if band < m:
+            b = min(band, m - 1 - r0)
+            counts = np.zeros((b, m - r0), dtype=count)
+            for rows, later in sorts:
+                pair_up(counts, rows, later, np.flatnonzero((rows >= r0) & (rows < r0 + b)), r0)
+        # row r0 + i meets the rows after it, the columns past i; those up to i hold zeros
+        hi_agree = max(hi_agree, int(counts.max()))
+        for i in range(len(counts)):
+            counts[i, : i + 1] = n
+        lo_agree = min(lo_agree, int(counts.min()))
     return n - hi_agree, n - lo_agree
 
 
@@ -573,31 +565,17 @@ def min_distance(code: "CodeBook | np.ndarray | Sequence[Sequence[int]]") -> int
     return distance_range(words)[0]
 
 
-def _shared_composition(
-    words: np.ndarray, q: int, symbols: np.ndarray | None = None
-) -> np.ndarray | None:
-    """The symbol counts of the first row of a matrix with symbols in
-    range(q) when every row has the same counts, else None.  Given the
-    sorted distinct symbols of the matrix, the counts are over those
-    instead, in their order.  The rows are bincounted one band of about
-    _BAND cells at a time and compared with the first row, so no m x q
-    count matrix, and no index matrix of a sparse alphabet, is held."""
-    m, n = words.shape
-    if symbols is not None:
-        q = len(symbols)
-
-    def index(rows):
-        return rows if symbols is None else np.searchsorted(symbols, rows)
-
-    first = np.bincount(index(words[0]), minlength=q)
-    step = max(1, _BAND // max(n, 1))
-    for r0 in range(0, m, step):
-        band = index(words[r0 : r0 + step])
-        b = len(band)
-        flat = (np.arange(b, dtype=np.intp)[:, None] * q + band).ravel()
-        if not (np.bincount(flat, minlength=b * q).reshape(b, q) == first).all():
+def _shared_composition(words: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct symbols of the first row of a matrix and their counts
+    there, when every row holds the same symbols as many times, else None.
+    Each band of about _BAND cells is sorted along its rows and compared with
+    the sorted first row, so memory does not depend on the alphabet."""
+    first = np.sort(words[0])
+    step = max(1, _BAND // max(words.shape[1], 1))
+    for r0 in range(0, len(words), step):
+        if not (np.sort(words[r0 : r0 + step], axis=1) == first).all():
             return None
-    return first
+    return np.unique(first, return_counts=True)
 
 
 def _shift_book(kind: str, fn: ZdbFunction, spec: DifferenceSpectrum, **extra) -> CodeBook:
@@ -615,6 +593,8 @@ def ccc_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> C
     the verified spectrum.  The book holds fn; its matrix is built only
     when ``codewords`` is read.
     """
+    from .verify import composition_profile
+
     spec = _require_verified(fn, result).spectrum
     return _shift_book("CCC", fn, spec, composition=composition_profile(fn).counts)
 

@@ -788,7 +788,7 @@ _CODES_MODULES = sorted([*_BUILD_MODULES, "codes", "verify"])
         pytest.param(["codes", "dss", "--in", "{fn}"], _CODES_MODULES, id="codes-dss"),
         pytest.param(
             ["codes", "check-bounds", "--in", "{ccc}"],
-            sorted([*_CODES_MODULES, "reader"]),
+            sorted([*_RING_MODULES, "codes", "cosets", "domains", "reader"]),
             id="check-bounds",
         ),
         pytest.param(
@@ -800,7 +800,8 @@ _CODES_MODULES = sorted([*_BUILD_MODULES, "codes", "verify"])
 )
 def test_each_command_loads_only_the_modules_it_runs(run_cli, tmp_path, argv, modules):
     # a fresh process per command: `import zdbkit` loads no module, and the command
-    # only those it runs (ring info no construction, zdb no codes, codes no catalog)
+    # only those it runs (ring info no construction, zdb no codes, codes no catalog,
+    # check-bounds neither construction nor verification)
     ccc, _ = _z7_payload(run_cli, tmp_path, "ccc")
     paths = {"{fn}": str(tmp_path / "f.json"), "{ccc}": str(ccc)}
     argv = [paths.get(arg, arg) for arg in argv] + ["--out", str(tmp_path / "out")]
@@ -1105,6 +1106,39 @@ def test_check_bounds_recounts_dss_q_and_tau(run_cli, tmp_path):
     assert code == 1
     assert "check failed: stored q=12 tau=21 but recounted q=11 tau=21" in err
     assert json.loads(out)["checked"] is False
+
+
+def test_check_bounds_refuses_a_tall_code_past_the_row_pair_limit(run_cli, tmp_path):
+    # 20000 distinct rows of length 2 make few in-class pairs, but the recount of a
+    # code with more rows than columns scans all M(M - 1)/2 of its row pairs
+    m = 20000
+    data = {
+        "kind": "CCC", "n": 2, "M": m, "q": m, "d": 2, "d_max": 2,
+        "codewords": [[i, (i + 1) % m] for i in range(m)], "composition": [1, 1] + [0] * (m - 2),
+    }
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(data))
+    argv = ["codes", "check-bounds", "--in", str(path)]
+    assert run_cli(argv) == (
+        2, "", "error: recounting the distances of 20000 codewords of length 2 compares "
+        "199,990,000 row pairs, over the limit of 100,000,000; pass --force to run anyway\n",
+    )
+    # every two rows differ in both columns, as stored; the rows hold different symbols
+    code, out, err = run_cli([*argv, "--force"])
+    assert (code, err) == (
+        1, "check failed: codewords do not share one composition\n"
+        "check failed: CCC bound not met with equality\n",
+    )
+    assert json.loads(out)["optimal"] is False
+
+
+def test_check_bounds_on_two_empty_codewords(run_cli, tmp_path):
+    # no column at all: the two rows are at distance 0, as stored
+    path = tmp_path / "empty.json"
+    path.write_text('{"kind":"CCC","n":0,"M":2,"q":1,"d":0,"codewords":[[],[]],"composition":[0]}')
+    code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+    assert (code, err) == (1, "check failed: CCC bound not met with equality\n")
+    assert json.loads(out)["applicable"] is False
 
 
 def test_check_bounds_guard_counts_in_class_row_pairs(run_cli, tmp_path):

@@ -393,14 +393,13 @@ def test_same_symbol_recount_matches_all_pairs(words, band, block):
 
 
 def test_same_symbol_recount_with_int32_ranks():
-    # 2^15 + 5 rows take int32 ranks; three columns keep the counting oracle cheap,
-    # and a repeated row pins the minimum; wider bands cut the per-band overhead
+    # 2^15 + 5 rows, more than int16 row indices reach, counted in bands of 127 rows;
+    # three columns keep the counting oracle cheap, and a repeated row pins the minimum
     rng = np.random.default_rng(5)
     words = rng.integers(0, [100, 200, 300], size=(2**15 + 5, 3))
     words[7] = words[3]
     assert counted_distance_range(words[:60]) == all_pairs_distance_range(words[:60])
-    with patch.object(codes_module, "_BAND", 1 << 18):
-        assert distance_range(words) == counted_distance_range(words) == (0, 3)
+    assert distance_range(words) == counted_distance_range(words) == (0, 3)
 
 
 @st.composite
@@ -429,6 +428,10 @@ def shaped_matrices(draw):
 @SETTINGS
 @example(np.array([[3, 1], [3, 1]], dtype=np.int16), 1)  # two equal rows
 @example(np.array([[5, 2**20, 5]] * 3, dtype=np.int32), 2)  # int32 symbols, one class each
+@example(  # four row bands of 12 rows; row 30 repeats row 11, the last of the first band
+    np.array([[i % 20, i // 20] if i != 30 else [11, 0] for i in range(40)], dtype=np.int16), 1
+)
+@example(np.zeros((3, 0), dtype=np.int16), 1)  # no columns: every distance is 0
 @given(shaped_matrices(), st.integers(1, 64))
 def test_recount_on_square_wide_and_tall_matrices_matches_all_pairs(words, band):
     # a small band sorts a few columns at a time and counts tall matrices in many row blocks
@@ -873,7 +876,10 @@ def test_matrix_free_books_match_the_shift_code_matrix(case):
     distances = distance_range(words)
     ccc = ccc_from_zdb(fn, res)
     assert ccc.words is None
-    assert ccc.composition == tuple(_shared_composition(words, q).tolist())
+    symbols, counts = _shared_composition(words)
+    shared = np.zeros(q, dtype=np.int64)
+    shared[symbols] = counts
+    assert ccc.composition == tuple(shared.tolist())
     assert (ccc.d, ccc.d_max) == distances
     books = [ccc]
     if np.count_nonzero(fn.table == 0) == 1:  # table is a list, or an array in the example
@@ -1214,6 +1220,14 @@ def test_dss_blocks_of_equal_size_stay_lists():
     assert _plain(_decode_file(text)) == json.loads(text)
 
 
+def test_shared_composition_memory_does_not_follow_the_alphabet():
+    # two symbols 2047 apart in every row: no count is held per alphabet symbol
+    words = np.tile(np.array([[0, 2047], [2047, 0]], dtype=np.int16), (512, 1))
+    symbols, counts = _shared_composition(words)
+    assert (symbols.tolist(), counts.tolist()) == ([0, 2047], [1, 1])
+    assert _peak_bytes(_shared_composition, words) < 2**20
+
+
 @SETTINGS
 @example(np.zeros((3, 1), dtype=np.int16), 1, 1)
 @given(code_matrices(), st.integers(1, 6), st.integers(1, 64))
@@ -1229,10 +1243,14 @@ def test_banded_row_compositions_match_one_bincount(words, extra, band):
         # the same rows over a sparse alphabet, counted over the symbols that occur
         sparse = matrix.astype(np.int64) * 10**12 - 5
         with patch.object(codes_module, "_BAND", band):
-            shared = _shared_composition(matrix, q)
-            shared_sparse = _shared_composition(sparse, 0, np.unique(sparse))
+            shared = _shared_composition(matrix)
+            shared_sparse = _shared_composition(sparse)
         if (whole == whole[0]).all():
-            assert np.array_equal(shared, whole[0])
-            assert np.array_equal(shared_sparse, whole[0][np.unique(matrix)])
+            # the first row's symbols, which are then every row's, and their counts
+            symbols = np.unique(matrix)
+            assert np.array_equal(shared[0], symbols)
+            assert np.array_equal(shared[1], whole[0][symbols])
+            assert np.array_equal(shared_sparse[0], np.unique(sparse))
+            assert np.array_equal(shared_sparse[1], whole[0][symbols])
         else:
             assert shared is None and shared_sparse is None

@@ -20,7 +20,10 @@ def test_startup_row_parses_with_one_repetition():
     row = json.loads(lines[0])
     assert row["python"] == platform.python_version()
     assert row["repeat"] == 1 and row["nproc"] >= 1 and row["numpy"]
-    commands = ["import numpy", "import zdbkit", "ring info Z_7", "catalog certify --all"]
+    commands = [
+        "import numpy", "import zdbkit", "ring info Z_7", "catalog certify --all",
+        "codes check-bounds Z_7 CCC",
+    ]
     assert [(r["mode"], r["command"]) for r in row["rows"]] == [
         (mode, command) for mode in ("no_bytecode", "warm_cache") for command in commands
     ]
