@@ -16,8 +16,9 @@ Each row gives the median and quartiles of the wall time, from just before
 the process starts to its exit, and of its peak RSS from ``os.wait4``.  A
 child started by vfork and exec reports at least its parent's peak at the
 fork, so this script imports neither numpy nor zdbkit; it asks a child for
-the numpy version.  The CCC file that ``codes check-bounds`` reads is written
-by two untimed zdbkit runs first.  Everything it writes goes to a temporary
+the numpy version.  The function file that ``zdb verify`` reads and the CCC
+file that ``codes check-bounds`` reads are written by two untimed zdbkit runs
+first.  Everything it writes goes to a temporary
 directory, never under the repository.
 """
 
@@ -42,9 +43,11 @@ COMMANDS = {
     "import zdbkit": ["-c", "import zdbkit"],
     "ring info Z_7": ["-m", "zdbkit.cli", "ring", "info", "--ring", Z7],
     "catalog certify --all": ["-m", "zdbkit.cli", "catalog", "certify", "--all"],
+    "zdb verify Z_7": ["-m", "zdbkit.cli", "zdb", "verify", "--in", "{fn}"],
     "codes check-bounds Z_7 CCC": ["-m", "zdbkit.cli", "codes", "check-bounds", "--in", "{ccc}"],
 }
-# the untimed commands that write the (21, 11, 1) CCC file of Z_7 that check-bounds reads
+# the untimed commands that write the (21, 11, 1) function of Z_7 that zdb verify reads
+# and its CCC file that check-bounds reads
 SETUP = [
     ["zdb", "construct", "product", "--ring", Z7, "--g", "2", "--h", "6", "--out", "{fn}"],
     ["codes", "ccc", "--in", "{fn}", "--out", "{ccc}"],

@@ -17,23 +17,22 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "catalog": "RECIPE_IDS CertificationReport Recipe SearchResult certify_all"
-        " default_catalog find_element_of_order run_recipe search_cor1 search_cor2"
-        " search_cor2_scan",
+        " default_catalog find_element_of_order run_recipe search_cor1 search_cor2_scan",
         "codes": "BoundReport CodeBook DssSystem ccc_bound ccc_from_zdb ccc_report"
         " cwc_bound cwc_from_zdb cwc_report distance_range dss_bound dss_from_zdb"
-        " dss_perfect_check dss_report matrix_json min_distance",
-        "construct": "Label ZdbFunction construct_doubled construct_generic"
-        " construct_product",
-        "cosets": "CosetPartition Subgroup check_plus_one check_unit_difference"
-        " coset_partition cyclic_subgroup doubled_subgroup subgroup_from_elements",
+        " dss_perfect_check dss_report matrix_json",
+        "construct": "construct_doubled construct_generic construct_product",
+        "cosets": "CosetPartition check_plus_one check_unit_difference coset_partition"
+        " doubled_subgroup",
         "domains": "AbelianDomain RingAdditiveDomain RingTimesGroupDomain domain_from_json",
         "errors": "CertificationError ConditionNotSatisfiedError DegenerateDoublingError"
         " NotAUnitError NotCwcEligibleError NotFoundError OversizedError"
         " RecipeHypothesisError VerificationError ZdbError",
+        "function": "ZdbFunction",
+        "groups": "Subgroup cyclic_subgroup subgroup_from_elements",
         "rings": "GaloisField MatrixRing ProductRing ResidueRing Ring ring_from_json",
         "verify": "CompositionProfile DifferenceSpectrum VerificationResult"
-        " check_column_ratios check_solution_set composition_profile"
-        " difference_spectrum verify_zdb",
+        " composition_profile difference_spectrum verify_zdb",
     }.items()
     for name in names.split()
 }

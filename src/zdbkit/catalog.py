@@ -76,7 +76,6 @@ __all__ = [
     "RECIPE_IDS",
     "find_element_of_order",
     "search_cor1",
-    "search_cor2",
     "search_cor2_scan",
     "run_recipe",
     "default_catalog",
@@ -394,12 +393,6 @@ def search_cor1(n_max: int, e: int) -> list[SearchResult]:
     if n_max < 3:
         raise ValueError(f"n_max must be at least 3, got {n_max}")
     return _admissible(Recipe("cor1", {"n": n, "e": e}) for n in range(3, n_max + 1, 2))
-
-
-def search_cor2(q_list: list[int], e: int) -> SearchResult:
-    """Product construction over prime-power fields q_i with e(e-1) | q_i - 1:
-    the cor2 recipe, each failed hypothesis a RecipeHypothesisError."""
-    return run_recipe(Recipe("cor2", {"q_list": list(q_list), "e": e}))
 
 
 def search_cor2_scan(q_max: int, e: int) -> list[SearchResult]:

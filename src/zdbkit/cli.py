@@ -28,7 +28,7 @@ from .errors import CertificationError, OversizedError, VerificationError, ZdbEr
 # process loads (and, without a bytecode cache, compiles) only those
 if TYPE_CHECKING:
     from .codes import CodeBook, DssSystem
-    from .construct import ZdbFunction
+    from .function import ZdbFunction
     from .rings import Ring
     from .verify import VerificationResult
 
@@ -101,7 +101,7 @@ def _subgroup_arg(args, ring: Ring, spec: str):
 
 
 def _load_fn(path: str) -> ZdbFunction:
-    from .construct import ZdbFunction
+    from .function import ZdbFunction
 
     with open(path, encoding="utf-8") as fh:
         return ZdbFunction.from_json(json.load(fh))

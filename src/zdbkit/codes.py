@@ -78,7 +78,7 @@ from .errors import (
 # the builders import verify inside, so a stored file is rechecked without
 # loading the construction and verification modules
 if TYPE_CHECKING:
-    from .construct import ZdbFunction
+    from .function import ZdbFunction
     from .verify import DifferenceSpectrum, VerificationResult
 
 __all__ = [
@@ -90,7 +90,6 @@ __all__ = [
     "cwc_from_zdb",
     "dss_from_zdb",
     "dss_perfect_check",
-    "min_distance",
     "distance_range",
     "matrix_json",
     "ccc_bound",
@@ -557,12 +556,6 @@ def distance_range(codewords: np.ndarray, *, max_pairs: int | None = None) -> tu
             counts[i, : i + 1] = n
         lo_agree = min(lo_agree, int(counts.min()))
     return n - hi_agree, n - lo_agree
-
-
-def min_distance(code: "CodeBook | np.ndarray | Sequence[Sequence[int]]") -> int:
-    """Exhaustive minimum pairwise Hamming distance."""
-    words = code.codewords if isinstance(code, CodeBook) else np.asarray(code)
-    return distance_range(words)[0]
 
 
 def _shared_composition(words: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -41,8 +41,8 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cosets import Subgroup, cyclic_subgroup, subgroup_from_elements
 from .errors import _field, _int_list, _typed
+from .groups import Subgroup, cyclic_subgroup, subgroup_from_elements
 from .rings import Ring, _as_positions, _position_dtype, ring_from_json
 
 __all__ = ["AbelianDomain", "RingAdditiveDomain", "RingTimesGroupDomain", "domain_from_json"]

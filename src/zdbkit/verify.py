@@ -3,7 +3,9 @@
 Everything in this module is computed from a function's lookup table
 and its domain's group law, never from construction provenance, coset
 structure, or claimed parameters.  That keeps these routines usable as
-independent oracles against the constructions.
+independent oracles against the constructions, and the module imports
+none of them: it reads a function only through its table, its grouping
+and its domain's ``difference_counts``.
 
 The central quantity is the difference spectrum: for every shift a
 other than the identity, the number of domain elements y with
@@ -30,12 +32,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .construct import ZdbFunction, construct_generic
-from .cosets import CosetPartition, Subgroup
-from .rings import Ring
+# names for annotations only: at run time this module imports no other zdbkit module
+if TYPE_CHECKING:
+    from .function import ZdbFunction
 
 __all__ = [
     "DifferenceSpectrum",
@@ -44,8 +47,6 @@ __all__ = [
     "difference_spectrum",
     "verify_zdb",
     "composition_profile",
-    "check_solution_set",
-    "check_column_ratios",
 ]
 
 
@@ -203,55 +204,3 @@ def verify_zdb(fn: ZdbFunction) -> VerificationResult:
 def composition_profile(fn: ZdbFunction) -> CompositionProfile:
     counts = np.bincount(fn.table, minlength=fn.q)
     return CompositionProfile(tuple(counts.tolist()), tuple(np.sort(counts).tolist()))
-
-
-def check_solution_set(ring: Ring, group: Subgroup, a: int) -> bool:
-    """Compare the coincidence set of the generic construction at shift a
-    against its closed form {a * (g - 1)^-1 : g in G, g != 1}.
-
-    The left side is found by brute force over the table; the right
-    side by direct ring arithmetic.  Commutative rings only.
-    """
-    if a == 0:
-        raise ValueError("the shift must be nonzero")
-    if not ring.is_commutative():
-        raise ValueError("the closed form applies to commutative rings only")
-    table = construct_generic(ring, group).table
-    brute = {x for x in range(ring.order) if table[ring.add(x, a)] == table[x]}
-    one = ring.one()
-    closed = set()
-    for g in group.elements:
-        if g == one:
-            continue
-        inv = ring.try_invert(ring.sub(g, one))
-        if inv is None:  # cannot happen once the partition exists
-            return False
-        closed.add(ring.mul(a, inv))
-    return brute == closed
-
-
-def check_column_ratios(partition: CosetPartition) -> bool:
-    """Check that for every nonzero r the map g -> CI(r) * CI(r*g)^-1 is a
-    bijection of the subgroup onto itself whose value is 1 only at g = 1.
-
-    CI denotes the column indicator.  This is the combinatorial engine
-    behind the balance of the product construction.
-    """
-    ring = partition.ring
-    group = partition.subgroup
-    one = ring.one()
-    elems = group.elements
-    inverse_of = {g: elems[group.inv_pos[i]] for i, g in enumerate(elems)}
-    target = set(elems)
-    for r in range(1, ring.order):
-        ci_r = partition.column_indicator(r)
-        ratios = set()
-        for g in elems:
-            ci_rg = partition.column_indicator(ring.mul(r, g))
-            ratio = ring.mul(ci_r, inverse_of[ci_rg])
-            if (ratio == one) != (g == one):
-                return False
-            ratios.add(ratio)
-        if ratios != target:
-            return False
-    return True

@@ -11,8 +11,6 @@ from zdbkit import (
     ResidueRing,
     RingAdditiveDomain,
     ZdbFunction,
-    check_column_ratios,
-    check_solution_set,
     check_unit_difference,
     composition_profile,
     coset_partition,
@@ -22,10 +20,10 @@ from zdbkit import (
     dss_perfect_check,
     Recipe,
     run_recipe,
-    search_cor2,
     subgroup_from_elements,
     verify_zdb,
 )
+from lemmas import check_column_ratios, check_solution_set
 
 
 def _by_label(catalog, label):
@@ -36,7 +34,7 @@ def _by_label(catalog, label):
 
 def test_criterion_01_cor2_search_builds_100_34_2():
     t0 = time.perf_counter()
-    result = search_cor2([25], 4)
+    result = run_recipe(Recipe("cor2", {"q_list": [25], "e": 4}))
     elapsed = time.perf_counter() - t0
     assert result.certified == (100, 34, 2)
 

@@ -14,6 +14,7 @@ dicts.
 
 import functools
 import random
+from dataclasses import dataclass
 from unittest.mock import patch
 
 import pytest
@@ -21,7 +22,6 @@ import pytest
 from zdbkit import (
     ConditionNotSatisfiedError,
     GaloisField,
-    Label,
     MatrixRing,
     NotAUnitError,
     ProductRing,
@@ -43,6 +43,23 @@ from zdbkit import (
 )
 from zdbkit import catalog
 from zdbkit.arith import prime_power
+
+
+@dataclass(frozen=True)
+class Label:
+    """Provenance label of one image symbol, as the scalar constructions made it."""
+
+    kind: str  # zero | zero_pair | h_coset | g_coset_pair | coset
+    rep: int | None = None
+    g: int | None = None
+
+    def to_json(self) -> dict:
+        out: dict = {"kind": self.kind}
+        if self.rep is not None:
+            out["rep"] = self.rep
+        if self.g is not None:
+            out["g"] = self.g
+        return out
 
 
 def scalar_subgroup(ring, elements):

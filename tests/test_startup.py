@@ -22,7 +22,7 @@ def test_startup_row_parses_with_one_repetition():
     assert row["repeat"] == 1 and row["nproc"] >= 1 and row["numpy"]
     commands = [
         "import numpy", "import zdbkit", "ring info Z_7", "catalog certify --all",
-        "codes check-bounds Z_7 CCC",
+        "zdb verify Z_7", "codes check-bounds Z_7 CCC",
     ]
     assert [(r["mode"], r["command"]) for r in row["rows"]] == [
         (mode, command) for mode in ("no_bytecode", "warm_cache") for command in commands

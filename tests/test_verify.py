@@ -10,8 +10,6 @@ from zdbkit import (
     ResidueRing,
     RingAdditiveDomain,
     ZdbFunction,
-    check_column_ratios,
-    check_solution_set,
     composition_profile,
     construct_doubled,
     construct_generic,
@@ -20,6 +18,7 @@ from zdbkit import (
     difference_spectrum,
     verify_zdb,
 )
+from lemmas import check_column_ratios, check_solution_set
 
 
 def naive_residue_spectrum(table, n):
