@@ -267,15 +267,19 @@ def _recheck_codebook(book: CodeBook, force: bool) -> list[str]:
             f"recounting the distances of {book.M} codewords of length {book.n} compares "
             f"{pairs:,} row pairs, over the limit of {limit:,}"
         )
-    d, d_max = distance_range(words, max_pairs=limit)
+    found = distance_range(words, max_pairs=limit)
     problems = []
-    if (d, d_max) != (book.d, book.d_max):
+    if found != (book.d, book.d_max):
+        d, d_max = found
+        pairs = ", ".join(
+            f"rows {r} and {s} at distance {x}" for (r, s), x in zip(found.pairs, found)
+        )
         problems.append(
-            f"stored distances ({book.d}, {book.d_max}) but recomputed ({d}, {d_max})"
+            f"stored distances ({book.d}, {book.d_max}) but recomputed ({d}, {d_max}): {pairs}"
         )
     shared = _shared_composition(words)
-    if shared is None:
-        problems.append("codewords do not share one composition")
+    if isinstance(shared, int):
+        problems.append(f"codewords do not share one composition: row {shared} differs from row 0")
     elif book.composition is not None:
         symbols, counts = shared
         composition = dict(zip(symbols.tolist(), counts.tolist()))

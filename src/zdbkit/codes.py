@@ -15,10 +15,12 @@ A derived book holds its function, that is the domain and the table,
 and builds no matrix: every row of the shift code is the table permuted
 (y -> a + y is a bijection of the domain), so the shared composition is
 the table's symbol counts and a table with one zero gives every codeword
-weight n - 1.  The n x n matrix is built only when ``codewords`` is read,
-for an explicit export: the domain's ``translates`` of the table, one
-strided copy of cyclic windows over the additive digits, with the
-subgroup coordinate gathered through its product table (see domains).
+weight n - 1.  The n x n matrix is built only when ``codewords`` is read:
+the domain's ``translates`` of the table, gathered from a strided view of
+cyclic windows over the additive digits, with the subgroup coordinate
+gathered through its product table (see domains).  An export renders the
+same view a band of rows at a time (``translate_bands``) and never holds
+the matrix.
 
 A difference system is two read-only arrays: the points of every block in
 block order and the block ends, the cumulative block sizes: the layout
@@ -44,14 +46,16 @@ rows: two rows agree at a coordinate exactly when they share its
 symbol, so the agreements of every pair of rows are counted from the
 same-symbol row pairs of each column, at a cost of the sum of squared
 class sizes rather than M^2 n symbol comparisons, in one loop over bands
-of rows: a square or wide code is one band, one count matrix.  Their
+of rows, each row's counts packed against its later rows only: a square
+or wide code is one band, the upper triangle of the count matrix.  Their
 shared composition is checked by comparing sorted rows with the sorted
 first row.  Bound arithmetic is exact (integers and fractions); no
 floats are involved anywhere.
 
 Codeword matrices and block lists cross the file boundary as arrays, in
-memory bounded by the array and one band: ``_block_text`` renders them to
-the JSON text of the lists, or to CSV, one part per band, and
+memory bounded by the array and one band: ``_matrix_text`` renders a
+matrix, given as bands of rows, and ``_block_text`` block lists to the
+JSON text of the lists, or to CSV, one part per band, and
 ``reader.decode_file`` parses them from the open file in blocks.
 """
 
@@ -62,7 +66,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,8 +106,9 @@ __all__ = [
 
 # matrix cells that distance_range and _shared_composition sort at once, the
 # sort's temporaries taking some forty bytes a cell; a tall code's agreements are
-# counted 512 * _BAND cells at once.  The block writer renders 8 * _BAND values,
-# a few hundred kilobytes of text, at once
+# counted in bands of rows of up to 512 * _BAND cells.  The block writers render
+# 8 * _BAND values, a few hundred kilobytes of text, at once, and a derived book's
+# translates are built in bands of as many cells
 _BAND = 1 << 13
 
 
@@ -206,9 +211,14 @@ class CodeBook:
 
     def text_parts(self, fmt: str) -> Iterator[bytes]:
         """The codewords as a JSON list of rows (fmt "json") or as CSV lines
-        (fmt "csv"), in byte parts of about 8 * _BAND symbols each."""
-        words = self.codewords
-        return _block_text(words.ravel(), _row_ends(words), fmt)
+        (fmt "csv"), in byte parts of about 8 * _BAND symbols each.  A
+        derived book whose matrix was never read renders the translates of
+        its table a band of rows at a time, and never holds the matrix."""
+        if self.words is None:
+            table = _shift_table(self.fn)
+            bands = self.fn.domain.translate_bands(table, _band_rows(self.n))
+            return _matrix_text(bands, table, fmt)
+        return _matrix_text(_row_bands(self.words), self.words, fmt)
 
     def to_csv(self) -> str:
         return b"".join(self.text_parts("csv")).decode("ascii")
@@ -233,8 +243,20 @@ def _decimal(keys: np.ndarray) -> np.ndarray:
 
 
 # the text (before the first block, after each block but the last, after the
-# last, of no blocks at all) of each format the block writer renders
+# last, of no blocks at all) of each format the block writers render
 _LAYOUTS = {"json": (b"[[", b"],[", b"]]", b"[]"), "csv": (b"", b"\n", b"\n", b"\n")}
+
+
+def _tokenizer(symbols: np.ndarray):
+    """The per-call token table of the symbols an int array holds, from
+    ``_decimal``, and a function from an array of those symbols to their
+    rows in the table: the dense range from the least symbol when its span
+    is at most the symbol count, else the distinct symbols, searched."""
+    lo, hi = (int(symbols.min()), int(symbols.max())) if symbols.size else (0, 0)
+    if hi - lo <= symbols.size:
+        return _decimal(np.arange(lo, hi + 1)), lambda band: np.subtract(band, lo, dtype=np.intp)
+    keys = np.unique(symbols)
+    return _decimal(keys), lambda band: np.searchsorted(keys, band)
 
 
 def _block_text(values: np.ndarray, ends: np.ndarray, fmt: str) -> Iterator[bytes]:
@@ -254,10 +276,7 @@ def _block_text(values: np.ndarray, ends: np.ndarray, fmt: str) -> Iterator[byte
         yield empty
         return
     yield head
-    lo, hi = (int(values.min()), int(values.max())) if len(values) else (0, 0)
-    dense = hi - lo <= len(values)
-    keys = np.arange(lo, hi + 1) if dense else np.unique(values)
-    tokens = _decimal(keys)
+    tokens, index = _tokenizer(values)
     cell = np.dtype(f"S{max(tokens.itemsize, len(between), len(last))}")
     marks = np.asarray(ends, dtype=np.int64) + np.arange(q)
     total = len(values) + q
@@ -270,9 +289,8 @@ def _block_text(values: np.ndarray, ends: np.ndarray, fmt: str) -> Iterator[byte
         inside = mark[:-1]
         band = values[taken : taken + i1 - i0 - np.count_nonzero(inside)]
         taken += len(band)
-        index = np.subtract(band, lo, dtype=np.intp) if dense else np.searchsorted(keys, band)
         cells = np.empty(i1 - i0, dtype=cell)
-        cells[~inside] = tokens[index]
+        cells[~inside] = tokens[index(band)]
         cells[inside] = between
         if i1 == total:
             cells[-1] = last
@@ -281,14 +299,43 @@ def _block_text(values: np.ndarray, ends: np.ndarray, fmt: str) -> Iterator[byte
         yield cells.tobytes().replace(b"\0", b"")
 
 
-def _row_ends(words: np.ndarray) -> np.ndarray:
-    m, n = words.shape
-    return np.arange(1, m + 1) * n
+def _band_rows(n: int) -> int:
+    """Rows of length n rendered at once: about 8 * _BAND symbols, one row at least."""
+    return max(1, 8 * _BAND // max(n, 1))
+
+
+def _row_bands(words: np.ndarray) -> Iterator[np.ndarray]:
+    step = _band_rows(words.shape[1])
+    return (words[r0 : r0 + step] for r0 in range(0, len(words), step))
+
+
+def _matrix_text(bands: Iterable[np.ndarray], symbols: np.ndarray, fmt: str) -> Iterator[bytes]:
+    """The rows of a matrix, given as bands of whole rows, as the text of
+    ``_block_text``, one part per band; symbols holds every symbol of the
+    matrix (the matrix itself, or a table that each row permutes).  A band
+    of b rows of n symbols is gathered from the token table into a (b, n + 1)
+    array of cells whose first column holds the mark before each row."""
+    head, between, last, empty = _LAYOUTS[fmt]
+    tokens, index = _tokenizer(symbols)
+    width = tokens.itemsize
+    cell = np.dtype(f"S{max(width, len(head), len(between))}")
+    mark = head
+    for band in bands:
+        b, n = band.shape
+        cells = np.empty((b, n + 1), dtype=cell)
+        cells[:, 0] = between
+        cells[0, 0] = mark
+        cells[:, 1:] = tokens[index(band)]
+        if n:  # the last symbol of a row: no comma
+            cells.view(np.uint8).reshape(b, n + 1, -1)[:, n, width - 1] = 0
+        yield cells.tobytes().replace(b"\0", b"")
+        mark = between
+    yield empty if mark is head else last
 
 
 def matrix_json(words: np.ndarray) -> Iterator[bytes]:
     """Parts of the text json.dumps(words.tolist(), separators=(",", ":"))."""
-    return _block_text(words.ravel(), _row_ends(words), "json")
+    return _matrix_text(_row_bands(words), words, "json")
 
 
 @dataclass(frozen=True)
@@ -475,26 +522,41 @@ def _require_verified(fn: ZdbFunction, result: VerificationResult | None) -> Ver
     return result
 
 
+def _shift_table(fn: ZdbFunction) -> np.ndarray:
+    """The table in the dtype of its shift code: int16 when every symbol
+    fits, else int32."""
+    return fn.table.astype(np.int16 if fn.q < 2**15 else np.int32)
+
+
 def _shift_codewords(fn: ZdbFunction) -> np.ndarray:
-    """The n x n shift-code matrix, row a being y -> f(a + y); int16 when
-    every symbol fits, else int32."""
-    return fn.domain.translates(fn.table.astype(np.int16 if fn.q < 2**15 else np.int32))
+    """The n x n shift-code matrix, row a being y -> f(a + y)."""
+    return fn.domain.translates(_shift_table(fn))
+
+
+class _Range(tuple):
+    """(d, d_max) as a tuple, with pairs: the first row pair (r, s), r < s in
+    row order, at distance d and the first at d_max."""
+
+    pairs: tuple[tuple[int, int], tuple[int, int]]
 
 
 def distance_range(codewords: np.ndarray, *, max_pairs: int | None = None) -> tuple[int, int]:
-    """Minimum and maximum Hamming distance between distinct rows.
+    """Minimum and maximum Hamming distance between distinct rows; the
+    tuple's ``pairs`` names the first row pair at each.
 
     Two rows agree at coordinate y exactly when they sit in the same symbol
     class of column y.  Each band of about _BAND cells of columns is sorted by
     symbol and each row paired with the later rows of its class, at a cost of
     the sum of squared class sizes, not M^2 n; each pair adds one to the
     agreement count of its earlier row with the later one.  The counts
-    (uint8, uint16 or uint32 as n needs) are held for a band of rows against
-    the rows from the band on: all M rows when M <= n, one M x M matrix
-    counted as each column band is sorted.  A taller code keeps every column
-    band's sort (the rows by rank and the later ranks of each rank's class)
-    and counts bands of max(n, 512 _BAND / M) rows, each picking its rows of
-    every sort by row index.
+    (uint8, uint16 or uint32 as n needs) are held for a band of rows, packed
+    row by row, each row holding only its later rows: one band of every row
+    when M <= n, the upper triangle, M(M - 1)/2 cells counted as each column
+    band is sorted.  A taller code keeps every column band's sort (the rows
+    by rank and the later ranks of each rank's class) and counts bands of
+    max(n, 512 _BAND / M) rows, each picking its rows of every sort by row
+    index.  The extremes, and the first cell at each, are read from each
+    band's packed counts.
 
     When max_pairs is given and that sum of squared class sizes exceeds it,
     OversizedError is raised, no more than max_pairs pairs counted.
@@ -506,20 +568,28 @@ def distance_range(codewords: np.ndarray, *, max_pairs: int | None = None) -> tu
     count = np.uint8 if n < 2**8 else np.uint16 if n < 2**16 else np.uint32
     band = min(m, max(n, 1, (_BAND << 9) // m))  # rows counted at once: all when m <= n
     key = _position_dtype(band * m)
-    counts = None if band < m else np.zeros((m, m), dtype=count)
+
+    def packed(r0, b):
+        # where the later rows of rows r0 .. r0 + b (b + 1 entries) start in a band's counts
+        i = np.arange(b + 1, dtype=np.int64)
+        return i * (m - 1 - r0) - i * (i - 1) // 2
+
+    counts = None if band < m else np.zeros(int(packed(0, m - 1)[-1]), dtype=count)
     sorts, pairs = [], 0
 
     def pair_up(counts, rows, later, picked, r0):
-        # add one to counts[r - r0, s - r0] for each row r at the picked positions of a
-        # sort (all of them when picked is None) and each later row s of its class
+        # add one to the cell of (r, s) for each row r at the picked positions of a sort
+        # (all of them when picked is None) and each later row s of its class; with i
+        # = r - r0 that cell is i (m - 1 - r0) - i (i - 1) / 2 + s - r - 1
         if picked is None:
             first, width, ahead = np.arange(1, len(rows) + 1), later, rows
         else:
             first, width, ahead = picked + 1, later[picked], rows[picked]
-        w = counts.shape[1]
         for lo, hi, partners in _pair_blocks(first, width):
-            at = np.repeat((ahead[lo:hi] - r0) * w - r0, width[lo:hi]) + rows[partners]
-            np.add.at(counts.ravel(), at, count(1))
+            r = ahead[lo:hi]
+            i = r - r0
+            at = np.repeat(i * (m - 1 - r0) - i * (i - 1) // 2 - r - 1, width[lo:hi])
+            np.add.at(counts, at + rows[partners], count(1))
 
     step = max(1, _BAND // m)
     for y0 in range(0, n, step):
@@ -543,31 +613,40 @@ def distance_range(codewords: np.ndarray, *, max_pairs: int | None = None) -> tu
             f"{pairs:,} in-class row pairs, over the limit of {max_pairs:,}"
         )
 
-    lo_agree, hi_agree = n + 1, -1
+    # the most and the fewest agreements, each with the first row pair that has them;
+    # bands go in row order and argmax and argmin take the first cell in a band
+    most, fewest = (-1, None), (n + 1, None)
     for r0 in range(0, m - 1, band):
+        b = min(band, m - 1 - r0)
+        starts = packed(r0, b)
         if band < m:
-            b = min(band, m - 1 - r0)
-            counts = np.zeros((b, m - r0), dtype=count)
+            counts = np.zeros(int(starts[-1]), dtype=count)
             for rows, later in sorts:
                 pair_up(counts, rows, later, np.flatnonzero((rows >= r0) & (rows < r0 + b)), r0)
-        # row r0 + i meets the rows after it, the columns past i; those up to i hold zeros
-        hi_agree = max(hi_agree, int(counts.max()))
-        for i in range(len(counts)):
-            counts[i, : i + 1] = n
-        lo_agree = min(lo_agree, int(counts.min()))
-    return n - hi_agree, n - lo_agree
+        for cell in (int(counts.argmax()), int(counts.argmin())):
+            agree = int(counts[cell])
+            if agree > most[0] or agree < fewest[0]:
+                i = int(np.searchsorted(starts, cell, side="right")) - 1
+                pair = r0 + i, r0 + i + 1 + cell - int(starts[i])
+                most = (agree, pair) if agree > most[0] else most
+                fewest = (agree, pair) if agree < fewest[0] else fewest
+    found = _Range((n - most[0], n - fewest[0]))
+    found.pairs = most[1], fewest[1]
+    return found
 
 
-def _shared_composition(words: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _shared_composition(words: np.ndarray) -> tuple[np.ndarray, np.ndarray] | int:
     """The distinct symbols of the first row of a matrix and their counts
-    there, when every row holds the same symbols as many times, else None.
-    Each band of about _BAND cells is sorted along its rows and compared with
-    the sorted first row, so memory does not depend on the alphabet."""
+    there, when every row holds the same symbols as many times, else the
+    first row that does not.  Each band of about _BAND cells is sorted along
+    its rows and compared with the sorted first row, so memory does not
+    depend on the alphabet."""
     first = np.sort(words[0])
     step = max(1, _BAND // max(words.shape[1], 1))
     for r0 in range(0, len(words), step):
-        if not (np.sort(words[r0 : r0 + step], axis=1) == first).all():
-            return None
+        same = (np.sort(words[r0 : r0 + step], axis=1) == first).all(axis=1)
+        if not same.all():
+            return r0 + int(same.argmin())
     return np.unique(first, return_counts=True)
 
 

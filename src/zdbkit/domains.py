@@ -24,14 +24,15 @@ rows for any list of shifts, one permutation of the domain per shift,
 derived from ``op_vec`` once for both shapes and filled a band of rows
 at a time.
 
-``translates`` builds the matrix of every translate of a table, row a
-being y -> table[op(a, y)], without index arithmetic.  The additive
-group is Z_{r1} x ... x Z_{rk} over the ring's ``radices``, so a table
-reshaped to (r_k, ..., r_1, e) is translated by a cyclic window on each
-ring axis and a gather through the subgroup's product table on the last
-axis.  The windows of the wrap-padded, gathered table are copied into
-the output at once.  The additive shape is the product shape with the
-trivial subgroup (e = 1), so both shapes share that one method.
+``translate_bands`` builds the matrix of every translate of a table, row
+a being y -> table[op(a, y)], a band of rows at a time, without index
+arithmetic.  The additive group is Z_{r1} x ... x Z_{rk} over the ring's
+``radices``, so a table reshaped to (r_k, ..., r_1, e) is translated by a
+cyclic window on each ring axis and a gather through the subgroup's
+product table on the last axis.  Each band is gathered from the windows
+of the wrap-padded, gathered table, and ``translates`` is the one band of
+every row.  The additive shape is the product shape with the trivial
+subgroup (e = 1), so both shapes share that one method.
 """
 
 from __future__ import annotations
@@ -155,19 +156,22 @@ class AbelianDomain:
             out[lo : lo + step] = self.op_vec(d[lo : lo + step], y)
         return out
 
-    def translates(self, table) -> np.ndarray:
+    def translate_bands(self, table, rows: int) -> Iterator[np.ndarray]:
         """The (order, order) matrix, in the table's dtype, whose row a is
-        y -> table[op(a, y)].
+        y -> table[op(a, y)], in bands of the given number of rows, the last
+        band holding what is left.
 
         Reshaped to (r_k, ..., r_1, e), the table's translate by a ring
         element is a cyclic window on each ring axis, and the subgroup
         part is a gather through mul_pos.  So the table is gathered once to
         (e_a, r_k, ..., r_1, e_y), each ring axis is wrap-padded to 2r - 1,
-        and the output is one strided copy of that array's sliding windows.
-        The padded array has e^2 * prod(2r - 1) <= order^2 cells.
+        and the matrix is a strided view of that array's sliding windows,
+        its rows indexed by (a_k, ..., a_1, e_a).  Each band gathers its rows
+        of that view, their indices unravelled over those axes, so a band
+        may start and end anywhere on them.  The padded array has
+        e^2 * prod(2r - 1) < 2^k * e * order cells.
         """
         table = np.asarray(table)
-        out = np.empty((self.order, self.order), dtype=table.dtype)
         radices = self.ring.radices[::-1]  # most significant digit first, as in C order
         k, e = len(radices), len(self._mul_pos)
         # gathered[p, ..., q] = table[ring part, mul_pos[p, q]]
@@ -176,8 +180,14 @@ class AbelianDomain:
         # windows[p, a_k..a_1, q, y_k..y_1] = padded[p, a_k + y_k, ..., a_1 + y_1, q]
         windows = sliding_window_view(padded, radices, axis=tuple(range(1, k + 1)))
         a, y = list(range(1, k + 1)), list(range(k + 2, 2 * k + 2))
-        out.reshape(radices + (e,) + radices + (e,))[...] = windows.transpose(a + [0] + y + [k + 1])
-        return out
+        matrix = windows.transpose(a + [0] + y + [k + 1])
+        for r0 in range(0, self.order, rows):
+            index = np.unravel_index(np.arange(r0, min(r0 + rows, self.order)), radices + (e,))
+            yield matrix[index].reshape(-1, self.order)
+
+    def translates(self, table) -> np.ndarray:
+        """The whole matrix of ``translate_bands``, as one band."""
+        return next(self.translate_bands(table, self.order))
 
     def difference_counts(self, points, ends) -> np.ndarray:
         """counts[a] = #{(i, j) : i and j in one run and
@@ -230,7 +240,7 @@ class RingAdditiveDomain(AbelianDomain):
 
     kind = "ring_additive"
 
-    # the trivial subgroup's product table, so translates serves both shapes
+    # the trivial subgroup's product table, so translate_bands serves both shapes
     _mul_pos = np.zeros((1, 1), dtype=np.int64)
 
     def __init__(self, ring: Ring):

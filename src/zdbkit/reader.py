@@ -15,8 +15,8 @@ import json
 import numpy as np
 
 # bytes of a file the reader holds at once; its parse temporaries take about
-# fifteen bytes a byte
-_READ_BLOCK = 1 << 17
+# thirteen bytes a byte, 0.9 MB, less than the recount of a square code holds
+_READ_BLOCK = 1 << 16
 
 
 # each byte's class: 0 a digit, 1 ",", 2 "[", 3 "]", 4 any other; and the class
@@ -37,16 +37,43 @@ def _parse_rows(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     if ((cls[:-2] * 5 + cls[1:-1]) * 5 + cls[2:]).tobytes().translate(None, _TRIPLES):
         return None
     edge = np.diff((cls == 0).view(np.int8))
+    del cls
     start = np.flatnonzero(edge == 1) + 1
     length = np.flatnonzero(edge == -1) + 1 - start
+    del edge
     longest = int(length.max()) if len(start) else 0
     if longest > 9 or (a[start[length > 1]] == ord("0")).any():
         return None
+    length = length.astype(np.uint8)  # nine digits at most
     value = a[start].astype(np.int32) - ord("0")
-    for k in range(1, longest):
+    for k in range(1, longest):  # the k-th digit of each run that has one
         more = np.flatnonzero(length > k)
-        value[more] = value[more] * 10 + (a[start[more] + k] - ord("0"))
+        at = start[more]
+        at += k
+        value[more] = value[more] * 10 + (a[at] - ord("0"))
     return value, np.searchsorted(start, np.flatnonzero(a == ord("]")))
+
+
+def _blocks(fh, at: int):
+    """The blocks of a file from byte at; none is kept once handed on."""
+    fh.seek(at)
+    return iter(lambda: fh.read(_READ_BLOCK), b"")
+
+
+def _measure(fh, at: int) -> tuple[int, int, int, int] | None:
+    """The length of the list of lists at byte at of a file, to its first
+    "]]", and its commas, row breaks and empty rows, or None."""
+    counts, offset, carry = [0, 0, 0], 0, b""  # offset: of the text in the payload
+    for chunk in _blocks(fh, at):
+        text = carry + chunk
+        stop = text.find(b"]]") + 2
+        text = text[:stop] if stop > 1 else text
+        counts = [c + text.count(p) - carry.count(p) for c, p in zip(counts, (b",", b"],[", b"[]"))]
+        if stop > 1:
+            return offset + stop, *counts
+        carry = text[-2:]
+        offset += len(text) - len(carry)
+    return None
 
 
 def _parse_payload(fh, at: int, matrix: bool) -> tuple[object, int] | None:
@@ -59,44 +86,33 @@ def _parse_payload(fh, at: int, matrix: bool) -> tuple[object, int] | None:
     fills them a block at a time."""
     from .rings import _position_dtype
 
-    def chunks():
-        fh.seek(at)
-        while chunk := fh.read(_READ_BLOCK):
-            yield chunk
-
-    counts, offset, carry = [0, 0, 0], 0, b""  # offset: of the text in the payload
-    for chunk in chunks():
-        text = carry + chunk
-        stop = text.find(b"]]") + 2
-        text = text[:stop] if stop > 1 else text
-        counts = [c + text.count(p) - carry.count(p) for c, p in zip(counts, (b",", b"],[", b"[]"))]
-        if stop > 1:
-            length = offset + stop
-            break
-        carry = text[-2:]
-        offset += len(text) - len(carry)
-    else:
+    measured = _measure(fh, at)
+    if measured is None:
         return None
-    commas, breaks, empties = counts
+    length, commas, breaks, empties = measured
     if commas + 1 < empties:
         return None
     values = np.empty(commas + 1 - empties, dtype=np.int16 if matrix else np.int32)
     ends = np.empty(breaks + 1, dtype=_position_dtype(len(values)))
     rows = filled = seen = 0
     pending, inside = bytearray(), False  # the text after the last cut; it starts inside a row
-    for chunk in chunks():  # the rows are the bytes 1 .. length - 2
+    for chunk in _blocks(fh, at):  # the rows are the bytes 1 .. length - 2
         old = len(pending)
-        pending += chunk[max(0, 1 - seen) : length - 1 - seen]
+        pending += memoryview(chunk)[max(0, 1 - seen) : length - 1 - seen]
         seen += len(chunk)
+        del chunk
         cut = len(pending) if seen >= length - 1 else pending.rfind(b"],[", max(0, old - 2)) + 1
         split = not cut and len(pending) > _READ_BLOCK + 12
         if split:  # a row longer than a block is cut at a comma between two symbols
             cut = pending.rfind(b",", 0, len(pending) - 1)
             if cut < 1 or not pending[cut - 1 : cut + 2 : 2].isdigit():
                 return None
-        if cut:
-            parsed = _parse_rows(b"[" * inside + pending[:cut] + b"]" * split)
-            del pending[: cut + 1]
+        if cut:  # the rows before the cut leave the pending text before they are parsed
+            rows_text, pending = pending[:cut], pending[cut + 1 :]
+            if inside or split:
+                rows_text = b"[" * inside + rows_text + b"]" * split
+            parsed = _parse_rows(rows_text)
+            del rows_text
             if parsed is None:
                 return None
             block, block_ends = parsed  # canonical blocks hold what the first pass counted
@@ -126,14 +142,11 @@ def _text(raw: bytes) -> str:
 _PAYLOADS = {"codewords": True, "blocks": False}
 
 
-def _stream(fh) -> dict | None:
-    """The top-level object of a file whose last '"<key>":[[', a key of
-    _PAYLOADS, starts a canonical payload, parsed in blocks, or None.  The
-    text around it is decoded with a stand-in, NaN, that must be the only
-    constant there and the key's top-level value."""
+def _last_payload_key(fh) -> tuple[int, str] | None:
+    """Where the list of lists after the last '"<key>":[[' of a file, a key of
+    _PAYLOADS escaped or not, starts, and the key, or None."""
     found, carry, offset = None, b"", 0  # offset: of carry in the file
-    fh.seek(0)
-    while chunk := fh.read(_READ_BLOCK):
+    for chunk in _blocks(fh, 0):
         buf = carry + chunk
         p = max(0, len(carry) - 3)
         while p := buf.find(b'":[[', p) + 1:  # the ":" after a key
@@ -145,6 +158,15 @@ def _stream(fh) -> dict | None:
                 found = offset + p + 1, key
         carry = buf[-64:]  # holds a payload key with every character escaped
         offset += len(buf) - len(carry)
+    return found
+
+
+def _stream(fh) -> dict | None:
+    """The top-level object of a file whose last '"<key>":[[', a key of
+    _PAYLOADS, starts a canonical payload, parsed in blocks, or None.  The
+    text around it is decoded with a stand-in, NaN, that must be the only
+    constant there and the key's top-level value."""
+    found = _last_payload_key(fh)
     parsed = found and _parse_payload(fh, found[0], _PAYLOADS[found[1]])
     if not parsed:
         return None

@@ -259,19 +259,33 @@ def test_verify_failure_prints_witness(run_cli, tmp_path):
     assert code == 1
 
 
-def test_check_bounds_detects_corrupted_distance(run_cli, tmp_path):
+@pytest.mark.parametrize(
+    "corrupt,note",
+    [
+        ("d", "stored distances (19, 20) but recomputed (20, 20): "
+              "rows 0 and 1 at distance 20, rows 0 and 1 at distance 20"),
+        # row 5 repeats row 3: the one pair at distance 0, and the first pair still at 20
+        ("row", "stored distances (20, 20) but recomputed (0, 20): "
+                "rows 3 and 5 at distance 0, rows 0 and 1 at distance 20"),
+    ],
+    ids=["d", "row"],
+)
+def test_check_bounds_detects_corrupted_distance(run_cli, tmp_path, corrupt, note):
     f = tmp_path / "f.json"
     run_cli(["zdb", "construct", "product", "--ring", Z7_RING, "--g", "2", "--h", "6",
              "--out", str(f)])
     book = tmp_path / "ccc.json"
     run_cli(["codes", "ccc", "--input", str(f), "--out", str(book)])
     data = json.loads(book.read_text())
-    data["d"] = data["d"] - 1
+    if corrupt == "d":
+        data["d"] = data["d"] - 1
+    else:
+        data["codewords"][5] = data["codewords"][3]
     book.write_text(json.dumps(data))
 
     code, out, err = run_cli(["codes", "check-bounds", "--in", str(book)])
     assert code == 1
-    assert "recomputed" in err
+    assert err.startswith(f"check failed: {note}\n")
     assert json.loads(out)["checked"] is False
 
 
@@ -1054,7 +1068,7 @@ def test_check_bounds_counts_only_the_symbols_that_occur(run_cli, tmp_path, kind
         assert time.perf_counter() - start < 1
         assert code == 1 and "Traceback" not in err
         assert json.loads(out)["checked"] is False
-        assert ("codewords do not share one composition" in err) == mixed
+        assert ("codewords do not share one composition: row 3 differs from row 0" in err) == mixed
         assert ("stored composition differs" in err) == (kind == "ccc" and not mixed)
 
 
@@ -1144,7 +1158,7 @@ def test_check_bounds_refuses_a_tall_code_past_the_row_pair_limit(run_cli, tmp_p
     # every two rows differ in both columns, as stored; the rows hold different symbols
     code, out, err = run_cli([*argv, "--force"])
     assert (code, err) == (
-        1, "check failed: codewords do not share one composition\n"
+        1, "check failed: codewords do not share one composition: row 1 differs from row 0\n"
         "check failed: CCC bound not met with equality\n",
     )
     assert json.loads(out)["optimal"] is False

@@ -17,10 +17,12 @@ distinct-symbol count against a set on int32 and int64 tables.  The
 same-symbol recount of stored code distances is checked against the
 all-pairs comparison on random square, wide and tall integer matrices
 over consecutive, sparse and int32 alphabets, with classes past 256 rows
-and repeated rows, and on the (2500, 834, 2) instance, and against a
-count of the row pairs agreeing on each set of columns on 2^15 + 5 rows,
-where its ranks are int32; tracemalloc bounds its peak below 1.5 int16
-matrices on a square code, and the file reader's below 2.  The distances and
+and repeated rows, the row pair it names at each extreme against the
+first such pair in row order, and on the (2500, 834, 2) instance, and
+against a count of the row pairs agreeing on each set of columns on
+2^15 + 5 rows, where its ranks are int32; tracemalloc bounds its peak
+below one int16 matrix on a square code, and the file reader's below
+1.5.  The distances and
 the coverage the builders read from the spectrum of a verification
 result are checked against the all-pairs comparison and against the
 kernel recount ``dss_perfect_check``, on random tables and on every
@@ -47,7 +49,10 @@ and ``codewords``, built on first read, against the matrix itself.
 The JSON boundary of codeword matrices is checked the same way: the
 banded matrix writer against ``json.dumps`` of the nested lists and
 ``CodeBook.to_csv`` against the per-element join it replaced, the same
-writer on ragged block lists against both; the
+writer on ragged block lists against both, and a derived book's text,
+rendered from its translates in bands of rows that cut the row axes
+anywhere, against both on the matrix, with a tracemalloc bound of a
+quarter of the matrix on the (2500, 834, 2) book; the
 file reader ``decode_file``, in read blocks of a few bytes, from a file
 and a pipe, against ``json.loads`` plus the list readers it bypasses, on
 canonical and mutated matrices and block lists, rows longer than a read
@@ -161,6 +166,14 @@ def all_pairs_distance_range(codewords):
             dmin = min(dmin, int(vals.min()))
             dmax = max(dmax, int(vals.max()))
     return dmin, dmax
+
+
+def first_pair_at(codewords, distance):
+    """The first row pair (r, s), r < s in row order, at a Hamming distance."""
+    return next(
+        (r, s) for r, s in itertools.combinations(range(len(codewords)), 2)
+        if np.count_nonzero(codewords[r] != codewords[s]) == distance
+    )
 
 
 def counted_distance_range(codewords):
@@ -387,7 +400,9 @@ def test_same_symbol_recount_matches_all_pairs(words, band, block):
         patch.object(codes_module, "_BAND", band),
         patch.object(domains_module, "_PAIR_BLOCK", block),
     ):
-        assert distance_range(words, max_pairs=pairs) == all_pairs_distance_range(words)
+        found = distance_range(words, max_pairs=pairs)
+        assert found == all_pairs_distance_range(words)
+        assert found.pairs == tuple(first_pair_at(words, d) for d in found)
         with pytest.raises(OversizedError, match=f"needs {pairs:,} in-class row pairs"):
             distance_range(words, max_pairs=pairs - 1)
 
@@ -439,7 +454,9 @@ def test_recount_on_square_wide_and_tall_matrices_matches_all_pairs(words, band)
         int(np.sum(np.unique(col, return_counts=True)[1] ** 2)) for col in words.T
     )
     with patch.object(codes_module, "_BAND", band):
-        assert distance_range(words, max_pairs=pairs) == all_pairs_distance_range(words)
+        found = distance_range(words, max_pairs=pairs)
+        assert found == all_pairs_distance_range(words)
+        assert found.pairs == tuple(first_pair_at(words, d) for d in found)
         with pytest.raises(OversizedError) as refused:
             distance_range(words, max_pairs=pairs - 1)
     m, n = words.shape
@@ -459,8 +476,8 @@ def _peak_bytes(call, *args):
 
 
 def test_matrix_recount_and_reader_peak_within_a_few_int16_matrices(tmp_path):
-    # the agreement counts of a square code are one uint16 matrix; the reader fills
-    # one int16 matrix, block by block, from the open file
+    # the agreement counts of a square code are the upper triangle of a uint16 matrix;
+    # the reader fills one int16 matrix, block by block, from the open file
     ring = GaloisField(17, 2)
     fn = construct_product(ring, cyclic_subgroup(ring, 4), cyclic_subgroup(ring, 17))
     words = _shift_codewords(fn)
@@ -473,8 +490,8 @@ def test_matrix_recount_and_reader_peak_within_a_few_int16_matrices(tmp_path):
         with open(path, "rb") as fh:
             return decode_file(fh)
 
-    assert _peak_bytes(distance_range, words) < 1.5 * words.nbytes
-    assert _peak_bytes(read_file, path) < 2 * words.nbytes
+    assert _peak_bytes(distance_range, words) < words.nbytes
+    assert _peak_bytes(read_file, path) < 1.5 * words.nbytes
     assert np.array_equal(read_file(path)["codewords"], words)
 
 
@@ -897,6 +914,32 @@ def test_matrix_free_books_match_the_shift_code_matrix(case):
         assert book.codewords is book.words  # built once, then kept
 
 
+@SETTINGS
+@example((Z7_PRODUCT.domain, Z7_PRODUCT.q, Z7_PRODUCT.table), 1)
+@given(shift_tables(), st.integers(1, 64))
+def test_banded_shift_code_text_matches_the_matrix_text(case, band):
+    # a small band renders a few rows at a time, cutting the translates' row axes mid-axis
+    domain, q, table = case
+    fn = ZdbFunction(domain, q, table, 0)
+    book = ccc_from_zdb(fn, passing_result(fn))
+    with patch.object(codes_module, "_BAND", band):
+        text = b"".join(book.text_parts("json"))
+        csv = b"".join(book.text_parts("csv")).decode("ascii")
+    assert book.words is None  # rendered band by band, the matrix never built
+    words = _shift_codewords(fn)
+    assert text == b"".join(matrix_json(words))
+    assert text.decode() == json.dumps(words.tolist(), separators=(",", ":"))
+    assert csv == joined_csv(words)
+
+
+def test_banded_shift_code_text_peaks_far_below_the_matrix(catalog):
+    fn = next(r.fn for r in catalog if r.certified == (2500, 834, 2))
+    book = ccc_from_zdb(fn)
+    peak = _peak_bytes(lambda: sum(map(len, book.text_parts("json"))))
+    assert book.words is None
+    assert peak < 0.25 * 2500**2 * 2
+
+
 # -- codeword matrices across the JSON boundary ----------------------------
 
 
@@ -1252,5 +1295,6 @@ def test_banded_row_compositions_match_one_bincount(words, extra, band):
             assert np.array_equal(shared[1], whole[0][symbols])
             assert np.array_equal(shared_sparse[0], np.unique(sparse))
             assert np.array_equal(shared_sparse[1], whole[0][symbols])
-        else:
-            assert shared is None and shared_sparse is None
+        else:  # the first row whose counts differ from the first row's
+            differs = int(np.flatnonzero((whole != whole[0]).any(axis=1))[0])
+            assert shared == shared_sparse == differs
