@@ -20,7 +20,7 @@ _MODULE_OF = {
         " default_catalog find_element_of_order run_recipe search_cor1 search_cor2_scan",
         "codes": "BoundReport CodeBook DssSystem ccc_bound ccc_from_zdb ccc_report"
         " cwc_bound cwc_from_zdb cwc_report distance_range dss_bound dss_from_zdb"
-        " dss_perfect_check dss_report matrix_json",
+        " dss_perfect_check dss_report",
         "construct": "construct_doubled construct_generic construct_product",
         "cosets": "CosetPartition check_plus_one check_unit_difference coset_partition"
         " doubled_subgroup",

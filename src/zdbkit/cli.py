@@ -289,8 +289,12 @@ def _recheck_codebook(book: CodeBook, force: bool) -> list[str]:
             problems.append("stored composition differs from the codewords")
     if book.kind == "CWC":
         weights = np.count_nonzero(words, axis=1)
-        if book.weight is None or (weights != book.weight).any():
+        if book.weight is None:
             problems.append("stored weight differs from the codewords")
+        elif (weights != book.weight).any():
+            r = int(np.argmax(weights != book.weight))  # the first row of another weight
+            note = f"row {r} has weight {weights[r]}"
+            problems.append(f"stored weight {book.weight} differs from the codewords: {note}")
     return problems
 
 

@@ -53,10 +53,10 @@ first row.  Bound arithmetic is exact (integers and fractions); no
 floats are involved anywhere.
 
 Codeword matrices and block lists cross the file boundary as arrays, in
-memory bounded by the array and one band: ``_matrix_text`` renders a
-matrix, given as bands of rows, and ``_block_text`` block lists to the
-JSON text of the lists, or to CSV, one part per band, and
-``reader.decode_file`` parses them from the open file in blocks.
+memory bounded by the array and one band: ``_list_text`` renders bands of
+whole lists as runs (values, ends), a derived book's translates, a stored
+matrix's rows or a system's blocks, to JSON or CSV text, one part per band,
+and ``reader.decode_file`` parses them from the open file in blocks.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .domains import AbelianDomain, _pair_blocks, _position_dtype, domain_from_json
+from .domains import _PAIR_BLOCK, AbelianDomain, domain_from_json
 from .errors import (
     NotCwcEligibleError,
     OversizedError,
@@ -78,6 +78,7 @@ from .errors import (
     _field,
     _typed,
 )
+from .rings import _position_dtype
 
 # the builders import verify inside, so a stored file is rechecked without
 # loading the construction and verification modules
@@ -95,7 +96,6 @@ __all__ = [
     "dss_from_zdb",
     "dss_perfect_check",
     "distance_range",
-    "matrix_json",
     "ccc_bound",
     "cwc_bound",
     "dss_bound",
@@ -106,9 +106,9 @@ __all__ = [
 
 # matrix cells that distance_range and _shared_composition sort at once, the
 # sort's temporaries taking some forty bytes a cell; a tall code's agreements are
-# counted in bands of rows of up to 512 * _BAND cells.  The block writers render
-# 8 * _BAND values, a few hundred kilobytes of text, at once, and a derived book's
-# translates are built in bands of as many cells
+# counted in bands of rows of up to 512 * _BAND cells.  The list writer renders
+# bands of whole lists of about 8 * _BAND values, a few hundred kilobytes of text,
+# at once, and a derived book's translates are built in bands of as many cells
 _BAND = 1 << 13
 
 
@@ -148,7 +148,7 @@ class CodeBook:
     def to_json(self, *, codewords: bool = True) -> dict:
         """The JSON object of the book.  With codewords=False the
         "codewords" entry is None, a slot for a writer that renders the
-        matrix itself (``matrix_json``)."""
+        matrix itself (``text_parts``)."""
         out: dict = {
             "kind": self.kind,
             "n": self.n,
@@ -211,14 +211,18 @@ class CodeBook:
 
     def text_parts(self, fmt: str) -> Iterator[bytes]:
         """The codewords as a JSON list of rows (fmt "json") or as CSV lines
-        (fmt "csv"), in byte parts of about 8 * _BAND symbols each.  A
-        derived book whose matrix was never read renders the translates of
-        its table a band of rows at a time, and never holds the matrix."""
+        (fmt "csv"), in byte parts of whole rows, about 8 * _BAND symbols each.
+        A derived book whose matrix was never read renders the translates of
+        its table a band at a time, and never holds the matrix."""
+        symbols = _shift_table(self.fn) if self.words is None else self.words
+        n = symbols.shape[-1]
+        rows = max(1, 8 * _BAND // max(n, 1))
         if self.words is None:
-            table = _shift_table(self.fn)
-            bands = self.fn.domain.translate_bands(table, _band_rows(self.n))
-            return _matrix_text(bands, table, fmt)
-        return _matrix_text(_row_bands(self.words), self.words, fmt)
+            bands = self.fn.domain.translate_bands(symbols, rows)
+        else:
+            bands = (symbols[r0 : r0 + rows] for r0 in range(0, len(symbols), rows))
+        ends = n * np.arange(1, rows + 1)
+        return _list_text(((band.ravel(), ends[: len(band)]) for band in bands), symbols, fmt)
 
     def to_csv(self) -> str:
         return b"".join(self.text_parts("csv")).decode("ascii")
@@ -242,8 +246,8 @@ def _decimal(keys: np.ndarray) -> np.ndarray:
     return cells.view(f"S{cells.shape[1]}").ravel()
 
 
-# the text (before the first block, after each block but the last, after the
-# last, of no blocks at all) of each format the block writers render
+# the text (before the first list, after each list but the last, after the
+# last, of no lists at all) of each format the list writer renders
 _LAYOUTS = {"json": (b"[[", b"],[", b"]]", b"[]"), "csv": (b"", b"\n", b"\n", b"\n")}
 
 
@@ -259,83 +263,52 @@ def _tokenizer(symbols: np.ndarray):
     return _decimal(keys), lambda band: np.searchsorted(keys, band)
 
 
-def _block_text(values: np.ndarray, ends: np.ndarray, fmt: str) -> Iterator[bytes]:
-    """The blocks values[ends[b-1] : ends[b]] (from 0 for b = 0) of an int
-    array as decimal text with "," between the values of a block: a JSON
-    list of lists for fmt "json", one CSV line per block for "csv".
+def _list_text(bands: Iterable, symbols: np.ndarray, fmt: str) -> Iterator[bytes]:
+    """Lists of ints, given as bands (values, ends) of whole lists, list b of
+    a band being values[ends[b-1] : ends[b]] (from 0 for b = 0), as decimal
+    text with "," between the values of a list: a JSON list of lists for fmt
+    "json", one CSV line per list for "csv", one part per band.  symbols holds
+    every value of every band (the values, or a table each band permutes).
 
-    The text is yielded in parts of 8 * _BAND items, an item being a value
-    or the mark after a block; the mark of block b is item ends[b] + b.
-    Each part is gathered from a per-call table of right-aligned "%d,"
-    tokens and the mark texts into one fixed-width byte array; the comma of
-    the last value of each block and the NUL padding are dropped.
-    """
-    head, between, last, empty = _LAYOUTS[fmt]
-    q = len(ends)
-    if q == 0:
-        yield empty
-        return
-    yield head
-    tokens, index = _tokenizer(values)
-    cell = np.dtype(f"S{max(tokens.itemsize, len(between), len(last))}")
-    marks = np.asarray(ends, dtype=np.int64) + np.arange(q)
-    total = len(values) + q
-    taken = 0  # values before the band
-    for i0 in range(0, total, 8 * _BAND):
-        i1 = min(i0 + 8 * _BAND, total)
-        a, b = np.searchsorted(marks, (i0, i1 + 1))  # the item after the band included
-        mark = np.zeros(i1 - i0 + 1, dtype=bool)
-        mark[marks[a:b] - i0] = True
-        inside = mark[:-1]
-        band = values[taken : taken + i1 - i0 - np.count_nonzero(inside)]
-        taken += len(band)
-        cells = np.empty(i1 - i0, dtype=cell)
-        cells[~inside] = tokens[index(band)]
-        cells[inside] = between
-        if i1 == total:
-            cells[-1] = last
-        ending = mark[1:] & ~inside  # the last value of a block: no comma
-        cells.view(np.uint8).reshape(len(cells), -1)[ending, tokens.itemsize - 1] = 0
-        yield cells.tobytes().replace(b"\0", b"")
-
-
-def _band_rows(n: int) -> int:
-    """Rows of length n rendered at once: about 8 * _BAND symbols, one row at least."""
-    return max(1, 8 * _BAND // max(n, 1))
-
-
-def _row_bands(words: np.ndarray) -> Iterator[np.ndarray]:
-    step = _band_rows(words.shape[1])
-    return (words[r0 : r0 + step] for r0 in range(0, len(words), step))
-
-
-def _matrix_text(bands: Iterable[np.ndarray], symbols: np.ndarray, fmt: str) -> Iterator[bytes]:
-    """The rows of a matrix, given as bands of whole rows, as the text of
-    ``_block_text``, one part per band; symbols holds every symbol of the
-    matrix (the matrix itself, or a table that each row permutes).  A band
-    of b rows of n symbols is gathered from the token table into a (b, n + 1)
-    array of cells whose first column holds the mark before each row."""
+    A band is gathered from the token table and the marks into one cell per
+    value and one per list for the mark before it, the mark of list b at
+    cell ends[b-1] + b; the comma of the last value of each list and the NUL
+    padding are dropped."""
     head, between, last, empty = _LAYOUTS[fmt]
     tokens, index = _tokenizer(symbols)
     width = tokens.itemsize
     cell = np.dtype(f"S{max(width, len(head), len(between))}")
     mark = head
-    for band in bands:
-        b, n = band.shape
-        cells = np.empty((b, n + 1), dtype=cell)
-        cells[:, 0] = between
-        cells[0, 0] = mark
-        cells[:, 1:] = tokens[index(band)]
-        if n:  # the last symbol of a row: no comma
-            cells.view(np.uint8).reshape(b, n + 1, -1)[:, n, width - 1] = 0
+    for values, ends in bands:
+        at = np.arange(len(ends)) + ends  # the last cell of each list: a value, or its mark
+        marks = at[:-1] + 1  # the mark before each list but the first
+        value = np.ones(len(values) + len(ends), dtype=bool)
+        value[0] = value[marks] = False
+        cells = np.empty(len(value), dtype=cell)
+        cells[value] = tokens[index(values)]
+        cells[marks] = between
+        cells[0] = mark
+        cells.view(np.uint8).reshape(len(cells), -1)[at[value[at]], width - 1] = 0
         yield cells.tobytes().replace(b"\0", b"")
         mark = between
     yield empty if mark is head else last
 
 
-def matrix_json(words: np.ndarray) -> Iterator[bytes]:
-    """Parts of the text json.dumps(words.tolist(), separators=(",", ":"))."""
-    return _matrix_text(_row_bands(words), words, "json")
+def _block_text(values: np.ndarray, ends: np.ndarray, fmt: str) -> Iterator[bytes]:
+    """The blocks values[ends[b-1] : ends[b]] (from 0 for b = 0) of an int
+    array as the text of ``_list_text``, in bands of whole blocks of up to
+    8 * _BAND values.  A block longer than that is a band of its own;
+    ``codes dss`` writes none, as its blocks hold at most 10**4 points unless
+    forced."""
+
+    def bands():
+        a, start = 0, 0
+        while a < len(ends):
+            b = max(a + 1, int(np.searchsorted(ends, start + 8 * _BAND, "right")))
+            yield values[start : ends[b - 1]], ends[a:b] - start
+            a, start = b, int(ends[b - 1])
+
+    return _list_text(bands(), values, fmt)
 
 
 @dataclass(frozen=True)
@@ -531,6 +504,24 @@ def _shift_table(fn: ZdbFunction) -> np.ndarray:
 def _shift_codewords(fn: ZdbFunction) -> np.ndarray:
     """The n x n shift-code matrix, row a being y -> f(a + y)."""
     return fn.domain.translates(_shift_table(fn))
+
+
+def _pair_blocks(start, width):
+    """Walk a pair layout in blocks of about _PAIR_BLOCK pairs.
+
+    Entry i pairs with the positions start[i], ..., start[i] + width[i] - 1.
+    Yields (lo, hi, partners): the pairs of entries lo..hi-1, in entry
+    order, as the partner position of each pair.  An entry with more than
+    _PAIR_BLOCK pairs makes a block of its own.
+    """
+    end = np.cumsum(width)
+    begin = end - width  # pairs are numbered consecutively, those of entry i from begin[i]
+    lo = 0
+    while lo < len(width):
+        hi = max(lo + 1, int(np.searchsorted(end, begin[lo] + _PAIR_BLOCK, side="right")))
+        shift = np.repeat(start[lo:hi] - begin[lo:hi], width[lo:hi])  # pair number -> partner
+        yield lo, hi, shift + np.arange(begin[lo], end[hi - 1])
+        lo = hi
 
 
 class _Range(tuple):

@@ -55,24 +55,6 @@ _PAIR_BLOCK = 1 << 18
 _ROW_BAND = 1 << 16
 
 
-def _pair_blocks(start, width):
-    """Walk a pair layout in blocks of about _PAIR_BLOCK pairs.
-
-    Entry i pairs with the positions start[i], ..., start[i] + width[i] - 1.
-    Yields (lo, hi, partners): the pairs of entries lo..hi-1, in entry
-    order, as the partner position of each pair.  An entry with more than
-    _PAIR_BLOCK pairs makes a block of its own.
-    """
-    end = np.cumsum(width)
-    begin = end - width  # pairs are numbered consecutively, those of entry i from begin[i]
-    lo = 0
-    while lo < len(width):
-        hi = max(lo + 1, int(np.searchsorted(end, begin[lo] + _PAIR_BLOCK, side="right")))
-        shift = np.repeat(start[lo:hi] - begin[lo:hi], width[lo:hi])  # pair number -> partner
-        yield lo, hi, shift + np.arange(begin[lo], end[hi - 1])
-        lo = hi
-
-
 def _sorted_by_label(labels):
     """The positions sorted stably by label and the cumulative sizes of
     their runs: the grouping (points, ends) that ``difference_counts`` reads,

@@ -15,6 +15,7 @@ import pytest
 
 from zdbkit import (
     AbelianDomain,
+    CodeBook,
     GaloisField,
     MatrixRing,
     Recipe,
@@ -1034,6 +1035,23 @@ def test_check_bounds_names_a_symbol_outside_the_alphabet(run_cli, tmp_path):
         "check failed: row 4 column 9 has symbol 11 outside the alphabet of size 11" in err
     )
     assert json.loads(out)["checked"] is False
+
+
+def test_check_bounds_names_the_first_row_of_another_weight(run_cli, tmp_path):
+    # one nonzero symbol of row 3 set to 0: that row has weight 19, the others 20
+    path, data = _z7_payload(run_cli, tmp_path, "cwc")
+    row = data["codewords"][3]
+    row[next(y for y, s in enumerate(row) if s != 0)] = 0
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+    assert code == 1
+    assert "check failed: stored weight 20 differs from the codewords: row 3 has weight 19\n" in err
+    assert json.loads(out)["checked"] is False
+    # without a stored weight the command stops at the bound (exit 2); the recheck's
+    # note names no row
+    del data["weight"]
+    notes = cli_module._recheck_codebook(CodeBook.from_json(data), False)
+    assert "stored weight differs from the codewords" in notes
 
 
 @pytest.mark.parametrize("kind", ["ccc", "cwc"])

@@ -46,10 +46,12 @@ against that matrix: composition, weight and distances against the
 shared-composition check, the row weights and the same-symbol recount,
 and ``codewords``, built on first read, against the matrix itself.
 
-The JSON boundary of codeword matrices is checked the same way: the
-banded matrix writer against ``json.dumps`` of the nested lists and
-``CodeBook.to_csv`` against the per-element join it replaced, the same
-writer on ragged block lists against both, and a derived book's text,
+The JSON boundary of codeword matrices is checked the same way: the one
+list writer, on the row bands of a stored book, against ``json.dumps`` of
+the nested lists and ``CodeBook.to_csv`` against the per-element join it
+replaced, on ragged block lists cut into bands of whole blocks (a block
+longer than a band, empty blocks that end one band and start another)
+against both, and a derived book's text,
 rendered from its translates in bands of rows that cut the row axes
 anywhere, against both on the matrix, with a tracemalloc bound of a
 quarter of the matrix on the (2500, 834, 2) book; the
@@ -94,7 +96,6 @@ from zdbkit import (
     distance_range,
     dss_from_zdb,
     dss_perfect_check,
-    matrix_json,
     verify_zdb,
 )
 from zdbkit import codes as codes_module
@@ -398,7 +399,7 @@ def test_same_symbol_recount_matches_all_pairs(words, band, block):
     )
     with (
         patch.object(codes_module, "_BAND", band),
-        patch.object(domains_module, "_PAIR_BLOCK", block),
+        patch.object(codes_module, "_PAIR_BLOCK", block),
     ):
         found = distance_range(words, max_pairs=pairs)
         assert found == all_pairs_distance_range(words)
@@ -943,6 +944,12 @@ def test_banded_shift_code_text_peaks_far_below_the_matrix(catalog):
 # -- codeword matrices across the JSON boundary ----------------------------
 
 
+def matrix_json(words):
+    """Parts of the JSON text of a codeword matrix, from the book writer."""
+    m, n = words.shape
+    return CodeBook("CCC", n, m, 0, 0, 0, words).text_parts("json")
+
+
 def joined_csv(words):
     """CSV of a codeword matrix, one element at a time."""
     lines = [",".join(str(int(s)) for s in row) for row in words]
@@ -1010,15 +1017,18 @@ def test_csv_writer_matches_the_element_join(words, band):
 
 @SETTINGS
 @example([[]], 1)
-@example([[], [5, -3], [], [], [7]], 1)  # empty blocks at band edges
+@example([[], [5, -3], [], [], [7]], 1)  # empty blocks first and between others
 @example([[0, 2**40], [-(2**63), 2**63 - 1]], 2)
+@example([[1], list(range(-10, 10)), [2]], 1)  # a block longer than a band of 8 values
+# an empty block ends the first band and one starts the third
+@example([list(range(8)), [], list(range(8, 18)), [], [5]], 1)
 @given(
     st.lists(st.lists(st.one_of(st.integers(-20, 20), st.integers(-(2**63), 2**63 - 1)),
                       max_size=6), min_size=1, max_size=8),
     st.integers(1, 64),
 )
 def test_block_writer_matches_json_dumps_and_the_line_join(blocks, band):
-    # ragged blocks, empty ones included, cut into parts of 8 * band items
+    # ragged blocks, empty ones included, cut into bands of whole blocks of 8 * band values
     points = np.array([x for b in blocks for x in b], dtype=np.int64)
     ends = np.cumsum([len(b) for b in blocks])
     with patch.object(codes_module, "_BAND", band):
