@@ -4,7 +4,8 @@ Every subcommand reads declared flags and files only, runs the library
 sequentially, and writes data to --out (or standard output) with
 diagnostics on standard error.  Identical invocations produce
 byte-identical output: there is no timestamp, no randomness, and every
-collection is emitted in a fixed order.
+collection is emitted in a fixed order.  ``codes check-bounds`` prints the
+notes of a stored design's own ``recheck`` and keeps no rule of its own.
 
 Exit codes: 0 success or certified, 1 a verification or certification
 check failed (a witness is reported), 2 usage errors, malformed input,
@@ -27,7 +28,6 @@ from .errors import CertificationError, OversizedError, VerificationError, ZdbEr
 # each command imports the library modules it runs inside its handler, so a
 # process loads (and, without a bytecode cache, compiles) only those
 if TYPE_CHECKING:
-    from .codes import CodeBook, DssSystem
     from .function import ZdbFunction
     from .rings import Ring
     from .verify import VerificationResult
@@ -247,86 +247,6 @@ def _cmd_codes(args) -> int:
     return 0
 
 
-def _recheck_codebook(book: CodeBook, force: bool) -> list[str]:
-    """Recompute everything the stored book claims; return mismatch notes."""
-    from .codes import _shared_composition, distance_range
-
-    words = book.codewords
-    if words.shape != (book.M, book.n):
-        return [f"codeword matrix is {words.shape}, header says ({book.M}, {book.n})"]
-    if words.size and (int(words.min()) < 0 or int(words.max()) >= book.q):
-        r, y = divmod(int(np.flatnonzero((words < 0) | (words >= book.q))[0]), book.n)
-        return [
-            f"row {r} column {y} has symbol {words[r, y]} outside the alphabet "
-            f"of size {book.q}"
-        ]
-    limit = None if force else ORDER_LIMIT**2
-    pairs = book.M * (book.M - 1) // 2
-    if book.M > book.n and limit is not None and pairs > limit:  # every row pair is scanned
-        raise OversizedError(
-            f"recounting the distances of {book.M} codewords of length {book.n} compares "
-            f"{pairs:,} row pairs, over the limit of {limit:,}"
-        )
-    found = distance_range(words, max_pairs=limit)
-    problems = []
-    if found != (book.d, book.d_max):
-        d, d_max = found
-        pairs = ", ".join(
-            f"rows {r} and {s} at distance {x}" for (r, s), x in zip(found.pairs, found)
-        )
-        problems.append(
-            f"stored distances ({book.d}, {book.d_max}) but recomputed ({d}, {d_max}): {pairs}"
-        )
-    shared = _shared_composition(words)
-    if isinstance(shared, int):
-        problems.append(f"codewords do not share one composition: row {shared} differs from row 0")
-    elif book.composition is not None:
-        symbols, counts = shared
-        composition = dict(zip(symbols.tolist(), counts.tolist()))
-        if len(book.composition) != book.q or any(
-            w != composition.get(s, 0) for s, w in enumerate(book.composition)
-        ):
-            problems.append("stored composition differs from the codewords")
-    if book.kind == "CWC":
-        weights = np.count_nonzero(words, axis=1)
-        if book.weight is None:
-            problems.append("stored weight differs from the codewords")
-        elif (weights != book.weight).any():
-            r = int(np.argmax(weights != book.weight))  # the first row of another weight
-            note = f"row {r} has weight {weights[r]}"
-            problems.append(f"stored weight {book.weight} differs from the codewords: {note}")
-    return problems
-
-
-def _recheck_dss(system: DssSystem, force: bool) -> list[str]:
-    """Recompute the counts and coverage the stored system claims; return
-    mismatch notes."""
-    from .codes import dss_perfect_check
-
-    try:
-        chk = dss_perfect_check(system, max_pairs=None if force else ORDER_LIMIT**2)
-    except RuntimeError as exc:  # overlapping blocks
-        return [str(exc)]
-    problems = []
-    q, tau, partitioned = system.recount()
-    if (system.q, system.tau) != (q, tau):
-        problems.append(f"stored q={system.q} tau={system.tau} but recounted q={q} tau={tau}")
-    # lambda is the minimum coverage, as dss_from_zdb writes it, perfect or not
-    if chk.lam_min != system.lam or chk.perfect != system.perfect:
-        problems.append(
-            f"stored lambda={system.lam} perfect={system.perfect} but recomputed "
-            f"lambda={chk.lam_min} perfect={chk.perfect}"
-        )
-    if system.partitioned and not partitioned:
-        problems.append("blocks marked partitioned do not cover the group")
-    return problems
-
-
-def _print_failures(problems: list[str]) -> None:
-    for note in problems:
-        print(f"check failed: {note}", file=sys.stderr)
-
-
 def _cmd_check_bounds(args) -> int:
     from .codes import CodeBook, DssSystem, ccc_report, cwc_report, dss_report
     from .reader import decode_file  # only this command reads stored files
@@ -336,26 +256,21 @@ def _cmd_check_bounds(args) -> int:
     if not isinstance(data, dict):
         raise _UsageError(f"the payload must be a JSON object, not {type(data).__name__}")
     kind = data.get("kind")
-    if kind in ("CCC", "CWC"):
-        book = CodeBook.from_json(data)
-        del data  # parsed lists, when the matrix was not canonical, take several times its memory
-        problems = _recheck_codebook(book, args.force)
-        report = ccc_report(book) if kind == "CCC" else cwc_report(book)
-    elif kind == "DSS":
-        system = DssSystem.from_json(data)
-        problems = _recheck_dss(system, args.force)
-        if system.lam is None or not system.perfect:
-            _print_failures(problems + ["the system is not perfect, so no bound applies"])
-            return 1
-        report = dss_report(system)
-    else:
+    if kind not in ("CCC", "CWC", "DSS"):
         raise _UsageError(f"unrecognized payload kind {kind!r}")
-    ok = not problems and report.applicable and report.optimal
-    if not report.applicable or not report.optimal:
-        problems.append(f"{kind} bound not met with equality")
-    _print_failures(problems)
-    out = dict(report.to_json())
-    out["checked"] = ok
+    design = (DssSystem if kind == "DSS" else CodeBook).from_json(data)
+    del data  # parsed lists, when the matrix was not canonical, take several times its memory
+    problems = design.recheck(_table_limit(args))
+    if kind == "DSS" and (design.lam is None or not design.perfect):
+        report = None  # no bound applies, as the last note says
+    else:
+        report = {"CCC": ccc_report, "CWC": cwc_report, "DSS": dss_report}[kind](design)
+        if not (report.applicable and report.optimal):
+            problems.append(f"{kind} bound not met with equality")
+    for note in problems:
+        print(f"check failed: {note}", file=sys.stderr)
+    if report is None:
+        return 1
     if args.format == "text":
         _write(
             args,
@@ -363,8 +278,8 @@ def _cmd_check_bounds(args) -> int:
             f"{report.achieved} optimal {str(report.optimal).lower()}\n",
         )
     else:
-        _write(args, _dumps(out))
-    return 0 if ok else 1
+        _write(args, _dumps({**report.to_json(), "checked": not problems}))
+    return 1 if problems else 0
 
 
 def _result_lines(args, results) -> str | Iterable[bytes]:

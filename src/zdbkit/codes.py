@@ -40,6 +40,10 @@ the domain's in-class ``difference_counts`` kernel counted once:
   nonzero a is n minus the in-class count, the spectrum at a; stored
   systems are recounted with the kernel itself by ``dss_perfect_check``.
 
+A design read from a file rechecks itself: ``CodeBook.recheck`` and
+``DssSystem.recheck`` recompute every stored claim and return a note, with
+a witness, for each that does not hold; the command line only prints them.
+
 Codebooks that arrive as explicit matrices are rechecked by
 ``distance_range`` with the same in-class idea applied to the stored
 rows: two rows agree at a coordinate exactly when they share its
@@ -208,6 +212,49 @@ class CodeBook:
             composition=composition,
             weight=_field(data, "weight") if "weight" in data else None,
         )
+
+    def recheck(self, max_pairs: int | None = None) -> list[str]:
+        """A note for each claim of the book that its matrix does not bear out.
+        max_pairs bounds the recount as in ``distance_range`` and, as a code with
+        more rows than columns is recounted over every row pair, its row pairs."""
+        words = self.codewords
+        if words.shape != (self.M, self.n):
+            return [f"codeword matrix is {words.shape}, header says ({self.M}, {self.n})"]
+        if words.size and (int(words.min()) < 0 or int(words.max()) >= self.q):
+            r, y = divmod(int(np.flatnonzero((words < 0) | (words >= self.q))[0]), self.n)
+            note = f"has symbol {words[r, y]} outside the alphabet of size {self.q}"
+            return [f"row {r} column {y} {note}"]
+        pairs = self.M * (self.M - 1) // 2
+        if self.M > self.n and max_pairs is not None and pairs > max_pairs:
+            raise OversizedError(
+                f"recounting the distances of {self.M} codewords of length {self.n} compares "
+                f"{pairs:,} row pairs, over the limit of {max_pairs:,}"
+            )
+        found = distance_range(words, max_pairs=max_pairs)
+        problems = []
+        if found != (self.d, self.d_max):
+            named = (f"rows {r} and {s} at distance {x}" for (r, s), x in zip(found.pairs, found))
+            note = f"stored distances {(self.d, self.d_max)} but recomputed {found}"
+            problems.append(f"{note}: {', '.join(named)}")
+        shared = _shared_composition(words)
+        if isinstance(shared, int):
+            note = f"row {shared} differs from row 0"
+            problems.append(f"codewords do not share one composition: {note}")
+        elif self.composition is not None:
+            composition = dict(zip(*(a.tolist() for a in shared)))
+            if len(self.composition) != self.q or any(
+                w != composition.get(s, 0) for s, w in enumerate(self.composition)
+            ):
+                problems.append("stored composition differs from the codewords")
+        if self.kind == "CWC" and self.weight is None:
+            problems.append("stored weight differs from the codewords")
+        elif self.kind == "CWC":
+            weights = np.count_nonzero(words, axis=1)
+            if (weights != self.weight).any():
+                r = int(np.argmax(weights != self.weight))  # the first row of another weight
+                note = f"row {r} has weight {weights[r]}"
+                problems.append(f"stored weight {self.weight} differs from the codewords: {note}")
+        return problems
 
     def text_parts(self, fmt: str) -> Iterator[bytes]:
         """The codewords as a JSON list of rows (fmt "json") or as CSV lines
@@ -425,6 +472,41 @@ class DssSystem:
             values.flags.writeable = False  # read-only arrays of their own are shared
         return DssSystem(domain, points, ends, **claims)
 
+    def recheck(self, max_pairs: int | None = None) -> list[str]:
+        """A note for each claim that a recount of the blocks does not bear out,
+        or the one that they overlap, and one that no bound applies to a system
+        stored as not perfect; max_pairs bounds it as in ``dss_perfect_check``.
+        The lam note names the smallest difference at the least coverage and,
+        when the coverage is not constant, at the most."""
+        q, tau, partitioned = self.recount()
+        try:
+            chk = dss_perfect_check(self, max_pairs=max_pairs)
+        except RuntimeError as exc:  # overlapping blocks
+            problems = [str(exc)]
+        else:
+            problems = []
+            if (self.q, self.tau) != (q, tau):
+                problems.append(f"stored q={self.q} tau={self.tau} but recounted q={q} tau={tau}")
+            # lambda is the minimum coverage, as dss_from_zdb writes it, perfect or not
+            if (chk.lam_min, chk.perfect) != (self.lam, self.perfect):
+                note = (
+                    f"stored lambda={self.lam} perfect={self.perfect} but recomputed "
+                    f"lambda={chk.lam_min} perfect={chk.perfect}"
+                )
+                if chk.nonzero is not None:
+                    cover = chk.nonzero
+                    at = [int(cover.argmin())] + ([] if chk.perfect else [int(cover.argmax())])
+                    note += ": " + ", ".join(
+                        f"difference {i + (i >= self.domain.identity)} covered {cover[i]} times"
+                        for i in at
+                    )
+                problems.append(note)
+            if self.partitioned and not partitioned:
+                problems.append("blocks marked partitioned do not cover the group")
+        if self.lam is None or not self.perfect:
+            problems.append("the system is not perfect, so no bound applies")
+        return problems
+
     def text_parts(self, fmt: str) -> Iterator[bytes]:
         """The blocks as a JSON list of lists (fmt "json") or as CSV lines,
         one per block with its points joined by commas (fmt "csv"), in byte
@@ -443,6 +525,12 @@ class PerfectCheck(NamedTuple):
     lam_min: int
     perfect: bool
     lam: int | None
+
+
+class _Coverage(PerfectCheck):
+    """A check with the coverage it read, of each nonzero element in index order."""
+
+    nonzero: np.ndarray | None = None  # no cross pair with fewer than two blocks
 
 
 @dataclass(frozen=True)
@@ -725,7 +813,7 @@ def dss_perfect_check(system: DssSystem, *, max_pairs: int | None = None) -> Per
     """
     domain, points, ends = system.domain, system.points, system.ends
     if len(ends) < 2:
-        return PerfectCheck(0, False, None)
+        return _Coverage(0, False, None)
     partitioned = system.recount()[2]
     if max_pairs is not None:
         sizes = np.diff(ends, prepend=0).astype(np.int64)
@@ -745,7 +833,9 @@ def dss_perfect_check(system: DssSystem, *, max_pairs: int | None = None) -> Per
     nonzero = np.delete(counts, domain.identity)
     lam_min = int(nonzero.min())
     perfect = bool((nonzero == nonzero[0]).all())
-    return PerfectCheck(lam_min, perfect, lam_min if perfect else None)
+    chk = _Coverage(lam_min, perfect, lam_min if perfect else None)
+    chk.nonzero = nonzero
+    return chk
 
 
 # -- bound arithmetic (exact rationals only) ------------------------------

@@ -115,13 +115,19 @@ class ZdbFunction:
 
     @staticmethod
     def from_json(data: dict) -> "ZdbFunction":
-        return ZdbFunction(
-            domain_from_json(_field(data, "domain", None)),
-            _field(data, "q"),
-            _int_list(data, "table"),
-            _field(data, "lambda"),
-            _typed("provenance", data.get("provenance", {}), dict),
-        )
+        domain = domain_from_json(_field(data, "domain", None))
+        q, table = _field(data, "q"), _field(data, "table", list)
+        try:
+            return ZdbFunction(
+                domain,
+                q,
+                table,
+                _field(data, "lambda"),
+                _typed("provenance", data.get("provenance", {}), dict),
+            )
+        except ValueError:  # the constructor scanned the entries' types once; name a bad one
+            _int_list(data, "table")
+            raise
 
     def __repr__(self) -> str:
         n, m, lam = self.claimed_parameters()

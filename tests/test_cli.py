@@ -1,9 +1,11 @@
 """End-to-end command line pipeline, golden output bytes, and the exit
 code contract."""
 
+import copy
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,6 +14,8 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zdbkit import (
     AbelianDomain,
@@ -49,8 +53,10 @@ def test_ring_info_golden(run_cli):
     [
         ('{"kind":"residue","n":1000000000}', 400_000_000),
         (json.dumps(MatrixRing(3, GaloisField(7)).to_json()), 33_784_128),
+        ('{"kind":"residue","n":2305843009213693951}', 2305843009213693950),
+        ('{"kind":"field","p":4611686018427387847,"r":1,"modulus":[0,1]}', 4611686018427387846),
     ],
-    ids=["Z_1e9", "M3(F7)"],
+    ids=["Z_1e9", "M3(F7)", "Z_(2^61-1)", "GF(p) below 2^62"],
 )
 def test_ring_info_counts_units_in_closed_form(run_cli, ring, units):
     start = time.perf_counter()
@@ -650,7 +656,8 @@ NOT_PERFECT = "check failed: the system is not perfect, so no bound applies\n"
         (  # an empty block in an imperfect system
             [[0, 1], [], [2, 3]], {"partitioned": True}, 1, "",
             "check failed: stored lambda=None perfect=False but recomputed lambda=2 "
-            "perfect=False\n" + NOT_PERFECT,
+            "perfect=False: difference 1 covered 2 times, difference 2 covered 4 times\n"
+            + NOT_PERFECT,
         ),
         (  # an empty block among four singletons: perfect, and optimal
             [[0], [], [1], [2], [3]], {"lambda": 4, "perfect": True, "partitioned": True}, 0,
@@ -666,8 +673,8 @@ NOT_PERFECT = "check failed: the system is not perfect, so no bound applies\n"
         (  # marked partitioned, but 1 and 3 are in no block
             [[0], [2]], {"partitioned": True}, 1, "",
             "check failed: stored lambda=None perfect=False but recomputed lambda=0 "
-            "perfect=False\ncheck failed: blocks marked partitioned do not cover the group\n"
-            + NOT_PERFECT,
+            "perfect=False: difference 1 covered 0 times, difference 2 covered 2 times\n"
+            "check failed: blocks marked partitioned do not cover the group\n" + NOT_PERFECT,
         ),
         (  # overlapping blocks
             [[0, 1], [1, 2]], {"lambda": 1, "perfect": True}, 1,
@@ -1050,7 +1057,7 @@ def test_check_bounds_names_the_first_row_of_another_weight(run_cli, tmp_path):
     # without a stored weight the command stops at the bound (exit 2); the recheck's
     # note names no row
     del data["weight"]
-    notes = cli_module._recheck_codebook(CodeBook.from_json(data), False)
+    notes = CodeBook.from_json(data).recheck(cli_module.ORDER_LIMIT**2)
     assert "stored weight differs from the codewords" in notes
 
 
@@ -1156,6 +1163,96 @@ def test_check_bounds_recounts_dss_q_and_tau(run_cli, tmp_path):
     assert code == 1
     assert "check failed: stored q=12 tau=21 but recounted q=11 tau=21" in err
     assert json.loads(out)["checked"] is False
+
+
+def test_check_bounds_names_the_least_and_most_covered_differences(run_cli, tmp_path):
+    # points 2 and 18 swapped between blocks 1 and 2 of the Z_7 product's DSS
+    path, data = _z7_payload(run_cli, tmp_path, "dss")
+    assert data["blocks"][1:3] == [[1, 2], [3, 18]]
+    data["blocks"][1:3] = [[1, 18], [3, 2]]
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+    assert (code, err) == (
+        1, "check failed: stored lambda=20 perfect=True but recomputed lambda=18 perfect=False: "
+        "difference 4 covered 18 times, difference 1 covered 21 times\n",
+    )
+    # the report's achieved and optimal are those of the stored claims; checked is the verdict
+    assert out == (
+        '{"kind":"dss","bound":{"num":21,"den":1},"achieved":21,"applicable":true,'
+        '"optimal":true,"checked":false}\n'
+    )
+
+
+def test_witnesses_on_corrupted_catalog_files_hold_by_brute_force(run_cli, tmp_path, catalog):
+    # the CCC, CWC and DSS files of the catalog instances of order at most 60, as the
+    # CLI writes them; each example corrupts one codeword cell or swaps one point
+    # between two blocks, and every row pair, row and difference a note names is
+    # recounted here from the corrupted payload
+    files, differences = [], {}
+    for i, result in enumerate(r for r in catalog if r.fn.n <= 60):
+        f = tmp_path / f"f{i}.json"
+        f.write_text(json.dumps(result.fn.to_json()))
+        domain = result.fn.domain
+        # x - y of every two elements, from the domain's scalar group law
+        differences[i] = domain.identity, np.array(
+            [[domain.op(x, domain.inverse(y)) for y in range(domain.order)]
+             for x in range(domain.order)]
+        )
+        for kind in ("ccc", "cwc", "dss"):
+            code, out, _ = run_cli(["codes", kind, "--input", str(f)])
+            if code == 0:  # cwc needs a single zero
+                files.append((i, json.loads(out)))
+    assert {payload["kind"] for _, payload in files} == {"CCC", "CWC", "DSS"}
+    path = tmp_path / "corrupted.json"
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(files), st.data())
+    def check(file, draw):
+        i, payload = file[0], copy.deepcopy(file[1])
+        if payload["kind"] == "DSS":
+            blocks = payload["blocks"]
+            a, b = draw.draw(st.lists(st.sampled_from(range(len(blocks))), min_size=2,
+                                      max_size=2, unique=True))
+            x, y = (draw.draw(st.sampled_from(range(len(blocks[c])))) for c in (a, b))
+            blocks[a][x], blocks[b][y] = blocks[b][y], blocks[a][x]
+        else:
+            rows = payload["codewords"]
+            r = draw.draw(st.sampled_from(range(len(rows))))
+            y = draw.draw(st.sampled_from(range(len(rows[r]))))
+            rows[r][y] = draw.draw(st.sampled_from([s for s in range(payload["q"])
+                                                    if s != rows[r][y]]))
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
+        assert code in (0, 1) and "Traceback" not in err
+        if payload["kind"] == "DSS":
+            points = np.array([x for block in payload["blocks"] for x in block])
+            block = np.repeat(np.arange(len(payload["blocks"])), list(map(len, payload["blocks"])))
+            crossed = block[:, None] != block[None, :]
+            identity, minus = differences[i]
+            cover = np.bincount(minus[np.ix_(points, points)][crossed], minlength=len(minus))
+            cover = [(a, int(c)) for a, c in enumerate(cover) if a != identity]
+            lam, most = min(c for _, c in cover), max(c for _, c in cover)
+            perfect = lam == most
+            named = re.findall(r"difference (\d+) covered (\d+) times", err)
+            claims = (payload["lambda"], payload["perfect"])
+            assert bool(named) == ((lam, perfect) != claims)
+            if named:
+                assert f"recomputed lambda={lam} perfect={perfect}" in err
+                first = [next((a, c) for a, c in cover if c == at) for at in (lam, most)]
+                assert [tuple(map(int, w)) for w in named] == first[: 2 - perfect]
+            return
+        words = np.array(payload["codewords"])
+        distance = (words[:, None, :] != words[None, :, :]).sum(axis=2)
+        for r, s, x in re.findall(r"rows (\d+) and (\d+) at distance (\d+)", err):
+            assert distance[int(r), int(s)] == int(x)
+        for r, w in re.findall(r"row (\d+) has weight (\d+)", err):
+            assert np.count_nonzero(words[int(r)]) == int(w) != payload["weight"]
+        (r,) = map(int, re.findall(r"row (\d+) differs from row 0", err))
+        same = (np.sort(words[: r + 1]) == np.sort(words[0])).all(axis=1)
+        assert same.tolist() == [True] * r + [False]
+        assert code == 1
+
+    check()
 
 
 def test_check_bounds_refuses_a_tall_code_past_the_row_pair_limit(run_cli, tmp_path):

@@ -304,3 +304,64 @@ def test_factorize_round_trip():
             assert is_prime(p)
             total *= p**k
         assert total == n
+
+
+def trial_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0 or n % 3 == 0:
+        return False
+    d = 5
+    while d * d <= n:
+        if n % d == 0 or n % (d + 2) == 0:
+            return False
+        d += 6
+    return True
+
+
+def trial_factorize(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_primality_and_factoring_match_trial_division_below_10_5():
+    # trial division yields the primes in ascending order, and factorize must too
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if trial_is_prime(n)]
+    for n in range(2, 10**5):
+        assert list(factorize(n).items()) == list(trial_factorize(n).items()), n
+
+
+@pytest.mark.parametrize(
+    "n, factors",
+    [
+        (2**61 - 1, {2**61 - 1: 1}),
+        (4611686018427387847, {4611686018427387847: 1}),  # the largest prime below 2^62
+        (2147483629 * 2147483647, {2147483629: 1, 2147483647: 1}),
+        ((2**31 - 1) ** 2, {2**31 - 1: 2}),
+        (1073741789 * 4294967291, {1073741789: 1, 4294967291: 1}),
+        (3 * 2**61, {2: 61, 3: 1}),
+        # the least strong pseudoprime to the bases 2..31, composite by base 37
+        (3825123056546413051, {149491: 1, 747451: 1, 34233211: 1}),
+    ],
+)
+def test_factorize_below_2_62(n, factors):
+    assert list(factorize(n).items()) == sorted(factors.items())
+    assert is_prime(n) == (factors == {n: 1})
+
+
+def test_primality_refuses_the_first_pseudoprime_to_its_bases():
+    limit = 3317044064679887385961981
+    assert is_prime(limit - 2) is False
+    for call in (is_prime, factorize):
+        with pytest.raises(ValueError, match=f"{limit}, the limit of exact primality"):
+            call(limit)
