@@ -1,6 +1,6 @@
 """Instance ladder: wall time and peak RSS of each CLI step, as one JSON line.
 
-    python bench/ladder.py [--repeat N] [--rung NAME ...] [--out PATH]
+    python bench/ladder.py [--repeat N] [--rung NAME ...] [--against REV] [--out PATH]
 
 Each rung is a short pipeline of ``python -m zdbkit.cli`` steps, each step
 in a child of its own, run N times in turn:
@@ -20,17 +20,31 @@ script imports neither numpy nor zdbkit.  Every process runs with
 ``__pycache__``, as the benchmark's fresh checkouts do.  The files the steps
 write go to a temporary directory; the line is printed, and written to PATH
 only when ``--out`` is given.
+
+With ``--against REV`` the line is a paired comparison in one session.  REV
+is a git revision, whose ``src/`` is exported with ``git archive`` into the
+temporary directory, or a directory holding a ``src/``.  Each step then runs
+N pairs of processes, one on REV (the parent) and one on the working tree
+(the change), each side with files of its own; the side that runs first
+alternates from pair to pair, as the first run of a pair tends to be the
+slower one on a shared machine.  A row gives both sides' quartiles and, for
+wall time and peak RSS, the median, min and max of the per-pair ratio
+change / parent.  A median ratio further from 1 than its own min-max spread
+reaches is a difference; one inside it is not resolved.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
 import shutil
+import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -58,52 +72,106 @@ RUNGS = {
                            '{"q_list":[250057],"e":4}'],
     },
 }
+FILES = ("{f}", "{ccc}", "{dss}")
+
+
+def _copy_src(against: str | None, dest: Path) -> str | None:
+    """Copy a ``src/`` with no bytecode to dest/src: the working tree's, or with
+    against REV's, from a directory or from ``git archive``.  Returns the
+    commit REV names, None for the working tree or a directory."""
+    if against is None or Path(against, "src").is_dir():
+        source = SRC if against is None else Path(against, "src")
+        shutil.copytree(source, dest / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        return None
+    root = SRC.parent
+    git = ["git", "-C", str(root)]
+    commit = subprocess.run(
+        [*git, "rev-parse", "--verify", f"{against}^{{commit}}"],
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    archive = subprocess.run([*git, "archive", commit, "src"], capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return commit
+
+
+def _ratios(change: list[float], parent: list[float]) -> dict:
+    ratios = [c / p for c, p in zip(change, parent)]
+    return {
+        "median": round(statistics.median(ratios), 3),
+        "min": round(min(ratios), 3),
+        "max": round(max(ratios), 3),
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description="wall time and peak RSS of CLI steps on a ladder")
     ap.add_argument("--repeat", type=int, default=5, help="timed runs of each rung")
     ap.add_argument("--rung", action="append", choices=list(RUNGS), help="rungs to run (all)")
+    ap.add_argument("--against", metavar="REV",
+                    help="pair every run with one on this git revision or directory")
     ap.add_argument("--out", help="also write the line to this file")
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
     rungs = {name: RUNGS[name] for name in RUNGS if name in (args.rung or RUNGS)}
 
+    # side -> the revision its src/ comes from; None is the working tree
+    sides = {"change": None} if args.against is None else {"change": None, "parent": args.against}
     with tempfile.TemporaryDirectory(prefix="zdbkit-ladder-") as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
-        env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-        files = {name: str(Path(tmp) / f"{name[1:-1]}.json") for name in ("{f}", "{ccc}", "{dss}")}
-        samples = {(rung, step): ([], []) for rung, steps in rungs.items() for step in steps}
-        for _ in range(args.repeat):
+        base = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+        envs, files, commits = {}, {}, {}
+        for side, rev in sides.items():
+            home = Path(tmp) / side
+            home.mkdir()
+            commits[side] = _copy_src(rev, home)
+            envs[side] = dict(base, PYTHONPATH=str(home / "src"), PYTHONDONTWRITEBYTECODE="1")
+            files[side] = {name: str(home / f"{name[1:-1]}.json") for name in FILES}
+        samples = {
+            (rung, step, side): ([], []) for rung in rungs for step in rungs[rung] for side in sides
+        }
+        for pair in range(args.repeat):
+            order = list(sides)[:: -1 if pair % 2 else 1]  # the side that runs first alternates
             for rung, steps in rungs.items():
                 for step, command in steps.items():
-                    argv = ["-m", "zdbkit.cli", *(files.get(a, a) for a in command)]
-                    wall, rss = _run(argv, env)
-                    samples[rung, step][0].append(wall)
-                    samples[rung, step][1].append(rss)
+                    for side in order:
+                        argv = ["-m", "zdbkit.cli", *(files[side].get(a, a) for a in command)]
+                        wall, rss = _run(argv, envs[side])
+                        samples[rung, step, side][0].append(wall)
+                        samples[rung, step, side][1].append(rss)
         numpy_version = subprocess.run(
             [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-            env=env, capture_output=True, text=True, check=True,
+            env=envs["change"], capture_output=True, text=True, check=True,
         ).stdout.strip()
 
+    rows = []
+    for rung, steps in rungs.items():
+        for step in steps:
+            (walls, peaks), *parent = (samples[rung, step, side] for side in sides)
+            row = {"rung": rung, "step": step,
+                   "wall_s": _quartiles(walls, 3), "peak_rss_mb": _quartiles(peaks, 2)}
+            if parent:
+                (parent_walls, parent_peaks), = parent
+                row["parent"] = {
+                    "wall_s": _quartiles(parent_walls, 3),
+                    "peak_rss_mb": _quartiles(parent_peaks, 2),
+                }
+                row["ratio"] = {
+                    "wall_s": _ratios(walls, parent_walls),
+                    "peak_rss_mb": _ratios(peaks, parent_peaks),
+                }
+            rows.append(row)
+    paired = {} if args.against is None else {
+        "against": args.against, "parent_commit": commits["parent"]
+    }
     line = json.dumps({
         "machine": platform.machine(),
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": numpy_version,
         "repeat": args.repeat,
-        "rows": [
-            {
-                "rung": rung,
-                "step": step,
-                "wall_s": _quartiles(walls, 3),
-                "peak_rss_mb": _quartiles(peaks, 2),
-            }
-            for (rung, step), (walls, peaks) in samples.items()
-        ],
+        **paired,
+        "rows": rows,
     })
     print(line)
     if args.out:

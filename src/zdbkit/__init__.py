@@ -11,10 +11,11 @@ imports (and, without a bytecode cache, compiles) only what it runs.
 """
 
 import importlib
+import sys
 
 # the defining module of each public name
 _MODULE_OF = {
-    name: module
+    name: f"{__name__}.{module}"
     for module, names in {
         "catalog": "RECIPE_IDS CertificationReport Recipe SearchResult certify_all"
         " default_catalog find_element_of_order run_recipe search_cor1 search_cor2_scan",
@@ -47,7 +48,7 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return getattr(sys.modules.get(module) or importlib.import_module(module), name)
 
 
 def __dir__() -> list[str]:

@@ -260,13 +260,14 @@ def _cmd_check_bounds(args) -> int:
         raise _UsageError(f"unrecognized payload kind {kind!r}")
     design = (DssSystem if kind == "DSS" else CodeBook).from_json(data)
     del data  # parsed lists, when the matrix was not canonical, take several times its memory
-    problems = design.recheck(_table_limit(args))
+    # the report reads the header alone, so a header it refuses is refused before the recount
     if kind == "DSS" and (design.lam is None or not design.perfect):
-        report = None  # no bound applies, as the last note says
+        report = None  # no bound applies, as the last note of the recheck says
     else:
         report = {"CCC": ccc_report, "CWC": cwc_report, "DSS": dss_report}[kind](design)
-        if not (report.applicable and report.optimal):
-            problems.append(f"{kind} bound not met with equality")
+    problems = design.recheck(_table_limit(args))
+    if report is not None and not (report.applicable and report.optimal):
+        problems.append(f"{kind} bound not met with equality")
     for note in problems:
         print(f"check failed: {note}", file=sys.stderr)
     if report is None:

@@ -74,7 +74,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .domains import _PAIR_BLOCK, AbelianDomain, domain_from_json
+from .domains import _PAIR_BLOCK, AbelianDomain, _run_sizes, domain_from_json
 from .errors import (
     NotCwcEligibleError,
     OversizedError,
@@ -395,7 +395,7 @@ class DssSystem:
         if points.size and (points.min() < 0 or points.max() >= order):
             outside = np.flatnonzero((points < 0) | (points >= order))
             raise _not_an_element(int(points[outside[0]]), order)
-        if (np.diff(ends, prepend=0) < 0).any() or (ends[-1] if len(ends) else 0) != len(points):
+        if (_run_sizes(ends) < 0).any() or (ends[-1] if len(ends) else 0) != len(points):
             raise ValueError("block ends must ascend from 0 to the number of points")
         for name, values, dtype in (
             ("points", points, _position_dtype(order)),
@@ -493,8 +493,8 @@ class DssSystem:
                     f"stored lambda={self.lam} perfect={self.perfect} but recomputed "
                     f"lambda={chk.lam_min} perfect={chk.perfect}"
                 )
-                if chk.nonzero is not None:
-                    cover = chk.nonzero
+                if chk.coverage is not None:
+                    cover = np.delete(chk.coverage, self.domain.identity)
                     at = [int(cover.argmin())] + ([] if chk.perfect else [int(cover.argmax())])
                     note += ": " + ", ".join(
                         f"difference {i + (i >= self.domain.identity)} covered {cover[i]} times"
@@ -528,9 +528,9 @@ class PerfectCheck(NamedTuple):
 
 
 class _Coverage(PerfectCheck):
-    """A check with the coverage it read, of each nonzero element in index order."""
+    """A check with the coverage it read of each element; the identity's repeats another's."""
 
-    nonzero: np.ndarray | None = None  # no cross pair with fewer than two blocks
+    coverage: np.ndarray | None = None  # no cross pair with fewer than two blocks
 
 
 @dataclass(frozen=True)
@@ -774,17 +774,18 @@ def dss_from_zdb(fn: ZdbFunction, result: VerificationResult | None = None) -> D
     minus its largest count, and the system is perfect when it is
     constant.  With fewer than two blocks there are no cross pairs, so
     lam is 0 and the system is not perfect, as in ``dss_perfect_check``.
-    The points are the function's grouping by symbol, shared with it, and
-    each run goes to its symbol's block: block b is symbol b's preimage in
-    ascending order, empty if a forced result let an unused symbol through.
+    The points, and the ends when every symbol occurs, are the function's
+    grouping by symbol, shared with it; else block b is symbol b's preimage
+    in ascending order, empty if a forced result let an unused symbol through.
     """
     spec = _require_verified(fn, result).spectrum
     crossed = fn.q >= 2
-    points, runs = fn.grouping
-    sizes = np.zeros(fn.q, dtype=points.dtype)
-    sizes[fn.table[points[runs - 1]]] = np.diff(runs, prepend=0)
-    ends = np.cumsum(sizes, dtype=points.dtype)
-    ends.flags.writeable = False  # shared as it is, like the points
+    points, ends = fn.grouping
+    if len(ends) != fn.q:
+        sizes = np.zeros(fn.q, dtype=points.dtype)
+        sizes[fn.table[points[ends - 1]]] = _run_sizes(ends)
+        ends = sizes.cumsum(dtype=points.dtype)
+        ends.flags.writeable = False  # shared as it is, like the points
     return DssSystem(
         domain=fn.domain,
         points=points,
@@ -830,11 +831,11 @@ def dss_perfect_check(system: DssSystem, *, max_pairs: int | None = None) -> Per
     counts = union - domain.difference_counts(points, ends)
     if counts[domain.identity] != 0:
         raise RuntimeError("blocks are not disjoint")
-    nonzero = np.delete(counts, domain.identity)
-    lam_min = int(nonzero.min())
-    perfect = bool((nonzero == nonzero[0]).all())
+    counts[domain.identity] = counts[domain.identity - 1]  # changes neither extreme
+    lam_min = int(counts.min())
+    perfect = lam_min == int(counts.max())
     chk = _Coverage(lam_min, perfect, lam_min if perfect else None)
-    chk.nonzero = nonzero
+    chk.coverage = counts
     return chk
 
 

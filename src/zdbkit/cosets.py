@@ -163,20 +163,19 @@ class CosetPartition:
         dtype = _position_dtype(n)
         index = np.arange(n, dtype=dtype)
         products = _product_rows(ring, group, index)  # [j, r] = r * g_j
-        reps = np.flatnonzero(products.min(axis=0) == index).astype(dtype)  # 0 comes first
-        members = products[:, reps[1:]]  # column c: the coset of reps[c + 1]
+        reps = (products.min(axis=0) == index).nonzero()[0].astype(dtype)  # 0 comes first
+        members = products.take(reps[1:], axis=1)  # column c: the coset of reps[c + 1], all nonzero
         del products
-        covered = np.zeros(n, dtype=bool)
-        covered[members] = True
-        if members.size != n - 1 or not covered[1:].all():
+        positions = np.full(n, -1, dtype=dtype)
+        positions[members] = np.arange(e, dtype=dtype)[:, None]
+        if members.size != n - 1 or positions[1:].min() < 0:  # not every nonzero r once
             raise ConditionNotSatisfiedError(
                 "subgroup fails the unit-difference condition: some g - 1 is not a unit"
             )
         self.rep_array = reps
         self.coset_index = np.zeros(n, dtype=dtype)
         self.coset_index[members] = np.arange(1, len(reps), dtype=dtype)
-        self.column_positions = np.full(n, -1, dtype=dtype)
-        self.column_positions[members] = np.arange(e, dtype=dtype)[:, None]
+        self.column_positions = positions
         for arr in (self.rep_array, self.coset_index, self.column_positions):
             arr.flags.writeable = False  # the derived indicators and tuples read them
 

@@ -7,22 +7,22 @@ and its flat index is ring_index * e + group_position, where positions
 number the subgroup's elements in ascending index order.  That flat
 order is also the codeword coordinate order used throughout.
 
-``op_vec`` and ``inverse_vec`` are the bulk form of the group law.  They
-run in int32 on int32 positions while the order is below 2^31, else in
-int64 (``_as_positions`` in rings).  In the product shape they split a
-flat index as r = a // e and position = a - r * e, the same remainder
-the rings use in place of numpy's slower %, and gather the subgroup part
-from mul_pos indexed by the two positions, which broadcast without a
-combined index array.  ``difference_counts``, the one kernel behind every
-certificate, is built on them and on nothing else.  It sorts nothing:
-it is handed runs (points, ends), a table's grouping by symbol from
-``_sorted_by_label`` or a stored system's blocks, and stacks the runs
-of one size w as a (w, c) matrix with the c runs innermost, so each
-group-law call on the (w, w, c) pair block runs inner loops of length
-c, not c loops of length w.  ``shift_rows`` returns full translation
-rows for any list of shifts, one permutation of the domain per shift,
-derived from ``op_vec`` once for both shapes and filled a band of rows
-at a time.
+``op_vec`` and the difference law ``sub_vec``, op(a, inverse(b)), are the
+bulk group law.  They run in int32 on int32 positions while the order is
+below 2^31, else in int64 (``_as_positions`` in rings).  In the product
+shape they split a flat index as r = a // e and position = a - r * e, the
+same remainder the rings use in place of numpy's slower %, and gather the
+subgroup part from mul_pos, or div_pos = mul_pos[:, inv_pos], indexed by
+the two positions, which broadcast without a combined index array.
+``difference_counts``, the one kernel behind every certificate, is built
+on ``sub_vec`` and on nothing else.  It sorts nothing: it is handed runs
+(points, ends), a table's grouping by symbol from ``_sorted_by_label`` or
+a stored system's blocks, and stacks the runs of one size w as a (w, c)
+matrix with the c runs innermost, so its one ``sub_vec`` call per (w, w, c)
+pair block runs inner loops of length c, not c loops of length w.
+``shift_rows`` returns full translation rows for any list of shifts, one
+permutation of the domain per shift, derived from ``op_vec`` once for both
+shapes and filled a band of rows at a time.
 
 ``translate_bands`` builds the matrix of every translate of a table, row
 a being y -> table[op(a, y)], a band of rows at a time, without index
@@ -82,9 +82,14 @@ def _sorted_by_label(labels):
     else:
         order = np.argsort(labels, kind="stable")
         by_label, labels = order.astype(dtype), labels[order]
-    ends = np.flatnonzero(np.append(labels[1:] != labels[:-1], m > 0)).astype(dtype)
+    ends = np.concatenate((labels[1:] != labels[:-1], [m > 0])).nonzero()[0].astype(dtype)
     ends += 1
     return by_label, ends
+
+
+def _run_sizes(ends: np.ndarray) -> np.ndarray:
+    """np.diff(ends, prepend=0), the run sizes, without its Python wrapper."""
+    return np.concatenate((ends[:1], ends[1:] - ends[:-1]))
 
 
 def _class_blocks(x, starts, w):
@@ -182,8 +187,8 @@ class AbelianDomain:
         pair (i, i) lands on the identity, so counts[identity] >= len(points).
         One-member runs add their number to the identity's count without the
         group law.  The runs of each larger size w are stacked into a (w, c)
-        matrix, whose pairs are op_vec of its members against their
-        inverses, broadcast to (w, w, c); int32 points are read as they are,
+        matrix, whose pairs are one sub_vec of its members against
+        themselves, broadcast to (w, w, c); int32 points are read as they are,
         so the group law runs in int32 while the order is below 2**31.  Each
         block is counted as soon as it is formed: by an order-length bincount
         when it has at least as many pairs as the group has elements, else by
@@ -192,9 +197,9 @@ class AbelianDomain:
         are below 2**31, else int64.
         """
         x, ends = np.asarray(points), np.asarray(ends)
-        size = np.diff(ends, prepend=0)
+        size = _run_sizes(ends)
         classes = np.bincount(size)  # classes[w]: the number of w-member runs
-        widths = (np.flatnonzero(classes[1:]) + 1).tolist()  # empty runs have no pairs
+        widths = (classes[1:].nonzero()[0] + 1).tolist()  # empty runs have no pairs
         pairs = sum(int(classes[w]) * w * w for w in widths)  # no count can exceed it
         counts = np.zeros(self.order, dtype=_position_dtype(max(pairs, self.order)))
         one = counts.dtype.type(1)  # a Python 1 would take ufunc.at off its fast path
@@ -203,7 +208,7 @@ class AbelianDomain:
                 counts[self.identity] = classes[1]
                 continue
             for rows, members in _class_blocks(x, ends[size == w] - w, w):
-                diffs = self.op_vec(rows, self.inverse_vec(members)).ravel()
+                diffs = self.sub_vec(rows, members).ravel()
                 if len(diffs) >= self.order:
                     counts += np.bincount(diffs, minlength=self.order)
                 else:
@@ -242,8 +247,8 @@ class RingAdditiveDomain(AbelianDomain):
     def op_vec(self, a, b) -> np.ndarray:
         return self.ring.add_vec(a, b)
 
-    def inverse_vec(self, a) -> np.ndarray:
-        return self.ring.neg_vec(a)
+    def sub_vec(self, a, b) -> np.ndarray:
+        return self.ring.sub_vec(a, b)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "ring": self.ring.to_json()}
@@ -277,7 +282,7 @@ class RingTimesGroupDomain(AbelianDomain):
         self.order = ring.order * self.e
         self.identity = group.identity_pos
         self._mul_pos = np.asarray(group.mul_pos, dtype=_position_dtype(self.e))
-        self._inv_pos = np.asarray(group.inv_pos, dtype=_position_dtype(self.e))
+        self._div_pos = self._mul_pos[:, group.inv_pos]  # [p, q]: the position of g_p * g_q^-1
 
     def encode(self, pair: tuple[int, int]) -> int:
         r, g = pair
@@ -309,12 +314,13 @@ class RingTimesGroupDomain(AbelianDomain):
         out += self._mul_pos[a - ra * e, b - rb * e]
         return out
 
-    def inverse_vec(self, a) -> np.ndarray:
-        (a,) = _as_positions(self.order, a)
-        r = a // self.e
-        out = self.ring.neg_vec(r)
-        out *= self.e
-        out += self._inv_pos[a - r * self.e]
+    def sub_vec(self, a, b) -> np.ndarray:
+        a, b = _as_positions(self.order, a, b)
+        e = self.e
+        ra, rb = a // e, b // e
+        out = self.ring.sub_vec(ra, rb)
+        out *= e
+        out += self._div_pos[a - ra * e, b - rb * e]
         return out
 
     def to_json(self) -> dict:

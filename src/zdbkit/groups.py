@@ -132,10 +132,9 @@ def cyclic_subgroup(ring: Ring, b: int, max_table: int | None = None) -> Subgrou
         x = ring.mul(x, b)
     e = len(powers)
     _check_table(e, max_table)
-    exps = np.argsort(powers)  # exps[i] = k_i
-    pos = np.empty(e, dtype=np.int64)  # exponent -> position
-    pos[exps] = np.arange(e)
-    mul_pos = pos[(exps[:, None] + exps[None, :]) % e]
+    exps = np.array(powers).argsort()  # exps[i] = k_i
+    pos = exps.argsort()  # exponent -> position
+    mul_pos = pos[(exps[:, None] + exps) % e]
     group = Subgroup.__new__(Subgroup)
     group._set_tables(ring, tuple(sorted(powers)), mul_pos, int(pos[0]), pos[-exps % e], b)
     return group

@@ -19,41 +19,41 @@ The additive group of every kind is Z_{r1} x ... x Z_{rk} under the
 same index, read mixed-radix over ``radices`` = (r1, ..., rk) with the
 least significant digit first: (n,) for Z_n, (p,) * r for GF(p^r), the
 components' radices concatenated for a product, and the field's radices
-repeated k^2 times for M_k(GF(q)).  Addition adds digits, each modulo
-its radix, so ``add``/``neg`` and the vectorized ``add_vec``/``neg_vec``
-(numpy arrays with broadcasting, what the exhaustive verification
-kernels run on) are written once, in ``Ring``.  They reduce a digit
-with ``_rem``, x - x // m * m, which means the same for ints, int32,
-int64 and object arrays and costs half of numpy's int64 %.  The vector
+repeated k^2 times for M_k(GF(q)).  Sums and differences are digitwise,
+each digit modulo its radix, so ``add``/``neg``/``sub`` and the vectorized
+``add_vec``/``sub_vec`` (-a is sub_vec(0, a); the difference kernel runs on
+``sub_vec``) are written once, in ``Ring``.  They reduce a digit with
+``_rem``, x - x // m * m, which means the same for ints, int32, int64 and
+object arrays and costs half of numpy's int64 %.  The vector
 forms run in int32 when both index arrays are int32 and the order is
 below 2^31 (``_position_dtype``), else in int64, with no copy of an
 array already in that dtype.  The lowest digit is reduced from
-a + (b - order), which lies in (-order, order), so no sum of two indices
-leaves the dtype; orders must stay below 2^62 for int64.
+a + (b - order) or a - b, both in (-order, order), so no sum or difference
+of two indices leaves the dtype; orders must stay below 2^62 for int64.
 
 Multiplication has one rule per kind, ``_mul_digits``, and like the
 sum it serves Python ints (``mul``) and int64 arrays (``mul_vec``, with
 broadcasting and a kept on the left), so the two cannot disagree: a * b
 mod n; for GF(p^r) the schoolbook product of the digit polynomials,
 reduced by the monic modulus from the top degree down (no log tables);
-componentwise for a product; and sum_t a_it * b_tj with the entry
-field's rules for M_k(GF(q)).  Where a digit product could overflow
-int64 (n or p from about 2^31 up), ``mul_vec`` computes on object arrays
-of Python ints, so results stay exact.
+componentwise for a product; and each entry sum_t a_it * b_tj of M_k(GF(q))
+as one field dot product ``_dot``, reduced once.  Where k digit products
+could overflow int64 (n or p from about 2^31 up), ``mul_vec`` computes on
+object arrays of Python ints, so results stay exact.
 
 All operations are pure functions of an immutable descriptor, so ring
 objects can be shared freely between threads.  ``try_invert`` returns
 ``None`` for a non-unit instead of raising: non-units are ordinary
 values here, not errors.  ``is_unit`` answers without the inverse where
 a kind can: a != 0 in GF(q), gcd(a, n) = 1 in Z_n, componentwise in a
-product; a matrix takes Gauss-Jordan.
+product, full rank for a matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from operator import index as _as_index
+from operator import index as _as_index, mul as _times
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -84,11 +84,12 @@ def _position_dtype(n: int) -> type:
 def _as_positions(order: int, *arrays) -> list[np.ndarray]:
     """Index arrays into range(order) in the dtype the vector group law runs
     in: int32 arrays as they are while the order is below 2**31, else every
-    array as int64 (no copy of one already int64)."""
-    arrays = [np.asarray(x) for x in arrays]
-    if _position_dtype(order) == np.int32 and all(x.dtype == np.int32 for x in arrays):
+    array as int64 (no copy of one already int64).  An int, as 0 in sub_vec(0, a), stays."""
+    narrow = _position_dtype(order) == np.int32
+    arrays = [x if type(x) is int else np.asarray(x) for x in arrays]
+    if all(type(x) is int or narrow and x.dtype == np.int32 for x in arrays):
         return arrays
-    return [x.astype(np.int64, copy=False) for x in arrays]
+    return [x if type(x) is int else x.astype(np.int64, copy=False) for x in arrays]
 
 
 def _rem(x, m):
@@ -125,7 +126,7 @@ class Ring:
         self.order = place
         self._upper = tuple(digits[1:])  # (radix, place value) of each digit above the lowest
 
-    # Digitwise sum and negation; the same expressions serve Python ints and
+    # Digitwise sum and difference; the same expressions serve Python ints and
     # int32 and int64 arrays.  Digit i of a is (a // place_i) % r_i, and no carry leaves it.
 
     def _add_digits(self, a, b):
@@ -137,10 +138,10 @@ class Ring:
             out += digit
         return out
 
-    def _neg_digits(self, a):
-        out = _rem(-a, self.radices[0])
+    def _sub_digits(self, a, b):
+        out = _rem(a - b, self.radices[0])
         for r, place in self._upper:
-            digit = _rem(-(a // place), r)
+            digit = _rem(a // place - b // place, r)
             digit *= place
             out += digit
         return out
@@ -151,7 +152,7 @@ class Ring:
         return self._add_digits(self._check(a), self._check(b))
 
     def neg(self, a: int) -> int:
-        return self._neg_digits(self._check(a))
+        return self._sub_digits(0, self._check(a))
 
     def mul(self, a: int, b: int) -> int:
         return self._mul_digits(self._check(a), self._check(b))
@@ -161,7 +162,7 @@ class Ring:
         raise NotImplementedError
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._sub_digits(self._check(a), self._check(b))
 
     def one(self) -> int:
         """Index of the multiplicative identity."""
@@ -172,7 +173,7 @@ class Ring:
 
     def is_unit(self, a: int) -> bool:
         """True when a is a unit.  The kinds with a cheaper test than
-        finding the inverse override it; a matrix takes Gauss-Jordan."""
+        finding the inverse override it."""
         return self.try_invert(a) is not None
 
     def unit_count(self) -> int:
@@ -189,12 +190,12 @@ class Ring:
     # -- vectorized additive structure ------------------------------------
 
     def add_vec(self, a, b) -> np.ndarray:
-        """Elementwise add on index arrays, with numpy broadcasting; int32
+        """Elementwise add (``sub_vec``: a - b) on index arrays, with numpy broadcasting; int32
         on int32 arrays while the order is below 2**31, else int64."""
         return self._add_digits(*_as_positions(self.order, a, b))
 
-    def neg_vec(self, a) -> np.ndarray:
-        return self._neg_digits(*_as_positions(self.order, a))
+    def sub_vec(self, a, b) -> np.ndarray:
+        return self._sub_digits(*_as_positions(self.order, a, b))
 
     # -- vectorized multiplication ----------------------------------------
 
@@ -394,14 +395,19 @@ class GaloisField(Ring):
         return out
 
     def _mul_digits(self, a, b):
+        return a * b % self.p if self.r == 1 else self._dot((a,), (b,))
+
+    def _dot(self, xs, ys):
+        """sum_t x_t * y_t with one fold and one % p: k products stay below 2 k r p^2."""
         p, r = self.p, self.r
         if r == 1:
-            return a * b % p
+            return sum(map(_times, xs, ys)) % p
         c = [0] * (2 * r - 1)
-        db = self._decode(b)
-        for i, x in enumerate(self._decode(a)):
-            for j, y in enumerate(db):
-                c[i + j] = c[i + j] + x * y
+        for a, b in zip(xs, ys):
+            db = self._decode(b)
+            for i, x in enumerate(self._decode(a)):
+                for j, y in enumerate(db, i):
+                    c[j] = c[j] + x * y
         for k in range(2 * r - 2, r - 1, -1):  # fold x^k = x^(k-r) * x^r back in
             lead = c[k] % p
             for i, t in self._tail:
@@ -534,7 +540,7 @@ class MatrixRing(Ring):
         self.field = field
         self.q = field.order
         self._set_radices(r for _ in range(k * k) for r in field.radices)
-        self._wide = field._wide
+        self._wide = 2 * k * field.r * field.p**2 >= 1 << 63  # k field products an entry
 
     def _decode(self, a: int) -> list[list[int]]:
         rows = []
@@ -554,16 +560,18 @@ class MatrixRing(Ring):
         return out
 
     def _mul_digits(self, a, b):
-        ma, mb = self._decode(a), self._decode(b)
-        f, k = self.field, self.k
-        out = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                acc = 0
-                for t in range(k):
-                    acc = f._add_digits(acc, f._mul_digits(ma[i][t], mb[t][j]))
-                out[i][j] = acc
-        return self._encode(out)
+        dot, cols = self.field._dot, list(zip(*self._decode(b)))
+        return self._encode([[dot(row, col) for col in cols] for row in self._decode(a)])
+
+    def is_unit(self, a: int) -> bool:
+        # full rank, by an elimination that scales each row by its pivot: no field inverse
+        f, rows = self.field, self._decode(self._check(a))
+        while rows and any(row[0] for row in rows):
+            pivot = next(row for row in rows if row[0])
+            rows.remove(pivot)
+            rows = [[f._sub_digits(f._mul_digits(pivot[0], x), f._mul_digits(row[0], y))
+                     for x, y in zip(row[1:], pivot[1:])] for row in rows]
+        return not rows
 
     def try_invert(self, a: int) -> int | None:
         # Gauss-Jordan elimination over the entry field

@@ -29,6 +29,7 @@ from zdbkit import (
     run_recipe,
 )
 from zdbkit import cli as cli_module
+from zdbkit import codes as codes_module
 from zdbkit import construct as construct_module
 from zdbkit import cosets as cosets_module
 from zdbkit import domains as domains_module
@@ -1126,9 +1127,10 @@ def test_check_bounds_rejects_malformed_symbols(run_cli, tmp_path):
 
 
 def test_check_bounds_on_an_empty_codeword_needs_two_codewords(run_cli, tmp_path):
-    # no symbol to test against the alphabet: the recount refuses one codeword
+    # no symbol to test against the alphabet: the recount refuses one codeword (the
+    # header carries its composition, or it would be refused before the recount)
     path = tmp_path / "empty.json"
-    path.write_text('{"kind":"CCC","n":0,"M":1,"q":0,"d":0,"codewords":[[]]}')
+    path.write_text('{"kind":"CCC","n":0,"M":1,"q":0,"d":0,"composition":[],"codewords":[[]]}')
     code, out, err = run_cli(["codes", "check-bounds", "--in", str(path)])
     assert (code, out, err) == (2, "", "error: distance needs at least two codewords\n")
 
@@ -1332,6 +1334,29 @@ def test_check_bounds_rejects_malformed_header_fields(run_cli, tmp_path, kind, k
     assert code == 2
     assert f"error: {note}" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "kind,key,note",
+    [
+        ("ccc", "composition", "constant composition bound needs a CCC book"),
+        ("cwc", "weight", "constant weight bound needs a CWC book"),
+    ],
+)
+def test_check_bounds_refuses_a_header_without_its_bound_before_the_recount(
+    run_cli, tmp_path, monkeypatch, kind, key, note
+):
+    # a header the bound cannot read is refused from the header alone: the recount
+    # of a large book takes seconds to minutes, and its notes would be thrown away
+    path, data = _z7_payload(run_cli, tmp_path, kind)
+    del data[key]
+    path.write_text(json.dumps(data))
+
+    def recount(*args, **kwargs):
+        raise AssertionError("the codewords were recounted before the header was read")
+
+    monkeypatch.setattr(codes_module, "distance_range", recount)
+    assert run_cli(["codes", "check-bounds", "--in", str(path)]) == (2, "", f"error: {note}\n")
 
 
 RECIPE_PARAM_PROBES = [

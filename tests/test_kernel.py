@@ -664,9 +664,9 @@ def test_additive_law_matches_each_kind(ring, seed):
     for dtype in (np.int64, np.int32):  # int32 positions stay int32, without an int64 copy
         a, b = a.astype(dtype), b.astype(dtype)
         assert ring.add_vec(a, b).tolist() == sums
-        assert ring.neg_vec(a).tolist() == negs
+        assert ring.sub_vec(0, a).tolist() == negs
         table = ring.add_vec(a[:, None], b[None, :])  # broadcasting
-        assert table.shape == (24, 24) and table.dtype == ring.neg_vec(a).dtype == dtype
+        assert table.shape == (24, 24) and table.dtype == ring.sub_vec(0, a).dtype == dtype
         assert table[5].tolist() == [kind_add(ring, int(a[5]), int(y)) for y in b]
 
 
@@ -703,10 +703,55 @@ def test_group_law_on_int32_positions_near_2_31_matches_python_ints(domain):
         def inverse(x):
             return kind_neg(domain.ring, x // e) * e + group.inv_pos[x % e]
     sums = domain.op_vec(a[:, None], b[None, :])
-    negs = domain.inverse_vec(a)
-    assert sums.dtype == negs.dtype == np.int32
+    negs = domain.sub_vec(domain.identity, a)
+    diffs = domain.sub_vec(a[:, None], b[None, :])  # a - b of two such positions passes -2^31
+    assert sums.dtype == negs.dtype == diffs.dtype == np.int32
     assert sums.tolist() == [[op(int(x), int(y)) for y in b] for x in a]
     assert negs.tolist() == [inverse(int(x)) for x in a]
+    assert diffs.tolist() == [[op(int(x), inverse(int(y))) for y in b] for x in a]
+
+
+@SETTINGS
+@example(GaloisField(3, 2), 0)
+@example(MatrixRing(2, GaloisField(2, 2)), 1)
+@example(ProductRing([ResidueRing(6), MatrixRing(2, GaloisField(3))]), 2)
+@given(any_rings(), st.integers(0, 2**32 - 1))
+def test_difference_law_matches_the_scalar_law(ring, seed):
+    # both domain shapes, the product one with the subgroup {1, -1}
+    minus_one = cyclic_subgroup(ring, ring.neg(ring.one()))
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, ring.order, size=12).tolist()
+    b = rng.integers(0, ring.order, size=12).tolist()
+    a[:2], b[:2] = [0, ring.order - 1], [ring.order - 1, 0]
+    diffs = [[ring.add(x, ring.neg(y)) for y in b] for x in a]
+    assert [[ring.sub(x, y) for y in b] for x in a] == diffs
+    for domain in (RingAdditiveDomain(ring), RingTimesGroupDomain(ring, minus_one)):
+        if domain.order != ring.order:  # a pair (r, g) is r * e + the position of g
+            e = domain.e
+            a = [x * e + int(rng.integers(e)) for x in a]
+            b = [y * e + int(rng.integers(e)) for y in b]
+        diffs = [[domain.op(x, domain.inverse(y)) for y in b] for x in a]
+        for dtype in (np.int64, np.int32):
+            x, y = np.array(a, dtype=dtype), np.array(b, dtype=dtype)
+            table = domain.sub_vec(x[:, None], y[None, :])  # broadcasting
+            assert table.dtype == dtype and table.tolist() == diffs
+            assert domain.sub_vec(x, y).tolist() == [diffs[i][i] for i in range(12)]
+            assert domain.sub_vec(x[3], y).tolist() == diffs[3]
+            if domain.order == ring.order:
+                assert ring.sub_vec(x[:, None], y[None, :]).tolist() == diffs
+
+
+@pytest.mark.parametrize(
+    "ring,g", [(GaloisField(11, 2), 39), (MatrixRing(2, GaloisField(5)), 378), (GaloisField(7), 3)],
+    ids=["GF(121) e=6", "M2(F5) e=4", "GF(7) e=6"],
+)
+def test_difference_law_on_larger_subgroups(ring, g):
+    domain = RingTimesGroupDomain(ring, cyclic_subgroup(ring, g))
+    rng = np.random.default_rng(domain.order)
+    a = np.concatenate([np.arange(domain.e), rng.integers(0, domain.order, 30)]).astype(np.int32)
+    b = rng.permutation(a)
+    expected = [[domain.op(x, domain.inverse(y)) for y in b.tolist()] for x in a.tolist()]
+    assert domain.sub_vec(a[:, None], b[None, :]).tolist() == expected
 
 
 def test_position_dtype_is_int32_below_2_31():
@@ -748,6 +793,33 @@ def kind_mul(ring, a, b):
             for t in range(k):
                 out[i][j] = kind_add(f, out[i][j], kind_mul(f, ma[i][t], mb[t][j]))
     return ring._encode(out)
+
+
+@pytest.mark.parametrize("ring", [MatrixRing(2, GaloisField(3)), MatrixRing(2, GaloisField(2, 2))])
+def test_matrix_is_unit_agrees_with_the_inverse(ring):
+    units = [a for a in range(ring.order) if ring.is_unit(a)]
+    assert units == [a for a in range(ring.order) if ring.try_invert(a) is not None]
+    assert len(units) == ring.unit_count()
+
+
+def test_matrix_products_past_int64_match_python_ints():
+    # entries of one field product each, below 2^122: the dot product's wide rule
+    ring = MatrixRing(1, GaloisField(2**61 - 1))
+    p, k = ring.field.p, ring.k
+    assert ring._wide
+    rng = np.random.default_rng(k)
+    a = [ring.order - 1, ring.one()] + rng.integers(0, ring.order, 10, dtype=np.int64).tolist()
+    b = [ring.order - 1] * 2 + rng.integers(0, ring.order, 10, dtype=np.int64).tolist()
+
+    def product(x, y):
+        mx, my = ring._decode(x), ring._decode(y)
+        return ring._encode(
+            [[sum(mx[i][t] * my[t][j] for t in range(k)) % p for j in range(k)] for i in range(k)]
+        )
+
+    expected = [product(x, y) for x, y in zip(a, b)]
+    assert [ring.mul(x, y) for x, y in zip(a, b)] == expected
+    assert ring.mul_vec(np.array(a), np.array(b)).tolist() == expected
 
 
 # int64 digit products can overflow from about 2^31 up; these take object arrays

@@ -1,10 +1,13 @@
-"""bench/ladder.py prints one JSON line: the steps of the instance ladder."""
+"""bench/ladder.py prints one JSON line: the steps of the instance ladder, alone or
+paired with a revision."""
 
 import json
 import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,3 +30,21 @@ def test_ladder_row_parses_on_the_2500_rung():
         for stat in ("wall_s", "peak_rss_mb"):
             q = r[stat]
             assert 0 < q["p25"] <= q["median"] <= q["p75"]
+
+
+def test_ladder_pairs_each_step_with_a_revision():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "ladder.py"), "--repeat", "1", "--rung", "2500",
+         "--against", "HEAD"],
+        capture_output=True, text=True, timeout=180,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    line = json.loads(run.stdout)
+    assert line["against"] == "HEAD" and len(line["parent_commit"]) == 40
+    assert [r["step"] for r in line["rows"]] == ["zdb construct", "codes ccc", "codes check-bounds"]
+    for r in line["rows"]:
+        for stat in ("wall_s", "peak_rss_mb"):
+            change, parent, ratio = r[stat], r["parent"][stat], r["ratio"][stat]
+            assert 0 < parent["p25"] <= parent["median"] <= parent["p75"]
+            assert ratio["min"] == ratio["median"] == ratio["max"]  # one pair
+            assert ratio["median"] == pytest.approx(change["median"] / parent["median"], rel=0.01)
