@@ -182,15 +182,16 @@ def _certified_build(
     g: int,
     h: int | None = None,
     metadata: dict | None = None,
+    max_table: int | None = None,
 ) -> SearchResult:
-    g_group = cyclic_subgroup(ring, g)
-    h_group = None if h is None else cyclic_subgroup(ring, h)
+    g_group = cyclic_subgroup(ring, g, max_table)
+    h_group = None if h is None else cyclic_subgroup(ring, h, max_table)
     if construction == "generic":
-        fn = construct_generic(ring, g_group)
+        fn = construct_generic(ring, g_group, max_table)
     elif construction == "doubled":
-        fn = construct_doubled(ring, g_group)
+        fn = construct_doubled(ring, g_group, max_table)
     elif construction == "product":
-        fn = construct_product(ring, g_group, h_group)
+        fn = construct_product(ring, g_group, h_group, max_table)
     else:
         raise ValueError(f"unknown construction {construction!r}")
     expected = _closed_form(construction, ring.order, e)
@@ -362,8 +363,9 @@ def _read_params(recipe: Recipe, names: tuple[str, ...]) -> list:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def run_recipe(recipe: Recipe) -> SearchResult:
-    """Check hypotheses, build, verify, and match the closed form."""
+def run_recipe(recipe: Recipe, max_table: int | None = None) -> SearchResult:
+    """Check hypotheses, build, verify, and match the closed form.  Given
+    max_table, a larger e x e subgroup or e x n partition table is refused."""
     if recipe.id not in _RECIPES:
         raise ValueError(f"unknown recipe id {recipe.id!r}; known: {RECIPE_IDS}")
     names, family = _RECIPES[recipe.id]
@@ -372,7 +374,7 @@ def run_recipe(recipe: Recipe) -> SearchResult:
     # labels print q_list as q
     words = [f"{name.removesuffix('_list')}={value}" for name, value in zip(names, values)]
     label = " ".join([recipe.id, *words])
-    return _certified_build(label, recipe.id, ring, construction, e, g, h, metadata)
+    return _certified_build(label, recipe.id, ring, construction, e, g, h, metadata, max_table)
 
 
 def _admissible(recipes) -> list[SearchResult]:

@@ -18,8 +18,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Iterable
+
+# zdbkit calls no BLAS routine, so numpy need not start a thread per core; a set value is kept
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -39,7 +43,8 @@ if TYPE_CHECKING:
 # csv, which write it, one same-symbol row pair of a column (the sum of
 # squared class sizes) for check-bounds on a codebook, as well as one pair of
 # rows when it has more rows than columns, and one entry of a subgroup's e x e
-# product table for the subgroups of cosets and zdb.
+# product table or of a partition's e x n one for cosets, zdb construct and
+# catalog recipe.
 ORDER_LIMIT = 10_000
 
 
@@ -90,14 +95,22 @@ def _table_limit(args) -> int | None:
     return None if args.force else ORDER_LIMIT**2
 
 
-def _subgroup_arg(args, ring: Ring, spec: str):
-    """A single generator index, or a comma separated element list."""
+def _subgroup_arg(args, ring: Ring, flag: str):
+    """The subgroup that --g or --h gives: a single generator index, or a
+    comma separated element list."""
     from .cosets import cyclic_subgroup, subgroup_from_elements
 
+    spec = getattr(args, flag)
+    try:
+        indices = [int(tok) for tok in spec.split(",")]
+    except ValueError:
+        raise _UsageError(
+            f"--{flag} must be a generator index or comma separated element indices, "
+            f"got {spec!r}"
+        ) from None
     if "," in spec:
-        elems = [int(tok) for tok in spec.split(",") if tok.strip()]
-        return subgroup_from_elements(ring, elems, _table_limit(args))
-    return cyclic_subgroup(ring, int(spec), _table_limit(args))
+        return subgroup_from_elements(ring, indices, _table_limit(args))
+    return cyclic_subgroup(ring, indices[0], _table_limit(args))
 
 
 def _load_fn(path: str) -> ZdbFunction:
@@ -160,8 +173,8 @@ def _cmd_cosets_partition(args) -> int:
     from .cosets import coset_partition
 
     ring = _ring_arg(args.ring)
-    group = _subgroup_arg(args, ring, args.g)
-    part = coset_partition(ring, group)
+    group = _subgroup_arg(args, ring, "g")
+    part = coset_partition(ring, group, _table_limit(args))
     if args.format == "text":
         _write(
             args,
@@ -177,15 +190,15 @@ def _cmd_zdb_construct(args) -> int:
     from .construct import construct_doubled, construct_generic, construct_product
 
     ring = _ring_arg(args.ring)
-    group = _subgroup_arg(args, ring, args.g)
+    group = _subgroup_arg(args, ring, "g")
     if args.mode == "generic":
-        fn = construct_generic(ring, group)
+        fn = construct_generic(ring, group, _table_limit(args))
     elif args.mode == "doubled":
         fn = construct_doubled(ring, group, _table_limit(args))
     else:
         if args.h is None:
             raise _UsageError("the product construction needs --h")
-        fn = construct_product(ring, group, _subgroup_arg(args, ring, args.h))
+        fn = construct_product(ring, group, _subgroup_arg(args, ring, "h"), _table_limit(args))
     if args.format == "text":
         _write(args, _zdb_text(*fn.claimed_parameters()))
     else:
@@ -306,7 +319,7 @@ def _cmd_catalog_recipe(args) -> int:
     from .catalog import Recipe, run_recipe
 
     params = json.loads(_load_text(args.params))
-    result = run_recipe(Recipe(args.id, params))
+    result = run_recipe(Recipe(args.id, params), _table_limit(args))
     _write(args, _result_lines(args, [result]))
     return 0
 

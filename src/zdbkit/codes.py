@@ -271,9 +271,6 @@ class CodeBook:
         ends = n * np.arange(1, rows + 1)
         return _list_text(((band.ravel(), ends[: len(band)]) for band in bands), symbols, fmt)
 
-    def to_csv(self) -> str:
-        return b"".join(self.text_parts("csv")).decode("ascii")
-
 
 def _decimal(keys: np.ndarray) -> np.ndarray:
     """Each key as the text "%d," in a fixed-width byte array: right-aligned,
@@ -512,9 +509,6 @@ class DssSystem:
         one per block with its points joined by commas (fmt "csv"), in byte
         parts of about 8 * _BAND points each."""
         return _block_text(self.points, self.ends, fmt)
-
-    def to_csv(self) -> str:
-        return b"".join(self.text_parts("csv")).decode("ascii")
 
 
 def _not_an_element(x, order: int) -> ValueError:

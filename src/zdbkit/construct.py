@@ -96,9 +96,10 @@ def _segment_labels(kind: str, reps: np.ndarray | None, gs: np.ndarray | None) -
     return [{"kind": kind, "rep": rep, "g": g} for rep in reps.tolist() for g in gs]
 
 
-def construct_generic(ring: Ring, group: Subgroup) -> ZdbFunction:
-    """Coset-indicator function on (R, +) for a unit-difference subgroup."""
-    partition = coset_partition(ring, group)  # enforces the unit-difference condition
+def construct_generic(ring: Ring, group: Subgroup, max_table: int | None = None) -> ZdbFunction:
+    """Coset-indicator function on (R, +) for a unit-difference subgroup.
+    Given max_table, a partition with a larger e x n table is refused."""
+    partition = coset_partition(ring, group, max_table)  # enforces the unit-difference condition
     n = ring.order
     e = group.order
     # symbol s is the coset of the s-th representative
@@ -115,8 +116,11 @@ def construct_generic(ring: Ring, group: Subgroup) -> ZdbFunction:
     )
 
 
-def construct_product(ring: Ring, g_group: Subgroup, h_group: Subgroup) -> ZdbFunction:
-    """Four-case function on (R, +) x (G, *) from subgroups of orders e and e-1."""
+def construct_product(
+    ring: Ring, g_group: Subgroup, h_group: Subgroup, max_table: int | None = None
+) -> ZdbFunction:
+    """Four-case function on (R, +) x (G, *) from subgroups of orders e and e-1.
+    Given max_table, a partition with a larger e x n table is refused."""
     e = g_group.order
     if e < 2:
         raise ConditionNotSatisfiedError("the first subgroup must have order at least 2")
@@ -124,8 +128,8 @@ def construct_product(ring: Ring, g_group: Subgroup, h_group: Subgroup) -> ZdbFu
         raise ConditionNotSatisfiedError(
             f"subgroup orders must differ by one: |G| = {e}, |H| = {h_group.order}"
         )
-    pg = coset_partition(ring, g_group)  # each enforces the unit-difference condition
-    ph = coset_partition(ring, h_group)
+    pg = coset_partition(ring, g_group, max_table)  # each enforces the unit-difference condition
+    ph = coset_partition(ring, h_group, max_table)
     n = ring.order
 
     # symbols: 0 zero, 1 zero_pair, then one per nonzero H coset, then
@@ -177,7 +181,7 @@ def construct_product(ring: Ring, g_group: Subgroup, h_group: Subgroup) -> ZdbFu
 
 def construct_doubled(ring: Ring, group: Subgroup, max_table: int | None = None) -> ZdbFunction:
     """Generic construction over G union -G; needs g+1 invertible throughout.
-    Given max_table, a doubled group with a larger e x e table is refused."""
+    Given max_table, a doubled group with a larger e x e or e x n table is refused."""
     if ring.order < 3:
         raise ConditionNotSatisfiedError("doubling needs a ring of order at least 3")
     doubled = doubled_subgroup(ring, group, max_table)  # rejects -1 in G first
@@ -186,7 +190,7 @@ def construct_doubled(ring: Ring, group: Subgroup, max_table: int | None = None)
             "subgroup fails the plus-one condition: some g + 1 is not a unit"
         )
     # the partition by G union -G checks g - 1 for every g in G
-    fn = construct_generic(ring, doubled)
+    fn = construct_generic(ring, doubled, max_table)
     fn.provenance = {
         "construction": "doubled",
         "group": group.to_json(),

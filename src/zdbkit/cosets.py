@@ -27,7 +27,7 @@ import functools
 import numpy as np
 
 from .errors import ConditionNotSatisfiedError, DegenerateDoublingError
-from .groups import Subgroup, cyclic_subgroup, subgroup_from_elements
+from .groups import Subgroup, _check_table, cyclic_subgroup, subgroup_from_elements
 from .rings import Ring, _position_dtype
 
 __all__ = [
@@ -150,9 +150,9 @@ class CosetPartition:
     ``coset_index[r]`` is the number of the coset holding r (0 for r = 0),
     and ``column_positions[r]`` the subgroup position of g in r = rep * g
     (-1 for r = 0).  The indicator arrays ``row_indicators`` and
-    ``column_indicators`` (entry 0 is 0 and -1) and the tuples ``reps``
-    and ``cosets`` are built from them when first read.  Every array holds
-    positions in the ring, int32 while its order is below 2**31.
+    ``column_indicators`` (entry 0 is 0 and -1) are built from them when
+    first read.  Every array holds positions in the ring, int32 while its
+    order is below 2**31.
     """
 
     def __init__(self, ring: Ring, group: Subgroup):
@@ -177,7 +177,7 @@ class CosetPartition:
         self.coset_index[members] = np.arange(1, len(reps), dtype=dtype)
         self.column_positions = positions
         for arr in (self.rep_array, self.coset_index, self.column_positions):
-            arr.flags.writeable = False  # the derived indicators and tuples read them
+            arr.flags.writeable = False  # the derived indicators read them
 
     @functools.cached_property
     def row_indicators(self) -> np.ndarray:
@@ -188,37 +188,6 @@ class CosetPartition:
         elems = np.asarray(self.subgroup.elements + (-1,), dtype=np.int64)
         return elems[self.column_positions]  # position -1 reads the appended -1
 
-    @functools.cached_property
-    def reps(self) -> tuple[int, ...]:
-        """Representatives of all cosets, ascending; 0 first."""
-        return tuple(self.rep_array.tolist())
-
-    def _coset_lists(self) -> list[list[int]]:
-        by_coset = np.argsort(self.coset_index, kind="stable")  # ascending inside a coset
-        return [[0]] + by_coset[1:].reshape(-1, self.subgroup.order).tolist()
-
-    @functools.cached_property
-    def cosets(self) -> tuple[tuple[int, ...], ...]:
-        """The cosets in representative order, each ascending; (0,) first."""
-        return tuple(map(tuple, self._coset_lists()))
-
-    @property
-    def nonzero_reps(self) -> tuple[int, ...]:
-        """Representatives of the nonzero cosets, ascending."""
-        return self.reps[1:]
-
-    def row_indicator(self, r: int) -> int:
-        """The representative a of the coset containing nonzero r."""
-        if r == 0:
-            raise ValueError("indicators are defined for nonzero elements only")
-        return int(self.row_indicators[self.ring._check(r)])
-
-    def column_indicator(self, r: int) -> int:
-        """The group element g with r = row_indicator(r) * g."""
-        if r == 0:
-            raise ValueError("indicators are defined for nonzero elements only")
-        return int(self.column_indicators[self.ring._check(r)])
-
     def __repr__(self) -> str:
         return (
             f"CosetPartition(ring={self.ring!r}, subgroup_order={self.subgroup.order}, "
@@ -226,13 +195,19 @@ class CosetPartition:
         )
 
     def to_json(self) -> dict:
+        """The subgroup, the cosets in representative order, each ascending
+        and (0,) first, and the representatives."""
+        by_coset = np.argsort(self.coset_index, kind="stable")  # ascending inside a coset
         return {
             "subgroup": self.subgroup.to_json(),
-            "cosets": self._coset_lists(),
+            "cosets": [[0]] + by_coset[1:].reshape(-1, self.subgroup.order).tolist(),
             "reps": self.rep_array.tolist(),
         }
 
 
-def coset_partition(ring: Ring, group: Subgroup) -> CosetPartition:
-    """Partition the ring by the subgroup, checking the preconditions."""
+def coset_partition(ring: Ring, group: Subgroup, max_table: int | None = None) -> CosetPartition:
+    """Partition the ring by the subgroup, checking the preconditions.
+    Given max_table, a larger e x n product table is refused before it exists."""
+    n, e = ring.order, group.order
+    _check_table(f"a partition of a ring of order {n} by a subgroup of order {e}", e * n, max_table)
     return CosetPartition(ring, group)

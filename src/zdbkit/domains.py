@@ -126,9 +126,6 @@ class AbelianDomain:
     def inverse(self, a: int) -> int:
         raise NotImplementedError
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def shift_rows(self, deltas: Sequence[int]) -> np.ndarray:
         """Array of shape (len(deltas), order): row i is y -> op(delta_i, y),
         int32 while the order is below 2**31, else int64.  It is allocated

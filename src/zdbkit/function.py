@@ -17,7 +17,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .domains import AbelianDomain, RingTimesGroupDomain, _sorted_by_label, domain_from_json
+from .domains import AbelianDomain, _sorted_by_label, domain_from_json
 from .errors import _field, _int_list, _typed
 from .rings import _position_dtype
 
@@ -89,17 +89,6 @@ class ZdbFunction:
 
     def claimed_parameters(self) -> tuple[int, int, int]:
         return (self.n, self.q, self.claimed_lambda)
-
-    def _flat(self, y) -> int:
-        if isinstance(y, tuple):
-            if not isinstance(self.domain, RingTimesGroupDomain):
-                raise ValueError("pair elements apply to product domains only")
-            return self.domain.encode(y)
-        return int(y)
-
-    def evaluate(self, y) -> int:
-        """Symbol at y; y is a flat index, or a (ring, group) pair on product domains."""
-        return int(self.table[self._flat(y)])
 
     def to_json(self) -> dict:
         return {

@@ -53,7 +53,7 @@ class Subgroup:
         for g in elems:
             ring._check(g)
         e = len(elems)
-        _check_table(e, max_table)
+        _check_table(f"a subgroup of order {e}", e * e, max_table)
         ordered = np.asarray(elems, dtype=np.int64)
         products = ring.mul_vec(ordered[:, None], ordered[None, :])  # [i, j] = g_i * g_j
         mul_pos = np.searchsorted(ordered, products)
@@ -107,11 +107,10 @@ class Subgroup:
         return {"elements": list(self.elements), "generator": self.generator}
 
 
-def _check_table(e: int, max_table: int | None) -> None:
-    if max_table is not None and e * e > max_table:
+def _check_table(what: str, entries: int, max_table: int | None) -> None:
+    if max_table is not None and entries > max_table:
         raise OversizedError(
-            f"a subgroup of order {e} needs {e * e:,} product table entries, "
-            f"over the limit of {max_table:,}"
+            f"{what} needs {entries:,} product table entries, over the limit of {max_table:,}"
         )
 
 
@@ -131,7 +130,7 @@ def cyclic_subgroup(ring: Ring, b: int, max_table: int | None = None) -> Subgrou
         powers.append(x)
         x = ring.mul(x, b)
     e = len(powers)
-    _check_table(e, max_table)
+    _check_table(f"a subgroup of order {e}", e * e, max_table)
     exps = np.array(powers).argsort()  # exps[i] = k_i
     pos = exps.argsort()  # exponent -> position
     mul_pos = pos[(exps[:, None] + exps) % e]

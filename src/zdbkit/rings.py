@@ -168,9 +168,6 @@ class Ring:
         """Index of the multiplicative identity."""
         raise NotImplementedError
 
-    def zero(self) -> int:
-        return 0
-
     def is_unit(self, a: int) -> bool:
         """True when a is a unit.  The kinds with a cheaper test than
         finding the inverse override it."""
@@ -179,10 +176,6 @@ class Ring:
     def unit_count(self) -> int:
         """Number of units, in closed form."""
         raise NotImplementedError
-
-    def elements(self) -> range:
-        """All elements in index order."""
-        return range(self.order)
 
     def is_commutative(self) -> bool:
         raise NotImplementedError

@@ -55,9 +55,9 @@ class DifferenceSpectrum:
     """Coincidence counts over all non-identity shifts.
 
     counts[a] is the coincidence count at shift a for every domain
-    element a; at the identity it is the order.  per_shift (shift index
-    -> count) and histogram (count value -> number of shifts attaining
-    it) are views of the non-identity entries.
+    element a; at the identity it is the order.  shift_counts (the counts
+    without the identity's, in shift order) and histogram (count value ->
+    number of shifts attaining it) are views of the non-identity entries.
     """
 
     order: int
@@ -67,10 +67,6 @@ class DifferenceSpectrum:
     @property
     def shift_counts(self) -> np.ndarray:
         return np.concatenate((self.counts[: self.identity], self.counts[self.identity + 1 :]))
-
-    @property
-    def per_shift(self) -> dict[int, int]:
-        return {d: c for d, c in enumerate(self.counts.tolist()) if d != self.identity}
 
     @property
     def histogram(self) -> dict[int, int]:
@@ -93,10 +89,6 @@ class DifferenceSpectrum:
     @property
     def is_constant(self) -> bool:
         return self._extremes[0] == self._extremes[1]
-
-    @property
-    def constant_value(self) -> int | None:
-        return self.min_count if self.is_constant else None
 
     def to_json(self) -> dict:
         return {

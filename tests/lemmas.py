@@ -47,10 +47,10 @@ def check_column_ratios(partition) -> bool:
     inverse_of = {g: elems[group.inv_pos[i]] for i, g in enumerate(elems)}
     target = set(elems)
     for r in range(1, ring.order):
-        ci_r = partition.column_indicator(r)
+        ci_r = int(partition.column_indicators[r])
         ratios = set()
         for g in elems:
-            ci_rg = partition.column_indicator(ring.mul(r, g))
+            ci_rg = int(partition.column_indicators[ring.mul(r, g)])
             ratio = ring.mul(ci_r, inverse_of[ci_rg])
             if (ratio == one) != (g == one):
                 return False

@@ -39,7 +39,7 @@ def test_criterion_01_cor2_search_builds_100_34_2():
     assert result.certified == (100, 34, 2)
 
     spec = difference_spectrum(result.fn)
-    assert spec.is_constant and spec.constant_value == 2
+    assert spec.is_constant and spec.min_count == 2
     assert len(set(result.fn.table)) == 34
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
     print(f"criterion 1 PASS: (100, 34, 2) certified in {elapsed:.3f}s, spectrum constant at 2")

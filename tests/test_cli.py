@@ -692,10 +692,11 @@ def test_check_bounds_on_stored_dss_shapes(run_cli, tmp_path, blocks, claims, co
 
 
 def test_an_allocation_that_fails_is_exit_2_without_a_traceback():
-    # this recipe's ring has about 1.1e18 elements; numpy refuses its first array at once
+    # this recipe's ring has about 1.1e18 elements; past the partition limit with --force,
+    # numpy refuses its first array at once
     params = '{"b":10,"s":19}'
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    argv = ["catalog", "recipe", "--id", "zha_cor1", "--params", params]
+    argv = ["catalog", "recipe", "--id", "zha_cor1", "--params", params, "--force"]
     run = subprocess.run(
         [sys.executable, "-m", "zdbkit.cli", *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
@@ -749,6 +750,96 @@ def test_a_doubled_subgroup_past_the_limit_needs_force(run_cli, monkeypatch):
         "pass --force to run anyway\n"
     )
     assert run_cli([*argv, "--force"])[0] == 0
+
+
+PARTITION_PROBES = [
+    (
+        ["catalog", "recipe", "--id", "zha_cor1", "--params", '{"b":10,"s":19}'],
+        "1111111111111111111", 19, "21,111,111,111,111,111,109",
+    ),
+    (
+        ["catalog", "recipe", "--id", "ding_thm3", "--params", '{"m":61}'],
+        "2305843009213693951", 61, "140,656,423,562,035,331,011",
+    ),
+    (
+        ["catalog", "recipe", "--id", "cor2", "--params", '{"q_list":[25000009],"e":4}'],
+        "25000009", 4, "100,000,036",
+    ),
+    (
+        ["zdb", "construct", "generic", "--ring", '{"kind":"residue","n":1000000000039}', "--g", "1"],
+        "1000000000039", 1, "1,000,000,000,039",
+    ),
+    (
+        ["cosets", "partition", "--ring", '{"kind":"residue","n":1000000000039}', "--g", "1"],
+        "1000000000039", 1, "1,000,000,000,039",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,n,e,entries", PARTITION_PROBES, ids=["zha_cor1", "ding_thm3", "cor2", "construct", "cosets"]
+)
+def test_partition_tables_past_the_limit_need_force(run_cli, argv, n, e, entries):
+    # the e x n table of r * g_j is refused before the partition allocates it
+    def built(*args):
+        raise AssertionError("a partition was built")
+
+    start = time.perf_counter()
+    with patch.object(cosets_module, "CosetPartition", built):
+        code, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: a partition of a ring of order {n} by a subgroup of order {e} needs {entries} "
+        "product table entries, over the limit of 100,000,000; pass --force to run anyway\n"
+    )
+
+
+def test_a_partition_table_under_the_limit_runs(run_cli, monkeypatch):
+    # <2> in Z_7 has order 3: its 9-entry subgroup table passes both limits, and
+    # its 3 x 7 partition table passes 5^2 entries but not 4^2
+    argv = ["cosets", "partition", "--ring", Z7_RING, "--g", "2", "--format", "text"]
+    monkeypatch.setattr(cli_module, "ORDER_LIMIT", 5)
+    assert run_cli(argv) == (0, "order 7: zero class plus 2 cosets of size 3\n", "")
+    monkeypatch.setattr(cli_module, "ORDER_LIMIT", 4)
+    assert run_cli(argv) == (
+        2,
+        "",
+        "error: a partition of a ring of order 7 by a subgroup of order 3 needs 21 product "
+        "table entries, over the limit of 16; pass --force to run anyway\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cosets", "partition", "--ring", Z7_RING, "--g", "abc"],
+        ["cosets", "partition", "--ring", Z7_RING, "--g", "1,,2"],
+        ["zdb", "construct", "product", "--ring", Z7_RING, "--g", "2", "--h", "6,"],
+    ],
+    ids=["not-an-index", "empty-item", "trailing-comma"],
+)
+def test_a_subgroup_flag_that_is_not_indices_is_named(run_cli, argv):
+    flag, value = argv[-2:]
+    assert run_cli(argv) == (
+        2,
+        "",
+        f"error: {flag} must be a generator index or comma separated element indices, "
+        f"got {value!r}\n",
+    )
+
+
+@pytest.mark.parametrize("given,seen", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+def test_the_cli_keeps_openblas_to_one_thread_unless_told(given, seen):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    run = subprocess.run(
+        [sys.executable, "-c", "import os, zdbkit.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, f"{seen}\n", "")
 
 
 def _modules_loaded(*argvs, stderr=""):

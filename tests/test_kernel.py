@@ -48,7 +48,7 @@ and ``codewords``, built on first read, against the matrix itself.
 
 The JSON boundary of codeword matrices is checked the same way: the one
 list writer, on the row bands of a stored book, against ``json.dumps`` of
-the nested lists and ``CodeBook.to_csv`` against the per-element join it
+the nested lists and its CSV text against the per-element join it
 replaced, on ragged block lists cut into bands of whole blocks (a block
 longer than a band, empty blocks that end one band and start another)
 against both, and a derived book's text,
@@ -233,7 +233,7 @@ def test_kernel_spectrum_matches_gather_scan(fn, block):
     with patch.object(domains_module, "_PAIR_BLOCK", block):
         spec = difference_spectrum(fn)
     naive = gather_spectrum(fn)
-    assert spec.per_shift == naive
+    assert spec.shift_counts.tolist() == list(naive.values())
     assert spec.counts[fn.domain.identity] == fn.n
     assert sum(naive.values()) == sum(w * w for w in np.bincount(fn.table).tolist()) - fn.n
 
@@ -534,7 +534,7 @@ def preimage_lists(fn):
     """Each symbol's preimage, ascending, by a plain loop over the table."""
     blocks = [[] for _ in range(fn.q)]
     for y in range(fn.n):
-        blocks[fn.evaluate(y)].append(y)
+        blocks[fn.table[y]].append(y)
     return blocks
 
 
@@ -550,7 +550,8 @@ def test_dss_arrays_match_the_preimage_lists(fn):
     assert data["blocks"] == blocks
     assert system.to_json(blocks=False) == {**data, "blocks": None}
     assert b"".join(system.text_parts("json")).decode() == json.dumps(blocks, separators=(",", ":"))
-    assert system.to_csv() == "\n".join(",".join(str(y) for y in b) for b in blocks) + "\n"
+    csv = b"".join(system.text_parts("csv")).decode()
+    assert csv == "\n".join(",".join(str(y) for y in b) for b in blocks) + "\n"
     assert [b.tolist() for b in system.blocks] == blocks
     again = DssSystem.from_json(json.loads(json.dumps(data)))
     assert again.to_json() == data
@@ -1084,7 +1085,7 @@ def test_csv_writer_matches_the_element_join(words, band):
     m, n = words.shape
     book = CodeBook("CCC", n, m, int(words.max()) + 1, 0, 0, words)
     with patch.object(codes_module, "_BAND", band):
-        assert book.to_csv() == joined_csv(words)
+        assert b"".join(book.text_parts("csv")).decode() == joined_csv(words)
 
 
 @SETTINGS
@@ -1114,7 +1115,8 @@ def test_block_writer_matches_json_dumps_and_the_line_join(blocks, band):
 def test_empty_matrices_are_written_as_before(shape):
     words = np.zeros(shape, dtype=np.int16)
     assert b"".join(matrix_json(words)).decode() == json.dumps(words.tolist(), separators=(",", ":"))
-    assert CodeBook("CCC", 0, 0, 1, 0, 0, words).to_csv() == joined_csv(words)
+    csv = b"".join(CodeBook("CCC", 0, 0, 1, 0, 0, words).text_parts("csv")).decode()
+    assert csv == joined_csv(words)
 
 
 # each mutation replaces one symbol token, or reshapes the matrix or the object
