@@ -125,7 +125,9 @@ def _guard(fn: ZdbFunction, matrix: bool, force: bool) -> None:
         cost, what = fn.n * fn.n, "codeword matrix entries"
     else:
         # over the symbols that occur: the claimed q may be far larger than the table
-        multiplicity = np.diff(fn.grouping[1], prepend=0).astype(np.int64)
+        from .domains import _run_sizes
+
+        multiplicity = _run_sizes(fn.grouping[1]).astype(np.int64)
         cost, what = int(multiplicity @ multiplicity), "in-class pairs"
     if cost > ORDER_LIMIT**2 and not force:
         raise OversizedError(

@@ -811,7 +811,7 @@ def dss_perfect_check(system: DssSystem, *, max_pairs: int | None = None) -> Per
         return _Coverage(0, False, None)
     partitioned = system.recount()[2]
     if max_pairs is not None:
-        sizes = np.diff(ends, prepend=0).astype(np.int64)
+        sizes = _run_sizes(ends).astype(np.int64)
         pairs = int(sizes @ sizes) + (0 if partitioned else len(points) ** 2)
         if pairs > max_pairs:
             raise OversizedError(

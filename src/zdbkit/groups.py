@@ -34,7 +34,8 @@ class Subgroup:
     ``cyclic_subgroup`` needs no such check: it fills the tables from the
     exponents of the powers it walked.  Given max_table, both refuse a
     subgroup whose e x e table has more entries with OversizedError before
-    building it.
+    building it; ``cyclic_subgroup`` stops its walk as soon as the order is
+    known to be too large.
     """
 
     def __init__(
@@ -129,6 +130,12 @@ def cyclic_subgroup(ring: Ring, b: int, max_table: int | None = None) -> Subgrou
     while x != one:  # a unit's powers return to 1 in a finite ring
         powers.append(x)
         x = ring.mul(x, b)
+        if max_table is not None and x != one and len(powers) ** 2 > max_table:
+            # the order is past len(powers): stop before walking all of it
+            raise OversizedError(
+                f"the subgroup generated by {b} has order over {len(powers):,} and needs over "
+                f"{len(powers) ** 2:,} product table entries, over the limit of {max_table:,}"
+            )
     e = len(powers)
     _check_table(f"a subgroup of order {e}", e * e, max_table)
     exps = np.array(powers).argsort()  # exps[i] = k_i

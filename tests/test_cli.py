@@ -810,6 +810,44 @@ def test_a_partition_table_under_the_limit_runs(run_cli, monkeypatch):
     )
 
 
+WALK_PROBE = ["zdb", "construct", "generic", "--ring", '{"kind":"residue","n":1000000000039}',
+              "--g", "2"]
+WALK_REFUSAL = (
+    "error: the subgroup generated by 2 has order over 10,001 and needs over 100,020,001 "
+    "product table entries, over the limit of 100,000,000; pass --force to run anyway\n"
+)
+
+
+def test_a_subgroup_walk_past_the_limit_stops_early(run_cli):
+    # 2 has order 500000000019 modulo this prime: the walk stops at the powers 2^0 to
+    # 2^10000, 10,000 products, instead of visiting every power before the e x e
+    # table is checked
+    steps = []
+    mul = ResidueRing.mul
+
+    def counted(self, a, b):
+        steps.append(1)
+        if len(steps) > 10_000:  # the parent's walk would run for hours
+            raise AssertionError("the walk went on past the limit")
+        return mul(self, a, b)
+
+    start = time.perf_counter()
+    with patch.object(ResidueRing, "mul", counted):
+        assert run_cli(WALK_PROBE) == (2, "", WALK_REFUSAL)
+    assert time.perf_counter() - start < 1
+    assert len(steps) == 10_000
+
+
+def test_a_subgroup_walk_past_the_limit_is_refused_by_the_cli():
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "zdbkit.cli", *WALK_PROBE], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=10,
+    )
+    assert time.perf_counter() - start < 1
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", WALK_REFUSAL)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
