@@ -18,7 +18,7 @@ _MODULE_OF = {
     name: f"{__name__}.{module}"
     for module, names in {
         "catalog": "RECIPE_IDS CertificationReport Recipe SearchResult certify_all"
-        " default_catalog find_element_of_order run_recipe search_cor1 search_cor2_scan",
+        " default_catalog find_element_of_order run_recipe search",
         "codes": "BoundReport CodeBook DssSystem ccc_bound ccc_from_zdb ccc_report"
         " cwc_bound cwc_from_zdb cwc_report distance_range dss_bound dss_from_zdb"
         " dss_perfect_check dss_report",

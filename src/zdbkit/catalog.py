@@ -25,8 +25,8 @@ alone: generic (n, (n-1)/e + 1, e-1), doubled the same with 2e for e,
 product (en, (en-1)/(e-1) + 1, e-2).  ``run_recipe`` reads the params
 strictly (exact integers, no missing or unknown names), runs the family
 function, builds and verifies the instance exhaustively, and matches
-the closed form; ``search_cor1`` and ``search_cor2_scan`` keep the
-candidates of a range whose hypotheses hold.  Each result keeps the
+the closed form; ``search`` walks the one param a recipe leaves out over
+0 .. top and keeps the candidates that certify.  Each result keeps the
 verification its build made; a function's table is read-only, so that
 result stays valid.  ``certify_all`` checks each result against the
 closed form and the composition profile and, on product instances,
@@ -75,9 +75,8 @@ __all__ = [
     "CertificationReport",
     "RECIPE_IDS",
     "find_element_of_order",
-    "search_cor1",
-    "search_cor2_scan",
     "run_recipe",
+    "search",
     "default_catalog",
     "certify_all",
 ]
@@ -87,9 +86,6 @@ __all__ = [
 class Recipe:
     id: str
     params: dict
-
-    def to_json(self) -> dict:
-        return {"id": self.id, "params": self.params}
 
 
 @dataclass
@@ -363,12 +359,16 @@ def _read_params(recipe: Recipe, names: tuple[str, ...]) -> list:
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _entry(recipe: Recipe) -> tuple:
+    if recipe.id not in _RECIPES:
+        raise ValueError(f"unknown recipe id {recipe.id!r}; known: {RECIPE_IDS}")
+    return _RECIPES[recipe.id]
+
+
 def run_recipe(recipe: Recipe, max_table: int | None = None) -> SearchResult:
     """Check hypotheses, build, verify, and match the closed form.  Given
     max_table, a larger e x e subgroup or e x n partition table is refused."""
-    if recipe.id not in _RECIPES:
-        raise ValueError(f"unknown recipe id {recipe.id!r}; known: {RECIPE_IDS}")
-    names, family = _RECIPES[recipe.id]
+    names, family = _entry(recipe)
     values = _read_params(recipe, names)
     ring, construction, e, g, h, metadata = family(*values)
     # labels print q_list as q
@@ -377,39 +377,28 @@ def run_recipe(recipe: Recipe, max_table: int | None = None) -> SearchResult:
     return _certified_build(label, recipe.id, ring, construction, e, g, h, metadata, max_table)
 
 
-def _admissible(recipes) -> list[SearchResult]:
-    """The certified instances of the recipes whose hypotheses hold."""
-    out = []
-    for recipe in recipes:
+def search(recipe: Recipe, top: int, max_table: int | None = None) -> list[SearchResult]:
+    """The certified instances of a recipe whose params leave out one name, that
+    name taking each value 0 .. top (q_list each [q]) in turn through run_recipe.
+    A candidate refused by its hypotheses or by a missing generator is skipped;
+    when none certifies, a NotFoundError names the last refusal."""
+    names, params = _entry(recipe)[0], recipe.params
+    free = [name for name in names if type(params) is dict and name not in params]
+    if len(free) != 1:
+        raise ValueError(f"recipe {recipe.id}: params must omit one of {names}, got {params!r}")
+    (name,) = free
+    out, last = [], "the range is empty"
+    for value in range(top + 1):
+        candidate = Recipe(recipe.id, {**params, name: [value] if name == "q_list" else value})
         try:
-            out.append(run_recipe(recipe))
-        except RecipeHypothesisError:
-            continue
+            out.append(run_recipe(candidate, max_table))
+        except (RecipeHypothesisError, NotFoundError) as exc:
+            last = exc
+    if not out:
+        raise NotFoundError(
+            f"recipe {recipe.id}: no {name} in 0 .. {top} certifies; the last refusal: {last}"
+        )
     return out
-
-
-def search_cor1(n_max: int, e: int) -> list[SearchResult]:
-    """All odd n <= n_max whose primes are 1 mod e(e-1), built and certified."""
-    if e < 2:
-        raise ValueError(f"product construction needs e >= 2, got {e}")
-    if n_max < 3:
-        raise ValueError(f"n_max must be at least 3, got {n_max}")
-    return _admissible(Recipe("cor1", {"n": n, "e": e}) for n in range(3, n_max + 1, 2))
-
-
-def search_cor2_scan(q_max: int, e: int) -> list[SearchResult]:
-    """Certified single-field instances for every prime power q <= q_max.
-
-    The admissibility condition is e(e-1) | q - 1; the multiplicative
-    group of GF(q) is cyclic, so that divisibility alone guarantees the
-    two generators exist.
-    """
-    if e < 2:
-        raise ValueError(f"product construction needs e >= 2, got {e}")
-    step = e * (e - 1)
-    return _admissible(
-        Recipe("cor2", {"q_list": [q], "e": e}) for q in range(step + 1, q_max + 1, step)
-    )
 
 
 def default_catalog() -> list[SearchResult]:

@@ -43,8 +43,8 @@ if TYPE_CHECKING:
 # csv, which write it, one same-symbol row pair of a column (the sum of
 # squared class sizes) for check-bounds on a codebook, as well as one pair of
 # rows when it has more rows than columns, and one entry of a subgroup's e x e
-# product table or of a partition's e x n one for cosets, zdb construct and
-# catalog recipe.
+# product table or of a partition's e x n one for cosets, zdb construct,
+# catalog recipe and each candidate of catalog search.
 ORDER_LIMIT = 10_000
 
 
@@ -298,31 +298,29 @@ def _cmd_check_bounds(args) -> int:
     return 1 if problems else 0
 
 
-def _result_lines(args, results) -> str | Iterable[bytes]:
+def _result_lines(args, rows: list[dict]) -> str | Iterable[bytes]:
+    """One line per certified instance row: its JSON, or its parameters and label."""
     if args.format == "text":
         return "".join(
-            _zdb_text(*r.certified).rstrip("\n") + f"  {r.label}\n" for r in results
+            _zdb_text(*row["parameters"]).rstrip("\n") + f"  {row['label']}\n" for row in rows
         )
-    return [part for r in results for part in _dumps(r.to_json())]
+    return [part for row in rows for part in _dumps(row)]
 
 
 def _cmd_catalog_search(args) -> int:
-    from .catalog import search_cor1, search_cor2_scan
+    from .catalog import Recipe, search
 
-    if args.construction == "cor1":
-        results = search_cor1(args.max, args.e)
-    else:
-        results = search_cor2_scan(args.max, args.e)
-    _write(args, _result_lines(args, results))
+    recipe = Recipe(args.id, json.loads(_load_text(args.params)))
+    results = search(recipe, args.max, _table_limit(args))
+    _write(args, _result_lines(args, [r.to_json() for r in results]))
     return 0
 
 
 def _cmd_catalog_recipe(args) -> int:
     from .catalog import Recipe, run_recipe
 
-    params = json.loads(_load_text(args.params))
-    result = run_recipe(Recipe(args.id, params), _table_limit(args))
-    _write(args, _result_lines(args, [result]))
+    recipe = Recipe(args.id, json.loads(_load_text(args.params)))
+    _write(args, _result_lines(args, [run_recipe(recipe, _table_limit(args)).to_json()]))
     return 0
 
 
@@ -333,14 +331,7 @@ def _cmd_catalog_certify(args) -> int:
     if args.max_order is not None:
         results = [r for r in results if r.certified[0] <= args.max_order]
     report = certify_all(results)
-    if args.format == "text":
-        body = "".join(
-            _zdb_text(*row["parameters"]).rstrip("\n") + f"  {row['label']}\n"
-            for row in report.rows
-        )
-    else:
-        body = [part for row in report.rows for part in _dumps(row)]
-    _write(args, body)
+    _write(args, _result_lines(args, report.rows))
     print(report.summary(), file=sys.stderr)
     return 0
 
@@ -404,10 +395,10 @@ def _build_parser(recipe_ids: tuple[str, ...]) -> argparse.ArgumentParser:
     catalog = top.add_parser("catalog", help="recipe book").add_subparsers(
         dest="subcommand", required=True
     )
-    p = catalog.add_parser("search", parents=[common], help="scan admissible parameters")
-    p.add_argument("--construction", choices=("cor1", "cor2"), required=True)
-    p.add_argument("--e", type=int, required=True, help="subgroup order")
-    p.add_argument("--max", type=int, required=True, help="largest ring (or field) order")
+    p = catalog.add_parser("search", parents=[common], help="walk one recipe parameter")
+    p.add_argument("--id", choices=recipe_ids, required=True)
+    p.add_argument("--params", required=True, help="every recipe parameter but one, or @file")
+    p.add_argument("--max", type=int, required=True, help="largest value of the one left out")
     p.set_defaults(handler=_cmd_catalog_search)
     p = catalog.add_parser("recipe", parents=[common], help="run one named recipe")
     p.add_argument("--id", choices=recipe_ids, required=True)

@@ -24,8 +24,7 @@ from zdbkit import (
     certify_all,
     find_element_of_order,
     run_recipe,
-    search_cor1,
-    search_cor2_scan,
+    search,
     verify_zdb,
 )
 
@@ -53,7 +52,7 @@ def admissible_cor1(n, e):
     (4, [13, 37, 61, 73, 97]),
 ])
 def test_search_cor1_against_sieve(e, expected):
-    results = search_cor1(100, e)
+    results = search(Recipe("cor1", {"e": e}), 100)
     ns = [r.metadata["n"] for r in results]
     assert ns == expected
     assert ns == [n for n in range(3, 101) if admissible_cor1(n, e)]
@@ -65,10 +64,23 @@ def test_search_cor1_against_sieve(e, expected):
 
 
 def test_search_cor1_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        search_cor1(100, 1)
-    with pytest.raises(ValueError):
-        search_cor1(2, 3)
+    # every candidate is refused, and the last refusal is named
+    with pytest.raises(NotFoundError, match="e must be at least 2, got 1"):
+        search(Recipe("cor1", {"e": 1}), 100)
+    with pytest.raises(NotFoundError, match="n must be at least 3, got 2"):
+        search(Recipe("cor1", {"e": 3}), 2)
+
+
+@pytest.mark.parametrize("recipe,fragment", [
+    (Recipe("cor1", {"n": 7, "e": 3}), "omit one of"),
+    (Recipe("cor1", {}), "omit one of"),
+    (Recipe("cor1", [3]), "omit one of"),
+    (Recipe("cor1", {"e": 3, "x": 1}), "unknown field 'x'"),
+    (Recipe("cor0", {"e": 3}), "unknown recipe id"),
+])
+def test_search_needs_a_known_recipe_with_one_param_left_out(recipe, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        search(recipe, 10)
 
 
 def test_search_cor2_single_field():
@@ -95,7 +107,7 @@ def test_cor2_hypotheses_fail_with_one_error_type():
 
 
 def test_search_cor2_scan_covers_admissible_prime_powers():
-    labels = [r.label for r in search_cor2_scan(100, 4)]
+    labels = [r.label for r in search(Recipe("cor2", {"e": 4}), 100)]
     assert labels == [
         "cor2 q=[13] e=4",
         "cor2 q=[25] e=4",
@@ -283,8 +295,9 @@ def test_recipe_output_is_frozen(run_cli, recipe):
     "frozen", FROZEN["search"], ids=lambda x: f"{x['construction']}-e{x['e']}"
 )
 def test_search_output_is_frozen(run_cli, frozen):
-    argv = ["catalog", "search", "--construction", frozen["construction"]]
-    code, out, _ = run_cli(argv + ["--e", str(frozen["e"]), "--max", str(frozen["max"])])
+    params = f'{{"e":{frozen["e"]}}}'
+    argv = ["catalog", "search", "--id", frozen["construction"], "--params", params]
+    code, out, _ = run_cli(argv + ["--max", str(frozen["max"])])
     assert code == 0
     assert out == "".join(_dumps(x) + "\n" for x in frozen["output"])
 
@@ -350,5 +363,56 @@ def test_random_params_certify_or_fail_with_a_named_error(recipe_id):
         except (RecipeHypothesisError, NotFoundError):
             return
         assert result.certified == result.expected
+
+    check()
+
+
+def _walks(fixed, name, top):
+    """Draws of (params without name, name, a top of at most top)."""
+    return st.tuples(st.fixed_dictionaries(fixed), st.just(name), st.integers(0, top))
+
+
+_Q_LIST = st.lists(st.integers(-3, 50), max_size=2)
+_E = st.integers(-1, 5)
+
+# one draw per left-out name; every ring a walk reaches has order at most about 2 x 10^4
+SEARCH_WALKS = {
+    "cor1": _walks({"e": _E}, "n", 60) | _walks({"n": st.integers(-3, 100)}, "e", 8),
+    "cor2": _walks({"e": _E}, "q_list", 60) | _walks({"q_list": _Q_LIST}, "e", 8),
+    "ding_thm1": _walks({"e": _E}, "q_list", 60) | _walks({"q_list": _Q_LIST}, "e", 8),
+    "ding_thm3": _walks({}, "m", 13),
+    "ding_thm5": _walks({}, "m", 13),
+    "zha_cor1": _walks({"s": _E}, "b", 10) | _walks({"b": _E}, "s", 7),
+    "zha_cor2": _walks({"s": _E}, "b", 10) | _walks({"b": _E}, "s", 7),
+    "zha_thm2": _walks({"s": _E}, "b", 6) | _walks({"b": _E}, "s", 5),
+    "cai_thm1": _walks({"e": st.integers(-1, 8)}, "n", 60)
+    | _walks({"n": st.integers(-3, 100)}, "e", 10),
+}
+
+
+def _certified_candidates(recipe_id, params, name, top):
+    """run_recipe on each candidate of the walk in turn: the rows of those that certify."""
+    rows = []
+    for value in range(top + 1):
+        candidate = Recipe(recipe_id, {**params, name: [value] if name == "q_list" else value})
+        try:
+            rows.append(run_recipe(candidate).to_json())
+        except (RecipeHypothesisError, NotFoundError):
+            continue
+    return rows
+
+
+@pytest.mark.parametrize("recipe_id", RECIPE_IDS)
+def test_search_keeps_each_candidate_that_certifies(recipe_id):
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(SEARCH_WALKS[recipe_id])
+    def check(walk):
+        params, name, top = walk
+        rows = _certified_candidates(recipe_id, params, name, top)
+        if not rows:
+            with pytest.raises(NotFoundError):
+                search(Recipe(recipe_id, params), top)
+        else:
+            assert [r.to_json() for r in search(Recipe(recipe_id, params), top)] == rows
 
     check()

@@ -407,7 +407,7 @@ def test_codes_csv_output(run_cli, tmp_path):
 
 def test_catalog_search_json_lines(run_cli):
     code, out, _ = run_cli(
-        ["catalog", "search", "--construction", "cor2", "--e", "4", "--max", "30"]
+        ["catalog", "search", "--id", "cor2", "--params", '{"e":4}', "--max", "30"]
     )
     assert code == 0
     lines = out.strip().split("\n")
@@ -419,7 +419,7 @@ def test_catalog_search_json_lines(run_cli):
 
 def test_catalog_search_text(run_cli):
     code, out, _ = run_cli(
-        ["catalog", "search", "--construction", "cor1", "--e", "3", "--max", "20",
+        ["catalog", "search", "--id", "cor1", "--params", '{"e":3}', "--max", "20",
          "--format", "text"]
     )
     assert code == 0
@@ -810,6 +810,27 @@ def test_a_partition_table_under_the_limit_runs(run_cli, monkeypatch):
     )
 
 
+def test_a_search_candidate_past_the_limit_needs_force(run_cli, monkeypatch):
+    # cor1 with e = 3: the 3 x 7 partition table of Z_7 passes 5^2 entries, the
+    # 3 x 13 one of Z_13 does not, and the search writes nothing when it is refused
+    monkeypatch.setattr(cli_module, "ORDER_LIMIT", 5)
+    argv = ["catalog", "search", "--id", "cor1", "--params", '{"e":3}', "--format", "text"]
+    assert run_cli([*argv, "--max", "12"]) == (0, "(21, 11, 1) ZDB  cor1 n=7 e=3\n", "")
+    assert run_cli([*argv, "--max", "20"]) == (
+        2,
+        "",
+        "error: a partition of a ring of order 13 by a subgroup of order 3 needs 39 product "
+        "table entries, over the limit of 25; pass --force to run anyway\n",
+    )
+    code, out, err = run_cli([*argv, "--max", "20", "--force"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "(21, 11, 1) ZDB  cor1 n=7 e=3",
+        "(39, 20, 1) ZDB  cor1 n=13 e=3",
+        "(57, 29, 1) ZDB  cor1 n=19 e=3",
+    ]
+
+
 WALK_PROBE = ["zdb", "construct", "generic", "--ring", '{"kind":"residue","n":1000000000039}',
               "--g", "2"]
 WALK_REFUSAL = (
@@ -920,6 +941,7 @@ _RING_MODULES = ["arith", "cli", "errors", "rings"]
 _FUNCTION_MODULES = sorted([*_RING_MODULES, "domains", "function", "groups"])
 _BUILD_MODULES = sorted([*_FUNCTION_MODULES, "construct", "cosets"])
 _CODES_MODULES = sorted([*_FUNCTION_MODULES, "codes", "verify"])
+_CATALOG_MODULES = sorted([*_BUILD_MODULES, "catalog", "codes", "verify"])
 
 
 @pytest.mark.parametrize(
@@ -950,8 +972,18 @@ _CODES_MODULES = sorted([*_FUNCTION_MODULES, "codes", "verify"])
         ),
         pytest.param(
             ["catalog", "certify", "--all", "--max-order", "30"],
-            sorted([*_BUILD_MODULES, "catalog", "codes", "verify"]),
+            _CATALOG_MODULES,
             id="catalog-certify",
+        ),
+        pytest.param(
+            ["catalog", "recipe", "--id", "cor1", "--params", '{"n":7,"e":3}'],
+            _CATALOG_MODULES,
+            id="catalog-recipe",
+        ),
+        pytest.param(
+            ["catalog", "search", "--id", "cor1", "--params", '{"e":3}', "--max", "20"],
+            _CATALOG_MODULES,
+            id="catalog-search",
         ),
     ],
 )
